@@ -243,16 +243,23 @@ def cmd_solve(cfg, out_dir, threads):
     opts = build_solver_opts(cfg)
     zs = build_z_grid(cfg)
 
-    def one(z):
-        rep = master_solver.solve_with_continuation([z], c, H, profile, quad, opts)[z]
-        f, ft, dual = spectra.stieltjes_pair(rep, c, z)
-        return (z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual, rep.iterations)
+    def solve(chunk):
+        # one stepper per call; each target still starts its own cold ladder
+        reports = master_solver.solve_with_continuation(chunk, c, H, profile, quad, opts)
+        rows = []
+        for z in chunk:
+            rep = reports[z]
+            f, ft, dual = spectra.stieltjes_pair(rep, c, z)
+            rows.append((z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual,
+                         rep.iterations))
+        return rows
 
     if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            rows = list(pool.map(one, zs))
+        chunks = [zs[k::threads] for k in range(min(threads, len(zs)))]
+        with concurrent.futures.ThreadPoolExecutor(len(chunks)) as pool:
+            rows = [row for part in pool.map(solve, chunks) for row in part]
     else:
-        rows = [one(z) for z in zs]
+        rows = solve(zs)
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out_dir / "solve.csv", _meta(cfg),
                ["z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters"],
@@ -419,11 +426,11 @@ def build_parser():
 def run(argv=None):
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
     if args.threads < 1:
         raise ConfigError("--threads", "must be >= 1")
+    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "solve":
         return cmd_solve(cfg, out_dir, args.threads)
     if args.command == "density":

@@ -20,6 +20,14 @@ integrate ``sigma2(., c u_i)`` and ``sigma2(., t_j)`` against pi.  The
 Stieltjes transforms of the limiting spectra (Gram and transposed Gram
 side) are the total masses ``f = sum(pi)`` and ``f_tilde = sum(pi_tilde)``.
 
+The iterate is one complex vector ``s = [p | pa | r]`` of length 2m + q:
+the m weights of pi on H's atoms, then the m atomic and q quadrature
+weights of pi_tilde.  The profile enters through one real m x (m + q)
+matrix ``W = [sigma2(u_k, c u_i) | sigma2(u_k, t_j)]``, so the integrals of
+a step are ``A = W @ s[m:]`` and ``[B; C] = W.T @ s[:m]``: two real matrix
+products on the (re, im) pairs of the weights.  Damping, the residual and
+the masses are single expressions on ``s``.
+
 The map is iterated from the cold start ``pi = pi_tilde = -H / z``.  Above
 the contraction height (see :func:`contraction_start_height`) plain Picard
 contracts geometrically in total variation; below it the solver damps the
@@ -149,66 +157,71 @@ def _iterate_points(H, quad, c):
 
 
 def _weights_from_integrals(z, c, lam, w, omega, A, B, C, min_den):
-    """One application of the fixed-point map given the three integrals."""
+    """One application of the fixed-point map given the three integrals.
+
+    Returns the new weights stacked as ``[p | pa | r]``.
+    """
     one_a = 1.0 + A            # the d-tilde denominators
     one_b = 1.0 + c * B        # the d denominators
     kappa = -z * (1.0 + c * C)
-    floor = min(np.min(np.abs(one_a)), np.min(np.abs(one_b)))
-    if kappa.size:
-        floor = min(floor, np.min(np.abs(kappa)))
     d_big = -z * one_a + lam / one_b
     d_big_tilde = -z * one_b + lam / one_a
-    floor = min(floor, np.min(np.abs(d_big)), np.min(np.abs(d_big_tilde)))
+    den = np.concatenate([d_big, d_big_tilde, kappa])
+    floor = min(np.min(np.abs(one_a)), np.min(np.abs(one_b)), np.min(np.abs(den)))
     if floor < min_den:
         raise DegenerateDenominator(
             f"denominator magnitude {floor:.3e} below floor {min_den:.3e} at z={z}")
-    return w / d_big, (c * w) / d_big_tilde, omega / kappa
+    return np.concatenate([w, c * w, omega]) / den
+
+
+def _real_matmul(M, v):
+    """``M @ v`` for a real matrix and a contiguous complex vector, computed
+    as one real product on the ``(re, im)`` pairs so nothing is upcast."""
+    return (M @ v.view(np.float64).reshape(-1, 2)).view(complex).ravel()
 
 
 class _Stepper:
-    """Precomputed profile matrices for repeated steps at fixed (H, quad, c)."""
+    """The fixed-point map at fixed (H, quad, c) on the stacked iterate.
+
+    See the module docstring for the layout of ``W`` and ``s``.
+    """
 
     def __init__(self, H, profile, quad, c):
-        self.H = H
-        self.quad = quad
         self.c = float(c)
+        self.m = m = H.u.size
         self.u = H.u
         self.lam = H.lam
         self.w = H.w
-        self.tq = quad.nodes
         self.omega = quad.weights
-        # sig_cu[k, i] = sigma2(u_k, c u_i); sig_tq[k, j] = sigma2(u_k, t_j)
-        self.sig_cu = np.asarray(profile.evaluate(self.u[:, None], (c * self.u)[None, :]))
-        self.sig_tq = (np.asarray(profile.evaluate(self.u[:, None], self.tq[None, :]))
-                       if len(quad) else np.zeros((self.u.size, 0)))
-        self._sig_uu = None
-        self._profile = profile
+        # filled block by block: a whole-row evaluation or a contiguous
+        # transposed copy would raise the peak memory of a solve
+        self.W = np.empty((m, m + len(quad)))
+        self.W[:, :m] = profile.evaluate(self.u[:, None], (c * self.u)[None, :])
+        if len(quad):
+            self.W[:, m:] = profile.evaluate(self.u[:, None], quad.nodes[None, :])
+        # the cold start puts both kernels at -H/z on H's own points
+        self.a_cold = profile.evaluate(self.u[:, None], self.u[None, :]) @ self.w
+        self.bc_cold = self.W.T @ self.w
         self.tilde_t, self.tilde_zeta = _iterate_points(H, quad, c)
 
-    def integrals_cold(self, p, q0):
-        # first step only: the second kernel still sits on H's own points
-        if self._sig_uu is None:
-            self._sig_uu = np.asarray(
-                self._profile.evaluate(self.u[:, None], self.u[None, :]))
-        A = self._sig_uu @ q0
-        return A, self.sig_cu.T @ p, self.sig_tq.T @ p
-
-    def integrals(self, p, pa, r):
-        A = self.sig_cu @ pa
-        if r.size:
-            A = A + self.sig_tq @ r
-        return A, self.sig_cu.T @ p, self.sig_tq.T @ p
-
-    def step(self, z, p, pa, r, min_den):
-        A, B, C = self.integrals(p, pa, r)
+    def _map(self, z, A, BC, min_den):
+        m = self.m
         return _weights_from_integrals(z, self.c, self.lam, self.w, self.omega,
-                                       A, B, C, min_den)
+                                       A, BC[:m], BC[m:], min_den)
 
-    def pack(self, p, pa, r):
-        pi = ComplexKernel(self.u, self.lam, p)
-        pi_tilde = ComplexKernel(self.tilde_t, self.tilde_zeta,
-                                 np.concatenate([pa, r]))
-        return pi, pi_tilde
+    def cold(self, z, min_den):
+        """The first iterate, from the cold start ``pi = pi_tilde = -H/z``."""
+        return self._map(z, -self.a_cold / z, -self.bc_cold / z, min_den)
+
+    def step(self, z, s, min_den):
+        m = self.m
+        return self._map(z, _real_matmul(self.W, s[m:]),
+                         _real_matmul(self.W.T, s[:m]), min_den)
+
+    def pack(self, s):
+        m = self.m
+        return (ComplexKernel(self.u, self.lam, s[:m]),
+                ComplexKernel(self.tilde_t, self.tilde_zeta, s[m:]))
 
 
 def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
@@ -233,11 +246,11 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
     sig_tq = (np.asarray(profile.evaluate(H.u[:, None], quad.nodes[None, :]))
               if len(quad) else np.zeros((H.u.size, 0)))
     C = sig_tq.T @ pi_prev.weights
-    p, pa, r = _weights_from_integrals(z, c, H.lam, H.w, quad.weights, A, B, C,
-                                       DEFAULT_MIN_DENOMINATOR)
+    s = _weights_from_integrals(z, c, H.lam, H.w, quad.weights, A, B, C,
+                                DEFAULT_MIN_DENOMINATOR)
     t, zeta = _iterate_points(H, quad, c)
-    return (ComplexKernel(H.u, H.lam, p),
-            ComplexKernel(t, zeta, np.concatenate([pa, r])))
+    m = H.u.size
+    return ComplexKernel(H.u, H.lam, s[:m]), ComplexKernel(t, zeta, s[m:])
 
 
 def _check_solution(z, f, f_tilde):
@@ -257,43 +270,33 @@ def _solve(z, stepper, height, opts, initial):
     damping = opts.damping
     if damping is None:
         damping = 1.0 if z.imag >= height else 0.5
-    m = stepper.u.size
+    m = stepper.m
     residuals = []
-    iterations = 0
     if initial is None:
-        p = -stepper.w / z
-        q0 = p.copy()
-        A, B, C = stepper.integrals_cold(p, q0)
-        p, pa, r = _weights_from_integrals(z, stepper.c, stepper.lam, stepper.w,
-                                           stepper.omega, A, B, C,
-                                           opts.min_denominator)
+        s = stepper.cold(z, opts.min_denominator)
         iterations = 1
     else:
         pi0, pi_tilde0 = initial
         if (pi0.weights.size != m
-                or pi_tilde0.weights.size != m + len(stepper.quad)
+                or pi_tilde0.weights.size != stepper.tilde_t.size
                 or not np.allclose(pi0.t, stepper.u)
                 or not np.allclose(pi_tilde0.t, stepper.tilde_t)):
             raise InvalidInput("initial kernels do not match the system layout")
-        p = pi0.weights.astype(complex, copy=True)
-        pa = pi_tilde0.weights[:m].astype(complex, copy=True)
-        r = pi_tilde0.weights[m:].astype(complex, copy=True)
+        s = np.concatenate([pi0.weights, pi_tilde0.weights])
+        iterations = 0
     while iterations < opts.max_iters:
-        p_new, pa_new, r_new = stepper.step(z, p, pa, r, opts.min_denominator)
+        s_new = stepper.step(z, s, opts.min_denominator)
         if damping < 1.0:
-            p_new = damping * p_new + (1.0 - damping) * p
-            pa_new = damping * pa_new + (1.0 - damping) * pa
-            r_new = damping * r_new + (1.0 - damping) * r
-        res = (np.abs(p_new - p).sum() + np.abs(pa_new - pa).sum()
-               + np.abs(r_new - r).sum())
-        residuals.append(float(res))
-        p, pa, r = p_new, pa_new, r_new
+            s_new = damping * s_new + (1.0 - damping) * s
+        res = float(np.abs(s_new - s).sum())
+        residuals.append(res)
+        s = s_new
         iterations += 1
         if res <= opts.tol:
-            f = complex(p.sum())
-            f_tilde = complex(pa.sum() + r.sum())
+            f = complex(s[:m].sum())
+            f_tilde = complex(s[m:].sum())
             _check_solution(z, f, f_tilde)
-            pi, pi_tilde = stepper.pack(p, pa, r)
+            pi, pi_tilde = stepper.pack(s)
             return SolveReport(pi, pi_tilde, f, f_tilde, residuals, iterations)
     last = f"{residuals[-1]:.3e}" if residuals else "n/a"
     raise NoConvergence(
@@ -320,6 +323,17 @@ def solve_master(z, c, H, profile, quad, opts=None, initial=None):
     return _solve(z, stepper, height, opts, initial)
 
 
+def _rungs(y_from, y_to, factor):
+    """Heights from max(y_from, y_to) down to y_to, shrinking by ``factor``."""
+    rungs = [max(y_from, y_to)]
+    while rungs[-1] > y_to * (1 + 1e-12):
+        rungs.append(max(y_to, factor * rungs[-1]))
+    return rungs
+
+
+_SOLVE_FAILURES = (NoConvergence, DegenerateDenominator, NumericalFailure)
+
+
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
                             factor=0.7, y_start=None):
     """Solve at each target z by stepping down from a safe height.
@@ -327,7 +341,8 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     Each target is first solved at Im(z) = max(contraction height, Im z),
     then the height is reduced geometrically by ``factor``, warm-starting
     every rung from the previous kernels, until the target is reached.
-    Returns a dict mapping each target z to its SolveReport.
+    Returns a dict mapping each target z to its SolveReport.  A failed rung
+    re-raises its error type with the target and the rung height added.
     """
     targets = [complex(zt) for zt in z_targets]
     if any(zt.imag <= 0 for zt in targets):
@@ -339,17 +354,12 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
     out = {}
     for zt in targets:
-        y0 = max(height, zt.imag) if y_start is None else max(y_start, zt.imag)
-        rungs = [y0]
-        while rungs[-1] > zt.imag * (1 + 1e-12):
-            rungs.append(max(zt.imag, factor * rungs[-1]))
         state = None
-        for y in rungs:
-            zr = complex(zt.real, y)
+        for y in _rungs(height if y_start is None else y_start, zt.imag, factor):
             try:
-                report = _solve(zr, stepper, height, opts, state)
-            except NoConvergence as exc:
-                raise NoConvergence(
+                report = _solve(complex(zt.real, y), stepper, height, opts, state)
+            except _SOLVE_FAILURES as exc:
+                raise type(exc)(
                     f"target z={zt}: rung Im={y:.6g} failed: {exc}") from exc
             state = (report.pi, report.pi_tilde)
         out[zt] = report
@@ -361,7 +371,8 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     each point from its left neighbour.
 
     Points where the warm-started iteration stalls are retried with a cold
-    vertical continuation.  Returns the list of SolveReports in x order.
+    vertical continuation; a failed rescue re-raises its error type with x
+    and the rung height added.  Returns the list of SolveReports in x order.
     """
     if epsilon <= 0:
         raise InvalidInput("epsilon must be > 0")
@@ -370,21 +381,20 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
     reports = []
     state = None
-    for x in np.asarray(x_values, dtype=float):
-        z = complex(x, epsilon)
+    for x in np.asarray(x_values, dtype=float).tolist():
         try:
-            report = _solve(z, stepper, height, opts, state)
+            report = _solve(complex(x, epsilon), stepper, height, opts, state)
         except (NoConvergence, DegenerateDenominator):
             report = None
         if report is None:
             # vertical rescue: continue down from the contraction height
-            y = max(height, epsilon)
-            rungs = [y]
-            while rungs[-1] > epsilon * (1 + 1e-12):
-                rungs.append(max(epsilon, factor * rungs[-1]))
             rescue_state = None
-            for yv in rungs:
-                report = _solve(complex(x, yv), stepper, height, opts, rescue_state)
+            for y in _rungs(height, epsilon, factor):
+                try:
+                    report = _solve(complex(x, y), stepper, height, opts, rescue_state)
+                except _SOLVE_FAILURES as exc:
+                    raise type(exc)(
+                        f"rescue at x={x!r}: rung Im={y:.6g} failed: {exc}") from exc
                 rescue_state = (report.pi, report.pi_tilde)
         state = (report.pi, report.pi_tilde)
         reports.append(report)

@@ -68,6 +68,13 @@ class TestSolveCommand:
                          "--threads", "3"]) == 0
         assert (out1 / "solve.csv").read_bytes() == (out2 / "solve.csv").read_bytes()
 
+    def test_zero_threads_exits_2_before_creating_out(self, tmp_path):
+        cfg = write_config(tmp_path, MP_SOLVE)
+        out = tmp_path / "never"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out),
+                         "--threads", "0"]) == 2
+        assert not out.exists()
+
     def test_invalid_ratio_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, dict(MP_SOLVE, c=1.5))
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

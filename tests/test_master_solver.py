@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gramspec.closed_forms import mp_stieltjes
-from gramspec.errors import InvalidInput, NoConvergence
-from gramspec.master_solver import (SolverOptions, contraction_start_height,
+from gramspec.errors import DegenerateDenominator, InvalidInput, NoConvergence
+from gramspec.master_solver import (SolverOptions, _Stepper,
+                                    contraction_start_height,
                                     init_kernels, picard_step,
                                     profile_integrals, solve_master,
                                     solve_with_continuation, sweep_line,
@@ -89,6 +90,45 @@ class TestPicardStep:
         pi1, _ = picard_step(z, 1.0, H, prof, quad, pi0, pit0)
         expect = H.w / (-z * (1 - 1 / z))
         np.testing.assert_allclose(pi1.weights, expect, atol=1e-15)
+
+
+STEP_PROFILES = {
+    "constant": VarianceProfile.constant(1.3),
+    "bilinear": VarianceProfile.bilinear([[0.5, 1.0], [1.2, 2.0]]),
+    "blocks": VarianceProfile.blocks([[0.4, 1.5, 0.9], [1.1, 0.3, 2.0]]),
+}
+
+
+class TestStepperAgainstReference:
+    """One step of the solver's stepper against the generic picard_step."""
+
+    @pytest.mark.parametrize("kind", sorted(STEP_PROFILES))
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    @pytest.mark.parametrize("layout", ["cold", "iterate"])
+    def test_one_step_matches_picard_step(self, layout, c, kind):
+        prof = STEP_PROFILES[kind]
+        rng = np.random.default_rng(5)
+        H = empirical_H_from_diagonal(rng.uniform(-1.5, 1.5, 12))
+        quad = QuadratureRule.midpoint(c, 9)
+        z = 0.4 + 0.7j
+        stepper = _Stepper(H, prof, quad, c)
+        pi0, pit0 = init_kernels(H, quad, z, c)
+        if layout == "cold":
+            got = stepper.cold(z, 1e-14)
+        else:
+            pi0, pit0 = picard_step(z, c, H, prof, quad, pi0, pit0)
+            # perturb so the step is not taken from a cold-start image
+            pi0.weights *= 1.0 + 0.1j * rng.standard_normal(pi0.weights.size)
+            pit0.weights *= 1.0 - 0.1j * rng.standard_normal(pit0.weights.size)
+            got = stepper.step(z, np.concatenate([pi0.weights, pit0.weights]), 1e-14)
+        pi1, pit1 = picard_step(z, c, H, prof, quad, pi0, pit0)
+        want = np.concatenate([pi1.weights, pit1.weights])
+        assert got.size == 2 * H.u.size + len(quad)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        pi, pit = stepper.pack(got)
+        np.testing.assert_array_equal(pi.t, pi1.t)
+        np.testing.assert_array_equal(pit.t, pit1.t)
+        np.testing.assert_array_equal(pit.zeta, pit1.zeta)
 
 
 class TestContractionHeight:
@@ -236,6 +276,29 @@ class TestContinuation:
             rep = solve_with_continuation([z], 0.5, H, prof, quad)[z]
             k = centered_profile_k(z, 0.5, prof, grid)
             assert abs(rep.f - complex(k.mean())) <= 1e-10
+
+    @pytest.mark.parametrize("opts, error", [
+        (SolverOptions(min_denominator=1e3), DegenerateDenominator),
+        (SolverOptions(max_iters=2), NoConvergence),
+    ])
+    def test_failed_rung_reports_target(self, opts, error):
+        H = uniform_H(16)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0)
+        z = 0.5 + 0.1j
+        with pytest.raises(error, match=r"target z=\(0\.5\+0\.1j\): rung Im=6 failed"):
+            solve_with_continuation([z], 1.0, H, prof, quad, opts)
+
+    @pytest.mark.parametrize("opts, error", [
+        (SolverOptions(min_denominator=1e3), DegenerateDenominator),
+        (SolverOptions(max_iters=2), NoConvergence),
+    ])
+    def test_failed_rescue_reports_x(self, opts, error):
+        H = uniform_H(16)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0)
+        with pytest.raises(error, match=r"rescue at x=0\.25: rung Im=6 failed"):
+            sweep_line([0.25, 0.5], 0.05, 1.0, H, prof, quad, opts)
 
     def test_sweep_line_matches_continuation(self):
         H = uniform_H(32)
