@@ -1,4 +1,5 @@
-"""Damped Picard solver for the coupled kernel fixed-point system.
+"""Fixed-point solver for the coupled kernel system: Picard iteration,
+Anderson-mixed below the contraction height.
 
 For a ratio ``c = lim N/n`` in (0, 1], a variance profile ``sigma2`` and a
 discrete limit measure ``H`` with atoms ``(u_i, lambda_i, w_i)``, the
@@ -28,16 +29,26 @@ a step are ``A = W @ s[m:]`` and ``[B; C] = W.T @ s[:m]``: two real matrix
 products on the (re, im) pairs of the weights.  Damping, the residual and
 the masses are single expressions on ``s``.
 
-The map is iterated from the cold start ``pi = pi_tilde = -H / z``.  Above
-the contraction height (see :func:`contraction_start_height`) plain Picard
-contracts geometrically in total variation; below it the solver damps the
-update and relies on warm starts supplied by imaginary-axis continuation.
+The map G is iterated from the cold start ``pi = pi_tilde = -H / z``.
+Above the contraction height (see :func:`contraction_start_height`) plain
+Picard contracts geometrically in total variation.  Below it the solver
+relies on warm starts supplied by imaginary-axis continuation and mixes
+the iterates with type-II Anderson acceleration (window
+``ANDERSON_WINDOW``, factor ``ANDERSON_BETA``) on the real view of ``s``.
+A mixed iterate with a negative imaginary part in any weight has left the
+Stieltjes class, so the mixer then drops its history and takes the plain
+step ``s + beta (G(s) - s)``: the damped Picard step, which is also what it
+does with an empty history.  At every height the solve stops once the
+undamped residual ``|G(s) - s|_1`` is at most ``tol`` and returns
+``G(s)``.  An explicit ``SolverOptions.damping`` replaces both policies by
+damped Picard at every height, stopping on the size of the damped step.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure
 from .measures import ComplexKernel, lambda_moment
@@ -49,6 +60,10 @@ __all__ = [
 ]
 
 DEFAULT_MIN_DENOMINATOR = 1e-14
+# Anderson mixing below the contraction height: differences kept, and the
+# factor on the residual in the mixed step
+ANDERSON_WINDOW = 6
+ANDERSON_BETA = 0.5
 
 
 @dataclass
@@ -56,7 +71,11 @@ class SolverOptions:
     """Knobs for the fixed-point iteration.
 
     ``damping=None`` selects the default policy: undamped Picard when
-    Im(z) is at or above the contraction height, factor 0.5 below it.
+    Im(z) is at or above the contraction height, safeguarded Anderson
+    mixing below it, stopping on the undamped residual.  A number selects
+    damped Picard with that factor at every height, stopping on the size
+    of the damped step.  ``max_iters`` bounds the applications of the map
+    in one solve.
     """
 
     tol: float = 1e-12
@@ -77,7 +96,14 @@ class SolverOptions:
 
 @dataclass
 class SolveReport:
-    """Converged kernels, their total masses, and the residual history."""
+    """Converged kernels, their total masses, and the residual history.
+
+    ``iterations`` counts every application of the fixed-point map in the
+    solve, the cold start and mixed steps included; ``residuals`` has one
+    entry per application after the first iterate.  ``restarts`` counts the
+    times the Anderson mixer cleared its history because a mixed iterate
+    left the Stieltjes class or could not be formed (0 when no mixing ran).
+    """
 
     pi: ComplexKernel
     pi_tilde: ComplexKernel
@@ -85,6 +111,7 @@ class SolveReport:
     f_tilde: complex
     residuals: list = field(default_factory=list)
     iterations: int = 0
+    restarts: int = 0
 
 
 def contraction_start_height(sigma_max_sq, c, lambda_m1):
@@ -156,22 +183,30 @@ def _iterate_points(H, quad, c):
     return t, zeta
 
 
-def _weights_from_integrals(z, c, lam, w, omega, A, B, C, min_den):
-    """One application of the fixed-point map given the three integrals.
+def _weights_from_integrals(z, c, lam, num, A, BC, min_den):
+    """One application of the fixed-point map given the integrals ``A`` and
+    ``BC = [B; C]``; ``num = [w | c w | omega]`` holds the numerators.
 
-    Returns the new weights stacked as ``[p | pa | r]``.
+    Returns the new weights stacked as ``[p | pa | r]``.  The floor applies
+    to ``1 + A``, ``1 + c B`` and every denominator, which share one buffer.
     """
-    one_a = 1.0 + A            # the d-tilde denominators
-    one_b = 1.0 + c * B        # the d denominators
-    kappa = -z * (1.0 + c * C)
-    d_big = -z * one_a + lam / one_b
-    d_big_tilde = -z * one_b + lam / one_a
-    den = np.concatenate([d_big, d_big_tilde, kappa])
-    floor = min(np.min(np.abs(one_a)), np.min(np.abs(one_b)), np.min(np.abs(den)))
+    m = lam.size
+    buf = np.empty(2 * m + num.size, complex)
+    one = buf[:2 * m]            # [1 + A | 1 + c B]
+    den = buf[2 * m:]            # [d_big | d_big_tilde | kappa]
+    one[:m] = A
+    np.multiply(BC[:m], c, out=one[m:])
+    one += 1.0
+    np.multiply(one, -z, out=den[:2 * m])
+    np.multiply(BC[m:], -c * z, out=den[2 * m:])
+    den[2 * m:] -= z             # kappa = -z (1 + c C)
+    den[:m] += lam / one[m:]
+    den[m:2 * m] += lam / one[:m]
+    floor = np.abs(buf).min()
     if floor < min_den:
         raise DegenerateDenominator(
             f"denominator magnitude {floor:.3e} below floor {min_den:.3e} at z={z}")
-    return np.concatenate([w, c * w, omega]) / den
+    return num / den
 
 
 def _real_matmul(M, v):
@@ -191,8 +226,7 @@ class _Stepper:
         self.m = m = H.u.size
         self.u = H.u
         self.lam = H.lam
-        self.w = H.w
-        self.omega = quad.weights
+        self.num = np.concatenate([H.w, c * H.w, quad.weights])
         # filled block by block: a whole-row evaluation or a contiguous
         # transposed copy would raise the peak memory of a solve
         self.W = np.empty((m, m + len(quad)))
@@ -200,14 +234,12 @@ class _Stepper:
         if len(quad):
             self.W[:, m:] = profile.evaluate(self.u[:, None], quad.nodes[None, :])
         # the cold start puts both kernels at -H/z on H's own points
-        self.a_cold = profile.evaluate(self.u[:, None], self.u[None, :]) @ self.w
-        self.bc_cold = self.W.T @ self.w
+        self.a_cold = profile.evaluate(self.u[:, None], self.u[None, :]) @ H.w
+        self.bc_cold = self.W.T @ H.w
         self.tilde_t, self.tilde_zeta = _iterate_points(H, quad, c)
 
     def _map(self, z, A, BC, min_den):
-        m = self.m
-        return _weights_from_integrals(z, self.c, self.lam, self.w, self.omega,
-                                       A, BC[:m], BC[m:], min_den)
+        return _weights_from_integrals(z, self.c, self.lam, self.num, A, BC, min_den)
 
     def cold(self, z, min_den):
         """The first iterate, from the cold start ``pi = pi_tilde = -H/z``."""
@@ -246,7 +278,8 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
     sig_tq = (np.asarray(profile.evaluate(H.u[:, None], quad.nodes[None, :]))
               if len(quad) else np.zeros((H.u.size, 0)))
     C = sig_tq.T @ pi_prev.weights
-    s = _weights_from_integrals(z, c, H.lam, H.w, quad.weights, A, B, C,
+    num = np.concatenate([H.w, c * H.w, quad.weights])
+    s = _weights_from_integrals(z, c, H.lam, num, A, np.concatenate([B, C]),
                                 DEFAULT_MIN_DENOMINATOR)
     t, zeta = _iterate_points(H, quad, c)
     m = H.u.size
@@ -265,11 +298,70 @@ def _check_solution(z, f, f_tilde):
             raise NumericalFailure(f"Im(z*{name}) negative at z={z}")
 
 
+class _Anderson:
+    """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+    on the float64 view of the stacked iterate.
+
+    Given an iterate ``x`` and its residual ``f = G(x) - x``, :meth:`next`
+    returns ``x + beta f - (dX + beta dF)^T gamma``.  The rows of ``dX`` and
+    ``dF`` are the last ``window`` differences of iterates and residuals,
+    and ``gamma`` minimizes ``|f - dF^T gamma|_2``, solved through the
+    ``j x j`` Gram matrix ``dF dF^T``.  ``dF`` and ``dX + beta dF`` live in
+    two preallocated ``(window, 2 len(x))`` ring buffers.
+
+    A mixed iterate with a negative imaginary part in any weight has left
+    the Stieltjes class.  It is rejected: the history is cleared, the
+    restart counted, and the plain step ``x + beta f`` taken instead.  A
+    Gram matrix that is not numerically positive definite restarts the same
+    way.  With an empty history the plain step is the damped Picard step.
+    """
+
+    def __init__(self, size, window, beta):
+        self.beta = beta
+        self.df = np.empty((window, 2 * size))
+        self.dg = np.empty((window, 2 * size))     # dX + beta dF
+        self.gram = np.empty((window, window))
+        self.prev = None     # the last (x, f), kept by reference
+        self.count = 0       # stored differences, in ring slots [0, count)
+        self.slot = 0        # ring slot of the next difference
+        self.restarts = 0
+
+    def next(self, s, f):
+        x = s.view(np.float64)
+        f = f.view(np.float64)
+        if self.prev is not None:
+            window = len(self.df)
+            k = self.slot
+            np.subtract(f, self.prev[1], out=self.df[k])
+            np.subtract(x, self.prev[0], out=self.dg[k])
+            self.dg[k] += self.beta * self.df[k]
+            self.count = min(self.count + 1, window)
+            self.slot = (k + 1) % window
+            row = self.df[:self.count] @ self.df[k]
+            self.gram[k, :self.count] = row
+            self.gram[:self.count, k] = row
+        self.prev = (x, f)
+        plain = x + self.beta * f
+        j = self.count
+        if j:
+            _, gamma, info = dposv(self.gram[:j, :j], self.df[:j] @ f)
+            if info == 0:
+                mixed = plain - gamma @ self.dg[:j]
+                if mixed[1::2].min() >= 0.0:
+                    return mixed.view(complex)
+            self.count = self.slot = 0
+            self.restarts += 1
+        return plain.view(complex)
+
+
 def _solve(z, stepper, height, opts, initial):
     z = complex(z)
     damping = opts.damping
+    mixer = None
     if damping is None:
-        damping = 1.0 if z.imag >= height else 0.5
+        damping = 1.0
+        if z.imag < height:
+            mixer = _Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA)
     m = stepper.m
     residuals = []
     if initial is None:
@@ -285,19 +377,21 @@ def _solve(z, stepper, height, opts, initial):
         s = np.concatenate([pi0.weights, pi_tilde0.weights])
         iterations = 0
     while iterations < opts.max_iters:
-        s_new = stepper.step(z, s, opts.min_denominator)
-        if damping < 1.0:
-            s_new = damping * s_new + (1.0 - damping) * s
-        res = float(np.abs(s_new - s).sum())
-        residuals.append(res)
-        s = s_new
+        g = stepper.step(z, s, opts.min_denominator)
         iterations += 1
+        if damping < 1.0:
+            g = damping * g + (1.0 - damping) * s
+        r = g - s
+        res = float(np.abs(r).sum())
+        residuals.append(res)
         if res <= opts.tol:
-            f = complex(s[:m].sum())
-            f_tilde = complex(s[m:].sum())
+            f = complex(g[:m].sum())
+            f_tilde = complex(g[m:].sum())
             _check_solution(z, f, f_tilde)
-            pi, pi_tilde = stepper.pack(s)
-            return SolveReport(pi, pi_tilde, f, f_tilde, residuals, iterations)
+            pi, pi_tilde = stepper.pack(g)
+            return SolveReport(pi, pi_tilde, f, f_tilde, residuals, iterations,
+                               0 if mixer is None else mixer.restarts)
+        s = g if mixer is None else mixer.next(s, r)
     last = f"{residuals[-1]:.3e}" if residuals else "n/a"
     raise NoConvergence(
         f"no convergence at z={z} after {iterations} iterations, "
@@ -370,8 +464,9 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     """Solve along the horizontal line Im(z) = epsilon, warm-starting
     each point from its left neighbour.
 
-    Points where the warm-started iteration stalls are retried with a cold
-    vertical continuation; a failed rescue re-raises its error type with x
+    Points where the warm-started solve fails (no convergence, a degenerate
+    denominator, or an answer that fails its checks) are retried with a
+    cold vertical continuation; a failed rescue re-raises its error type with x
     and the rung height added.  Returns the list of SolveReports in x order.
     """
     if epsilon <= 0:
@@ -384,7 +479,7 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     for x in np.asarray(x_values, dtype=float).tolist():
         try:
             report = _solve(complex(x, epsilon), stepper, height, opts, state)
-        except (NoConvergence, DegenerateDenominator):
+        except _SOLVE_FAILURES:
             report = None
         if report is None:
             # vertical rescue: continue down from the contraction height

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gramspec import master_solver
 from gramspec.closed_forms import mp_stieltjes
-from gramspec.errors import DegenerateDenominator, InvalidInput, NoConvergence
+from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
+                             NumericalFailure)
 from gramspec.master_solver import (SolverOptions, _Stepper,
                                     contraction_start_height,
                                     init_kernels, picard_step,
@@ -11,7 +13,8 @@ from gramspec.master_solver import (SolverOptions, _Stepper,
                                     theta_bound)
 from gramspec.measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
                                VarianceProfile, empirical_H_from_diagonal,
-                               lambda_moment, tv_distance, uniform_H)
+                               lambda_moment, product_H, tv_distance, uniform_H)
+from gramspec.spectra import default_x_grid
 
 
 def two_atom_H():
@@ -312,3 +315,95 @@ class TestContinuation:
             z = complex(x, eps)
             ref = solve_with_continuation([z], 1.0, H, prof, quad, opts)[z]
             assert abs(rep.f - ref.f) <= 1e-8
+
+    def test_warm_start_numerical_failure_is_rescued(self, monkeypatch):
+        H = uniform_H(32)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0)
+        eps = 0.05
+        target = complex(1.0, eps)
+        opts = SolverOptions(tol=1e-11, max_iters=50000)
+        check = master_solver._check_solution
+        forced = []
+
+        def fail_first_at_target(z, f, f_tilde):
+            if z == target and not forced:
+                forced.append(z)
+                raise NumericalFailure(f"forced failure at z={z}")
+            check(z, f, f_tilde)
+
+        monkeypatch.setattr(master_solver, "_check_solution", fail_first_at_target)
+        reports = sweep_line([0.5, 1.0, 1.5], eps, 1.0, H, prof, quad, opts)
+        assert forced == [target]
+        ref = solve_with_continuation([target], 1.0, H, prof, quad, opts)[target]
+        assert abs(reports[1].f - ref.f) <= 1e-12
+
+
+def density_system():
+    """The small ``density`` benchmark system: the 1 + xy profile, offsets
+    lambda^2 in {0, 1} at weight 1/2 each, 32 atoms and nodes, c = 1/2, and
+    24 x points at Im z = 1e-3, far below the contraction height."""
+    prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
+    H = product_H([(0.0, 0.5), (1.0, 0.5)], 32)
+    quad = QuadratureRule.midpoint(0.5, 32)
+    xs = default_x_grid(prof, H, 0.5, points=24)
+    return H, prof, quad, xs, 1e-3
+
+
+@pytest.fixture(scope="module")
+def density_reference():
+    """Damped Picard at tol = 1e-14 along the small density sweep."""
+    H, prof, quad, xs, eps = density_system()
+    opts = SolverOptions(tol=1e-14, damping=0.5, max_iters=60000)
+    return np.array([rep.f for rep in sweep_line(xs, eps, 0.5, H, prof, quad, opts)])
+
+
+class TestAndersonBelowHeight:
+    @pytest.mark.parametrize("window", range(3, 9))
+    def test_window_stays_in_stieltjes_class(self, monkeypatch, window,
+                                             density_reference):
+        # chained warm starts without sweep_line, so no rescue can hide a
+        # solve that left the Stieltjes class
+        monkeypatch.setattr(master_solver, "ANDERSON_WINDOW", window)
+        H, prof, quad, xs, eps = density_system()
+        opts = SolverOptions(tol=1e-9, max_iters=60000)
+        state = None
+        for x, ref in zip(xs, density_reference):
+            rep = solve_master(complex(x, eps), 0.5, H, prof, quad, opts, state)
+            assert rep.f.imag >= 0
+            assert min(rep.pi.weights.imag.min(), rep.pi_tilde.weights.imag.min()) >= 0
+            assert abs(rep.f - ref) <= 10 * opts.tol
+            state = (rep.pi, rep.pi_tilde)
+
+    def test_error_within_ten_tolerances(self, density_reference):
+        H, prof, quad, xs, eps = density_system()
+        assert eps < contraction_start_height(prof.sigma_max_sq, 0.5, lambda_moment(H))
+        opts = SolverOptions(tol=1e-9, max_iters=60000)
+        reports = sweep_line(xs, eps, 0.5, H, prof, quad, opts)
+        f = np.array([rep.f for rep in reports])
+        assert np.max(np.abs(f - density_reference)) <= 10 * opts.tol
+        # the safeguard fires on this sweep, and its restarts are reported
+        assert sum(rep.restarts for rep in reports) > 0
+
+    def test_explicit_damping_keeps_damped_picard(self):
+        # reference values of the damped loop: an explicit damping keeps its
+        # step and its step-size stopping rule
+        H = empirical_H_from_diagonal(np.linspace(-1.0, 1.0, 12))
+        prof = VarianceProfile.bilinear([[0.5, 1.0], [1.2, 2.0]])
+        quad = QuadratureRule.midpoint(0.5, 12)
+        rep = solve_master(0.4 + 0.2j, 0.5, H, prof, quad, SolverOptions(damping=0.5))
+        assert rep.iterations == 152
+        assert rep.restarts == 0
+        assert abs(rep.f - (0.6422435559303715 + 1.1418635939510193j)) <= 1e-13
+        assert abs(rep.f_tilde - (-0.6788782220358893 + 1.0709317969743466j)) <= 1e-13
+
+    def test_iterations_count_every_map_application(self):
+        H = uniform_H(16)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0, 16)
+        z = 0.5 + 0.5j       # below the contraction height 6
+        rep = solve_master(z, 1.0, H, prof, quad)
+        assert rep.iterations == len(rep.residuals) + 1   # + the cold start
+        for budget in (3, 7):
+            with pytest.raises(NoConvergence, match=f"after {budget} iterations"):
+                solve_master(z, 1.0, H, prof, quad, SolverOptions(max_iters=budget))
