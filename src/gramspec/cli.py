@@ -244,14 +244,14 @@ def cmd_solve(cfg, out_dir, threads):
     zs = build_z_grid(cfg)
 
     def solve(chunk):
-        # one stepper per call; each target still starts its own cold ladder
+        # one stepper per call; each target is solved from its own cold start
         reports = master_solver.solve_with_continuation(chunk, c, H, profile, quad, opts)
         rows = []
         for z in chunk:
             rep = reports[z]
             f, ft, dual = spectra.stieltjes_pair(rep, c, z)
             rows.append((z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual,
-                         rep.iterations))
+                         rep.iterations, rep.total_iterations, int(rep.rescued)))
         return rows
 
     if threads > 1:
@@ -262,7 +262,8 @@ def cmd_solve(cfg, out_dir, threads):
         rows = solve(zs)
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out_dir / "solve.csv", _meta(cfg),
-               ["z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters"],
+               ["z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters",
+                "total_iters", "rescued"],
                rows)
     return 0
 

@@ -32,8 +32,7 @@ the masses are single expressions on ``s``.
 The map G is iterated from the cold start ``pi = pi_tilde = -H / z``.
 Above the contraction height (see :func:`contraction_start_height`) plain
 Picard contracts geometrically in total variation.  Below it the solver
-relies on warm starts supplied by imaginary-axis continuation and mixes
-the iterates with type-II Anderson acceleration (window
+mixes the iterates with type-II Anderson acceleration (window
 ``ANDERSON_WINDOW``, factor ``ANDERSON_BETA``) on the real view of ``s``.
 A mixed iterate with a negative imaginary part in any weight has left the
 Stieltjes class, so the mixer then drops its history and takes the plain
@@ -42,6 +41,18 @@ does with an empty history.  At every height the solve stops once the
 undamped residual ``|G(s) - s|_1`` is at most ``tol`` and returns
 ``G(s)``.  An explicit ``SolverOptions.damping`` replaces both policies by
 damped Picard at every height, stopping on the size of the damped step.
+
+A converged ``G(s)`` must lie in the Stieltjes class weight by weight: each
+weight ``s_k`` with numerator ``num_k`` has ``Im s_k >= 0``,
+``Im(z s_k) >= 0`` and ``|s_k| <= num_k / Im z`` (up to a small slack), on
+top of the same checks on the masses ``f`` and ``f_tilde``.  A solve that
+fails them raises :class:`NumericalFailure`.
+
+Each target is solved once, straight from the cold start at the target (or
+from a neighbour's iterate along a line).  Only when that solve fails does
+the imaginary-axis continuation ladder run: down from the contraction
+height by a constant factor, each rung warm-started from the one above,
+solved to full ``tol``.  The contraction argument makes its top rung safe.
 """
 
 import math
@@ -98,11 +109,19 @@ class SolverOptions:
 class SolveReport:
     """Converged kernels, their total masses, and the residual history.
 
-    ``iterations`` counts every application of the fixed-point map in the
-    solve, the cold start and mixed steps included; ``residuals`` has one
-    entry per application after the first iterate.  ``restarts`` counts the
-    times the Anderson mixer cleared its history because a mixed iterate
-    left the Stieltjes class or could not be formed (0 when no mixing ran).
+    ``iterations``, ``residuals`` and ``restarts`` describe the solve that
+    produced the answer, at the answer's z.  ``iterations`` counts every
+    application of the fixed-point map in it, the cold start and mixed
+    steps included; ``residuals`` has one entry per application after the
+    first iterate.  ``restarts`` counts the times the Anderson mixer
+    cleared its history because a mixed iterate left the Stieltjes class or
+    could not be formed (0 when no mixing ran).
+
+    ``total_iterations`` counts every map application behind the answer:
+    the same as ``iterations`` for a direct solve, and for a rescued one
+    also the failed first attempt and every rung of the continuation
+    ladder.  ``rescued`` is True when the first attempt failed and the
+    answer came from the ladder.
     """
 
     pi: ComplexKernel
@@ -112,6 +131,8 @@ class SolveReport:
     residuals: list = field(default_factory=list)
     iterations: int = 0
     restarts: int = 0
+    total_iterations: int = 0
+    rescued: bool = False
 
 
 def contraction_start_height(sigma_max_sq, c, lambda_m1):
@@ -255,6 +276,16 @@ class _Stepper:
         return (ComplexKernel(self.u, self.lam, s[:m]),
                 ComplexKernel(self.tilde_t, self.tilde_zeta, s[m:]))
 
+    def unpack(self, pi, pi_tilde):
+        """The stacked iterate of a (pi, pi_tilde) pair in the iterate
+        layout; the inverse of :meth:`pack` for kernels from outside."""
+        if (pi.weights.size != self.m
+                or pi_tilde.weights.size != self.tilde_t.size
+                or not np.allclose(pi.t, self.u)
+                or not np.allclose(pi_tilde.t, self.tilde_t)):
+            raise InvalidInput("initial kernels do not match the system layout")
+        return np.concatenate([pi.weights, pi_tilde.weights])
+
 
 def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
     """One application of the fixed-point map to arbitrary input kernels.
@@ -296,6 +327,20 @@ def _check_solution(z, f, f_tilde):
             raise NumericalFailure(f"Im {name} negative ({val.imag:.3e}) at z={z}")
         if (z * val).imag < -slack:
             raise NumericalFailure(f"Im(z*{name}) negative at z={z}")
+
+
+def _check_weights(z, s, num):
+    """The checks of :func:`_check_solution` on every weight ``s_k``, with
+    the bound and the slack scaled by its numerator ``num_k``."""
+    bound = num * (1.0 / z.imag + 1e-9 * (1.0 + 1.0 / z.imag))
+    slack = num * (1e-10 * (1.0 + abs(z)))
+    for rule, excess in (("Im s_k >= 0", -slack - s.imag),
+                         ("Im(z*s_k) >= 0", -slack - (z * s).imag),
+                         ("|s_k| <= num_k/Im(z)", np.abs(s) - bound)):
+        k = int(np.argmax(excess))
+        if excess[k] > 0:
+            raise NumericalFailure(
+                f"weight {k} breaks {rule} by {excess[k]:.3e} at z={z}")
 
 
 class _Anderson:
@@ -354,7 +399,14 @@ class _Anderson:
         return plain.view(complex)
 
 
-def _solve(z, stepper, height, opts, initial):
+_SOLVE_FAILURES = (NoConvergence, DegenerateDenominator, NumericalFailure)
+
+
+def _solve(z, stepper, height, opts, start):
+    """One solve at ``z`` from the stacked iterate ``start``, or from the
+    cold start when it is None.  Returns the report and the converged
+    stacked iterate.  A failure carries the map applications it spent as
+    ``exc.iterations``."""
     z = complex(z)
     damping = opts.damping
     mixer = None
@@ -364,38 +416,38 @@ def _solve(z, stepper, height, opts, initial):
             mixer = _Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA)
     m = stepper.m
     residuals = []
-    if initial is None:
-        s = stepper.cold(z, opts.min_denominator)
-        iterations = 1
-    else:
-        pi0, pi_tilde0 = initial
-        if (pi0.weights.size != m
-                or pi_tilde0.weights.size != stepper.tilde_t.size
-                or not np.allclose(pi0.t, stepper.u)
-                or not np.allclose(pi_tilde0.t, stepper.tilde_t)):
-            raise InvalidInput("initial kernels do not match the system layout")
-        s = np.concatenate([pi0.weights, pi_tilde0.weights])
-        iterations = 0
-    while iterations < opts.max_iters:
-        g = stepper.step(z, s, opts.min_denominator)
-        iterations += 1
-        if damping < 1.0:
-            g = damping * g + (1.0 - damping) * s
-        r = g - s
-        res = float(np.abs(r).sum())
-        residuals.append(res)
-        if res <= opts.tol:
-            f = complex(g[:m].sum())
-            f_tilde = complex(g[m:].sum())
-            _check_solution(z, f, f_tilde)
-            pi, pi_tilde = stepper.pack(g)
-            return SolveReport(pi, pi_tilde, f, f_tilde, residuals, iterations,
-                               0 if mixer is None else mixer.restarts)
-        s = g if mixer is None else mixer.next(s, r)
-    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
-    raise NoConvergence(
-        f"no convergence at z={z} after {iterations} iterations, "
-        f"last residual {last}, tol {opts.tol:.1e}")
+    iterations = 0
+    try:
+        if start is None:
+            iterations = 1
+            s = stepper.cold(z, opts.min_denominator)
+        else:
+            s = start
+        while iterations < opts.max_iters:
+            iterations += 1
+            g = stepper.step(z, s, opts.min_denominator)
+            if damping < 1.0:
+                g = damping * g + (1.0 - damping) * s
+            r = g - s
+            res = float(np.abs(r).sum())
+            residuals.append(res)
+            if res <= opts.tol:
+                f = complex(g[:m].sum())
+                f_tilde = complex(g[m:].sum())
+                _check_solution(z, f, f_tilde)
+                _check_weights(z, g, stepper.num)
+                pi, pi_tilde = stepper.pack(g)
+                restarts = 0 if mixer is None else mixer.restarts
+                return SolveReport(pi, pi_tilde, f, f_tilde, residuals, iterations,
+                                   restarts, total_iterations=iterations), g
+            s = g if mixer is None else mixer.next(s, r)
+        last = f"{residuals[-1]:.3e}" if residuals else "n/a"
+        raise NoConvergence(
+            f"no convergence at z={z} after {iterations} iterations, "
+            f"last residual {last}, tol {opts.tol:.1e}")
+    except _SOLVE_FAILURES as exc:
+        exc.iterations = iterations
+        raise
 
 
 def solve_master(z, c, H, profile, quad, opts=None, initial=None):
@@ -403,8 +455,9 @@ def solve_master(z, c, H, profile, quad, opts=None, initial=None):
 
     ``initial`` optionally warm-starts the iteration from a (pi, pi_tilde)
     pair in the iterate layout, e.g. the kernels of a neighbouring solve.
-    Raises :class:`NoConvergence` when the iteration budget runs out and
-    :class:`DegenerateDenominator` on numerical breakdown.
+    Raises :class:`NoConvergence` when the iteration budget runs out,
+    :class:`DegenerateDenominator` on numerical breakdown and
+    :class:`NumericalFailure` when the answer leaves the Stieltjes class.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -414,7 +467,8 @@ def solve_master(z, c, H, profile, quad, opts=None, initial=None):
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
-    return _solve(z, stepper, height, opts, initial)
+    start = None if initial is None else stepper.unpack(*initial)
+    return _solve(z, stepper, height, opts, start)[0]
 
 
 def _rungs(y_from, y_to, factor):
@@ -425,16 +479,46 @@ def _rungs(y_from, y_to, factor):
     return rungs
 
 
-_SOLVE_FAILURES = (NoConvergence, DegenerateDenominator, NumericalFailure)
+def _solve_or_climb(z, stepper, height, opts, start, y_from, factor, where):
+    """Solve at ``z`` once from ``start`` (the cold start when None); if that
+    fails, rescue it with the continuation ladder ``_rungs(y_from, Im z,
+    factor)``, the top rung cold and each further rung warm-started from
+    the one above.
+
+    Returns the report and its stacked iterate.  A failed rung re-raises its
+    own error type with ``where`` and the rung height added.
+    """
+    try:
+        return _solve(z, stepper, height, opts, start)
+    except _SOLVE_FAILURES as exc:
+        spent = exc.iterations
+        rungs = _rungs(y_from, z.imag, factor)
+        if start is None and len(rungs) == 1:
+            # the ladder would repeat this very solve
+            raise type(exc)(
+                f"{where}: rung Im={rungs[0]:.6g} failed: {exc}") from exc
+    s = None
+    for y in rungs:
+        try:
+            report, s = _solve(complex(z.real, y), stepper, height, opts, s)
+        except _SOLVE_FAILURES as exc:
+            raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
+        spent += report.iterations
+    report.total_iterations = spent
+    report.rescued = True
+    return report, s
 
 
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
                             factor=0.7, y_start=None):
-    """Solve at each target z by stepping down from a safe height.
+    """Solve at each target z, by continuation down the imaginary axis
+    where a direct solve fails.
 
-    Each target is first solved at Im(z) = max(contraction height, Im z),
-    then the height is reduced geometrically by ``factor``, warm-starting
-    every rung from the previous kernels, until the target is reached.
+    Each target is first solved from the cold start at the target.  If that
+    fails, it is solved at Im(z) = max(y_start, Im z), ``y_start`` being
+    the contraction height by default, and the height is then reduced
+    geometrically by ``factor``, warm-starting every rung from the previous
+    one, until the target is reached; its report has ``rescued`` set.
     Returns a dict mapping each target z to its SolveReport.  A failed rung
     re-raises its error type with the target and the rung height added.
     """
@@ -446,18 +530,10 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
-    out = {}
-    for zt in targets:
-        state = None
-        for y in _rungs(height if y_start is None else y_start, zt.imag, factor):
-            try:
-                report = _solve(complex(zt.real, y), stepper, height, opts, state)
-            except _SOLVE_FAILURES as exc:
-                raise type(exc)(
-                    f"target z={zt}: rung Im={y:.6g} failed: {exc}") from exc
-            state = (report.pi, report.pi_tilde)
-        out[zt] = report
-    return out
+    y_from = height if y_start is None else y_start
+    return {zt: _solve_or_climb(zt, stepper, height, opts, None, y_from, factor,
+                                f"target z={zt}")[0]
+            for zt in targets}
 
 
 def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7):
@@ -465,9 +541,11 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     each point from its left neighbour.
 
     Points where the warm-started solve fails (no convergence, a degenerate
-    denominator, or an answer that fails its checks) are retried with a
-    cold vertical continuation; a failed rescue re-raises its error type with x
-    and the rung height added.  Returns the list of SolveReports in x order.
+    denominator, or an answer that fails its checks) are rescued by the
+    continuation ladder of :func:`solve_with_continuation`, from the
+    contraction height down to epsilon; a failed rescue re-raises its error
+    type with x and the rung height added.  Returns the list of
+    SolveReports in x order.
     """
     if epsilon <= 0:
         raise InvalidInput("epsilon must be > 0")
@@ -477,20 +555,7 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     reports = []
     state = None
     for x in np.asarray(x_values, dtype=float).tolist():
-        try:
-            report = _solve(complex(x, epsilon), stepper, height, opts, state)
-        except _SOLVE_FAILURES:
-            report = None
-        if report is None:
-            # vertical rescue: continue down from the contraction height
-            rescue_state = None
-            for y in _rungs(height, epsilon, factor):
-                try:
-                    report = _solve(complex(x, y), stepper, height, opts, rescue_state)
-                except _SOLVE_FAILURES as exc:
-                    raise type(exc)(
-                        f"rescue at x={x!r}: rung Im={y:.6g} failed: {exc}") from exc
-                rescue_state = (report.pi, report.pi_tilde)
-        state = (report.pi, report.pi_tilde)
+        report, state = _solve_or_climb(complex(x, epsilon), stepper, height, opts,
+                                        state, height, factor, f"rescue at x={x!r}")
         reports.append(report)
     return reports

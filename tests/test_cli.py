@@ -68,6 +68,20 @@ class TestSolveCommand:
                          "--threads", "3"]) == 0
         assert (out1 / "solve.csv").read_bytes() == (out2 / "solve.csv").read_bytes()
 
+    def test_rows_report_total_iters_and_rescued(self, tmp_path):
+        cfg = write_config(tmp_path, dict(MP_SOLVE, z_grid=[[0.5, 0.1], [0.5, 8.0]]))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        header = [line for line in (out / "solve.csv").read_text().splitlines()
+                  if not line.startswith("#")][0]
+        assert header.split(",")[-3:] == ["iters", "total_iters", "rescued"]
+        rows = read_rows(out / "solve.csv")
+        assert len(rows) == 2
+        for row in rows:
+            # both targets converge from the cold start at the target
+            assert int(row["total_iters"]) == int(row["iters"]) > 0
+            assert row["rescued"] == "0"
+
     def test_zero_threads_exits_2_before_creating_out(self, tmp_path):
         cfg = write_config(tmp_path, MP_SOLVE)
         out = tmp_path / "never"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramspec import master_solver
 from gramspec.closed_forms import mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
                              NumericalFailure)
-from gramspec.master_solver import (SolverOptions, _Stepper,
+from gramspec.master_solver import (SolverOptions, _Stepper, _check_solution,
+                                    _check_weights, _rungs,
                                     contraction_start_height,
                                     init_kernels, picard_step,
                                     profile_integrals, solve_master,
@@ -407,3 +410,138 @@ class TestAndersonBelowHeight:
         for budget in (3, 7):
             with pytest.raises(NoConvergence, match=f"after {budget} iterations"):
                 solve_master(z, 1.0, H, prof, quad, SolverOptions(max_iters=budget))
+
+
+def ladder_reference(z, c, H, prof, quad, opts):
+    """The continuation ladder spelled out: warm-started solve_master calls
+    from the contraction height down to Im z by the default factor 0.7."""
+    height = contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H))
+    reports, state = [], None
+    for y in _rungs(height, z.imag, 0.7):
+        reports.append(solve_master(complex(z.real, y), c, H, prof, quad, opts, state))
+        state = (reports[-1].pi, reports[-1].pi_tilde)
+    return reports
+
+
+_entries = st.floats(0.2, 2.0)
+_profiles = st.one_of(
+    _entries.map(VarianceProfile.constant),
+    st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=2, max_size=2)
+    .map(VarianceProfile.bilinear),
+    st.integers(1, 3).flatmap(lambda cols: st.lists(
+        st.lists(_entries, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    .map(VarianceProfile.blocks),
+)
+_offset_laws = st.lists(st.tuples(st.floats(0.0, 25.0), st.floats(0.1, 1.0)),
+                        min_size=1, max_size=3)
+
+
+class TestColdStartAtTarget:
+    """Each target is solved from the cold start at the target; the
+    continuation ladder only rescues a failed solve."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(prof=_profiles, law=_offset_laws,
+           c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           x=st.one_of(st.floats(-0.1, 0.1), st.floats(-2.0, 20.0)),
+           log_y=st.floats(np.log(1e-3), np.log(3.0)))
+    def test_matches_ladder_reference(self, prof, law, c, x, log_y):
+        total = sum(w for _, w in law)
+        H = product_H([(lam2, w / total) for lam2, w in law], 16)
+        quad = QuadratureRule.midpoint(c, 16)
+        z = complex(x, np.exp(log_y))
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        rep = solve_with_continuation([z], c, H, prof, quad, opts)[z]
+        # the residual sums weights of size up to num_k / Im z, so its
+        # rounding floor grows like 1/Im z: at Im z = 1.5e-3 it is 6e-14
+        ref_opts = SolverOptions(tol=1e-14 * max(1.0, 1.0 / z.imag), max_iters=60000)
+        ref = ladder_reference(z, c, H, prof, quad, ref_opts)[-1]
+        assert abs(rep.f - ref.f) <= 10 * opts.tol
+        _check_solution(z, rep.f, rep.f_tilde)
+        _check_weights(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
+                       _Stepper(H, prof, quad, c).num)
+
+    @pytest.mark.parametrize("entry", ["solve_with_continuation", "sweep_line"])
+    def test_forced_rescue_returns_ladder_answer(self, monkeypatch, entry):
+        H = uniform_H(32)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0)
+        z = 0.5 + 0.1j      # below the contraction height 6
+        opts = SolverOptions(tol=1e-11)
+        direct = solve_master(z, 1.0, H, prof, quad, opts)
+        rungs = ladder_reference(z, 1.0, H, prof, quad, opts)
+        check = master_solver._check_solution
+        forced = []
+
+        def fail_first_at_target(zz, f, f_tilde):
+            if zz == z and not forced:
+                forced.append(zz)
+                raise NumericalFailure(f"forced failure at z={zz}")
+            check(zz, f, f_tilde)
+
+        monkeypatch.setattr(master_solver, "_check_solution", fail_first_at_target)
+        if entry == "sweep_line":
+            rep = sweep_line([z.real], z.imag, 1.0, H, prof, quad, opts)[0]
+        else:
+            rep = solve_with_continuation([z], 1.0, H, prof, quad, opts)[z]
+        assert forced == [z]
+        assert rep.rescued
+        assert abs(rep.f - rungs[-1].f) <= 1e-12
+        assert rep.iterations == rungs[-1].iterations
+        # the failed cold attempt and every rung
+        assert rep.total_iterations == direct.iterations + sum(r.iterations for r in rungs)
+
+    def test_direct_solve_is_not_rescued(self):
+        H = uniform_H(32)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0)
+        z = 0.5 + 0.1j
+        rep = solve_with_continuation([z], 1.0, H, prof, quad)[z]
+        assert not rep.rescued
+        assert rep.total_iterations == rep.iterations
+
+    def test_failure_above_height_is_not_repeated(self, monkeypatch):
+        # above the contraction height the ladder is the cold solve itself
+        H = uniform_H(16)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0)
+        solve = master_solver._solve
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(master_solver, "_solve", counted)
+        with pytest.raises(NoConvergence, match=r"target z=8j: rung Im=8 failed"):
+            solve_with_continuation([8j], 1.0, H, prof, quad, SolverOptions(max_iters=2))
+        assert calls == [8j]
+
+    def test_negative_weight_raises(self):
+        z = 0.3 + 0.5j
+        num = np.array([0.5, 0.5, 0.25])
+        s = -num / z
+        _check_weights(z, s, num)
+        s[1] = s[1].real - 1e-6j
+        with pytest.raises(NumericalFailure, match=r"weight 1 breaks Im s_k >= 0"):
+            _check_weights(z, s, num)
+
+    def test_weight_above_bound_raises(self):
+        z = 1.0 + 0.5j
+        num = np.array([0.5, 0.5])
+        s = np.array([0.1j, 1.01j * 0.5 / z.imag])
+        with pytest.raises(NumericalFailure, match=r"weight 1 breaks \|s_k\|"):
+            _check_weights(z, s, num)
+
+    def test_zgrid_step_count(self):
+        # the separable profile, offset law and tolerance of the zgrid
+        # benchmark at m = q = 64, with targets spread like its grid.  The
+        # cold solves take 154 map applications; a ladder per target took
+        # 1181.  The ceiling is about twice the cold-start count.
+        prof = VarianceProfile.separable([0.5, 1.0, 1.5], [1.5, 1.0, 0.5])
+        H = product_H([(0.0, 0.5), (0.5, 0.3), (2.0, 0.2)], 64)
+        quad = QuadratureRule.midpoint(0.5, 64)
+        targets = [complex(x, y) for y in (0.06, 0.6) for x in (0.3, 1.9, 3.6, 5.2)]
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        reports = solve_with_continuation(targets, 0.5, H, prof, quad, opts)
+        assert sum(rep.total_iterations for rep in reports.values()) <= 300
