@@ -46,7 +46,7 @@ def capacity_from_limit(curve, c, noise, bits=False):
                            "(atom at zero must be 0)")
     if not 0 < c <= 1:
         raise InvalidInput("c must lie in (0, 1]")
-    mass = float(np.trapezoid(curve.values, curve.x_grid))
+    mass = curve.mass()
     if not _MASS_WINDOW[0] <= mass <= _MASS_WINDOW[1]:
         raise NumericalFailure(f"curve mass {mass:.4f} outside {_MASS_WINDOW}")
     integrand = np.log1p(curve.x_grid / noise.s_sq) * curve.values

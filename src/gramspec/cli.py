@@ -9,6 +9,10 @@ ensemble, noise, grids, solver options); subcommands run the workflows:
     gramspec compare  --config cfg.json --out outdir [--sim-dir dir]
     gramspec capacity --config cfg.json --out outdir [--bits]
 
+The :class:`Model` is read once, before the output directory is created.
+``--threads`` sets how many seeds are sampled at once (simulate, compare,
+capacity); solve and density run serially.
+
 Numeric tables are CSV, reports are JSON; every output embeds a hash of
 the canonical config so downstream steps can refuse mismatched artifacts.
 Reruns with identical configs and seeds are byte-identical.
@@ -19,6 +23,7 @@ failure.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import sys
@@ -102,30 +107,27 @@ def build_H(cfg):
 
 def resolve_ratio(cfg):
     """Ratio c in (0, 1]; c > 1 needs an explicit transpose directive."""
-    transposed = bool(cfg.get("transpose", False))
-    if "c" in cfg:
-        c = cfg["c"]
-        if not isinstance(c, (int, float)) or not c > 0:
-            raise ConfigError("c", "must be a number > 0")
-        c = float(c)
-        if c > 1.0:
-            if not transposed:
-                raise ConfigError("c", f"c={c} > 1; set \"transpose\": true to "
-                                       "relabel the two Gram sides")
-            c = 1.0 / c
-    elif "ensemble" in cfg:
+    if "c" not in cfg:
+        if "ensemble" not in cfg:
+            raise ConfigError("c", "missing (give c or an ensemble)")
         n_rows, n_cols = _ensemble_dims(cfg)
         c = n_rows / n_cols
-        if c > 1.0:
-            c, transposed = 1.0 / c, True
-    else:
-        raise ConfigError("c", "missing (give c or an ensemble)")
-    if "ensemble" in cfg and "c" in cfg:
+        return 1.0 / c if c > 1.0 else c
+    c = cfg["c"]
+    if not isinstance(c, (int, float)) or not c > 0:
+        raise ConfigError("c", "must be a number > 0")
+    c = float(c)
+    if c > 1.0:
+        if not cfg.get("transpose", False):
+            raise ConfigError("c", f"c={c} > 1; set \"transpose\": true to "
+                                   "relabel the two Gram sides")
+        c = 1.0 / c
+    if "ensemble" in cfg:
         n_rows, n_cols = _ensemble_dims(cfg)
         ratio = min(n_rows, n_cols) / max(n_rows, n_cols)
         if abs(c - ratio) > 1e-12:
             raise ConfigError("c", f"c={c} conflicts with ensemble N/n={ratio}")
-    return c, transposed
+    return c
 
 
 def _ensemble_dims(cfg):
@@ -222,6 +224,28 @@ def build_ensemble(cfg, seed):
         raise ConfigError("ensemble", str(exc)) from exc
 
 
+@dataclasses.dataclass(frozen=True)
+class Model:
+    """What every command reads from the config, built once; ``meta`` is
+    the header (config hash, RNG, canonical config) every output embeds."""
+
+    cfg: dict
+    profile: measures.VarianceProfile
+    H: measures.JointLimitMeasure
+    c: float
+    quad: measures.QuadratureRule
+    opts: master_solver.SolverOptions
+    meta: dict
+
+
+def build_model(cfg):
+    profile = build_profile(cfg)
+    H = build_H(cfg)
+    c = resolve_ratio(cfg)
+    return Model(cfg, profile, H, c, build_quad(cfg, c), build_solver_opts(cfg),
+                 _meta(cfg))
+
+
 def _write_csv(path, header_meta, columns, rows):
     lines = [f"# {k}: {v}" for k, v in header_meta.items()]
     lines.append(",".join(columns))
@@ -230,96 +254,78 @@ def _write_csv(path, header_meta, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_json(path, model, fields):
+    report = {"config_hash": model.meta["config_hash"], "rng": model.meta["rng"], **fields}
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
 def _meta(cfg):
     return {"config_hash": config_hash(cfg), "rng": simulator.RNG_NAME,
             "config": json.dumps(cfg, sort_keys=True, separators=(",", ":"))}
 
 
-def cmd_solve(cfg, out_dir, threads):
-    profile = build_profile(cfg)
-    H = build_H(cfg)
-    c, _ = resolve_ratio(cfg)
-    quad = build_quad(cfg, c)
-    opts = build_solver_opts(cfg)
-    zs = build_z_grid(cfg)
-
-    def solve(chunk):
-        # one stepper per call; each target is solved from its own cold start
-        reports = master_solver.solve_with_continuation(chunk, c, H, profile, quad, opts)
-        rows = []
-        for z in chunk:
-            rep = reports[z]
-            f, ft, dual = spectra.stieltjes_pair(rep, c, z)
-            rows.append((z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual,
-                         rep.iterations, rep.total_iterations, int(rep.rescued)))
-        return rows
-
-    if threads > 1:
-        chunks = [zs[k::threads] for k in range(min(threads, len(zs)))]
-        with concurrent.futures.ThreadPoolExecutor(len(chunks)) as pool:
-            rows = [row for part in pool.map(solve, chunks) for row in part]
-    else:
-        rows = solve(zs)
+def cmd_solve(model, out_dir):
+    zs = build_z_grid(model.cfg)
+    # one stepper for all targets; each target is solved from its own cold start
+    reports = master_solver.solve_with_continuation(zs, model.c, model.H, model.profile,
+                                                    model.quad, model.opts)
+    rows = []
+    for z in zs:
+        rep = reports[z]
+        f, ft, dual = spectra.stieltjes_pair(rep, model.c, z)
+        rows.append((z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual,
+                     rep.iterations, rep.total_iterations, int(rep.rescued)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(out_dir / "solve.csv", _meta(cfg),
+    _write_csv(out_dir / "solve.csv", model.meta,
                ["z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters",
                 "total_iters", "rescued"],
                rows)
     return 0
 
 
-def _limit_curve(cfg, profile, H, c, quad, opts):
-    epsilon = float(cfg.get("epsilon", DEFAULT_EPSILON))
-    x_grid = build_x_grid(cfg, profile, H, c)
-    transpose = bool(cfg.get("transpose_curve", False))
-    return spectra.limit_density(H, profile, quad, c, x_grid, epsilon, opts,
-                                 transpose=transpose)
+def _limit_curve(model):
+    epsilon = float(model.cfg.get("epsilon", DEFAULT_EPSILON))
+    x_grid = build_x_grid(model.cfg, model.profile, model.H, model.c)
+    return spectra.limit_density(model.H, model.profile, model.quad, model.c, x_grid,
+                                 epsilon, model.opts,
+                                 transpose=bool(model.cfg.get("transpose_curve", False)))
 
 
-def cmd_density(cfg, out_dir, threads):
-    profile = build_profile(cfg)
-    H = build_H(cfg)
-    c, _ = resolve_ratio(cfg)
-    quad = build_quad(cfg, c)
-    opts = build_solver_opts(cfg)
-    curve = _limit_curve(cfg, profile, H, c, quad, opts)
-    _write_csv(out_dir / "density.csv", _meta(cfg), ["x", "density"],
+def cmd_density(model, out_dir):
+    curve = _limit_curve(model)
+    _write_csv(out_dir / "density.csv", model.meta, ["x", "density"],
                list(zip(curve.x_grid.tolist(), curve.values.tolist())))
-    summary = {
-        "config_hash": config_hash(cfg),
-        "rng": simulator.RNG_NAME,
+    _write_json(out_dir / "density.json", model, {
         "epsilon": curve.epsilon,
         "atom_at_zero": curve.atom_at_zero,
         "mass": curve.mass(),
         "mass_defect": 1.0 - curve.mass(),
-    }
-    (out_dir / "density.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    })
     return 0
 
 
-def _simulate_all(cfg, seeds, threads):
-    profile = build_profile(cfg)
+def _simulate_all(model, seeds, threads):
+    """The (seed, sample) pairs in seed order, and whether the ensemble was
+    transposed.  The ensemble and its offsets are read once for all seeds."""
+    spec, transposed = build_ensemble(model.cfg, None)
+    lam = build_lambda_diag(model.cfg, spec.N)
 
     def one(seed):
-        spec, transposed = build_ensemble(cfg, seed)
-        lam = build_lambda_diag(cfg, spec.N)
-        sample = simulator.sample_spectrum(spec, profile, lam)
-        return seed, sample, transposed
+        return seed, simulator.sample_spectrum(dataclasses.replace(spec, seed=seed),
+                                               model.profile, lam)
 
+    seeds = sorted(seeds)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
-    return sorted(results, key=lambda r: r[0])
+            return list(pool.map(one, seeds)), transposed
+    return [one(s) for s in seeds], transposed
 
 
-def cmd_simulate(cfg, out_dir, threads, seeds_override):
-    seeds = resolve_seeds(cfg, seeds_override)
-    meta = _meta(cfg)
-    for seed, sample, transposed in _simulate_all(cfg, seeds, threads):
-        extra = dict(meta)
-        extra["transposed"] = transposed
+def cmd_simulate(model, out_dir, threads, seeds_override):
+    samples, transposed = _simulate_all(model, resolve_seeds(model.cfg, seeds_override),
+                                        threads)
+    extra = dict(model.meta, transposed=transposed)
+    for seed, sample in samples:
         simulator.export_csv(sample, out_dir / f"eigenvalues_seed{seed}.csv", extra)
     return 0
 
@@ -330,13 +336,8 @@ def _pad_to_transposed(sample):
     return simulator.SpectrumSample(padded, sample.seed, (n_cols, n_cols))
 
 
-def cmd_compare(cfg, out_dir, threads, seeds_override, sim_dir):
-    profile = build_profile(cfg)
-    H = build_H(cfg)
-    c, _ = resolve_ratio(cfg)
-    quad = build_quad(cfg, c)
-    opts = build_solver_opts(cfg)
-    want_hash = config_hash(cfg)
+def cmd_compare(model, out_dir, threads, seeds_override, sim_dir):
+    want_hash = model.meta["config_hash"]
     if sim_dir is not None:
         samples = []
         paths = sorted(Path(sim_dir).glob("eigenvalues_seed*.csv"))
@@ -349,52 +350,38 @@ def cmd_compare(cfg, out_dir, threads, seeds_override, sim_dir):
                                              f"{meta.get('config_hash')}, expected {want_hash}")
             samples.append((sample.seed, sample))
     else:
-        seeds = resolve_seeds(cfg, seeds_override)
-        samples = [(seed, sample) for seed, sample, _ in _simulate_all(cfg, seeds, threads)]
-    curve = _limit_curve(cfg, profile, H, c, quad, opts)
+        samples, _ = _simulate_all(model, resolve_seeds(model.cfg, seeds_override), threads)
+    curve = _limit_curve(model)
     cdf = spectra.cdf_with_atom(curve)
-    if bool(cfg.get("transpose_curve", False)):
+    if bool(model.cfg.get("transpose_curve", False)):
         # transposed Gram side: same nonzero spectrum plus n - N exact zeros
         samples = [(seed, _pad_to_transposed(sample)) for seed, sample in samples]
     per_seed = [{"seed": seed, "ks": simulator.ks_compare(sample, cdf)}
                 for seed, sample in samples]
-    report = {
-        "config_hash": want_hash,
-        "rng": simulator.RNG_NAME,
+    _write_json(out_dir / "compare.json", model, {
         "per_seed": per_seed,
         "median_ks": float(np.median([r["ks"] for r in per_seed])),
-    }
-    (out_dir / "compare.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_csv(out_dir / "compare.csv", _meta(cfg), ["seed", "ks"],
+    })
+    _write_csv(out_dir / "compare.csv", model.meta, ["seed", "ks"],
                [(r["seed"], r["ks"]) for r in per_seed])
-    _write_csv(out_dir / "limit_cdf.csv", _meta(cfg), ["x", "cdf"],
+    _write_csv(out_dir / "limit_cdf.csv", model.meta, ["x", "cdf"],
                list(zip(curve.x_grid.tolist(), np.asarray(cdf(curve.x_grid)).tolist())))
     return 0
 
 
-def cmd_capacity(cfg, out_dir, threads, seeds_override, bits):
-    profile = build_profile(cfg)
-    H = build_H(cfg)
-    c, _ = resolve_ratio(cfg)
-    quad = build_quad(cfg, c)
-    opts = build_solver_opts(cfg)
-    noise_cfg = cfg.get("noise", {})
-    noise = cap.NoiseLevel(float(noise_cfg.get("s_sq", 1.0)))
-    seeds = resolve_seeds(cfg, seeds_override)
+def cmd_capacity(model, out_dir, threads, seeds_override, bits):
+    noise = cap.NoiseLevel(float(model.cfg.get("noise", {}).get("s_sq", 1.0)))
+    samples, _ = _simulate_all(model, resolve_seeds(model.cfg, seeds_override), threads)
     values = [(seed, cap.capacity_from_spectrum(sample, noise, bits=bits))
-              for seed, sample, _ in _simulate_all(cfg, seeds, threads)]
-    curve = _limit_curve(cfg, profile, H, c, quad, opts)
-    limit = cap.capacity_from_limit(curve, c, noise, bits=bits)
-    report = {
-        "config_hash": config_hash(cfg),
-        "rng": simulator.RNG_NAME,
+              for seed, sample in samples]
+    curve = _limit_curve(model)
+    _write_json(out_dir / "capacity.json", model, {
         "s_sq": noise.s_sq,
         "units": "bits" if bits else "nats",
         "per_seed": [{"seed": s, "capacity": v} for s, v in values],
         "empirical_mean": float(np.mean([v for _, v in values])),
-        "limit": limit,
-    }
-    (out_dir / "capacity.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        "limit": cap.capacity_from_limit(curve, model.c, noise, bits=bits),
+    })
     return 0
 
 
@@ -430,17 +417,18 @@ def run(argv=None):
     if args.threads < 1:
         raise ConfigError("--threads", "must be >= 1")
     seeds = _parse_seeds(args.seeds) if args.seeds else None
+    model = build_model(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "solve":
-        return cmd_solve(cfg, out_dir, args.threads)
+        return cmd_solve(model, out_dir)
     if args.command == "density":
-        return cmd_density(cfg, out_dir, args.threads)
+        return cmd_density(model, out_dir)
     if args.command == "simulate":
-        return cmd_simulate(cfg, out_dir, args.threads, seeds)
+        return cmd_simulate(model, out_dir, args.threads, seeds)
     if args.command == "compare":
-        return cmd_compare(cfg, out_dir, args.threads, seeds, args.sim_dir)
-    return cmd_capacity(cfg, out_dir, args.threads, seeds, args.bits)
+        return cmd_compare(model, out_dir, args.threads, seeds, args.sim_dir)
+    return cmd_capacity(model, out_dir, args.threads, seeds, args.bits)
 
 
 def main(argv=None):

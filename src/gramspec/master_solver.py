@@ -237,13 +237,20 @@ def _real_matmul(M, v):
 
 
 class _Stepper:
-    """The fixed-point map at fixed (H, quad, c) on the stacked iterate.
+    """The fixed-point map at fixed (H, quad, c) on the stacked iterate,
+    and the system's contraction ``height``.
 
-    See the module docstring for the layout of ``W`` and ``s``.
+    See the module docstring for the layout of ``W`` and ``s``.  Rejects a
+    ``c`` outside (0, 1] and a ``quad`` not on [c, 1].
     """
 
     def __init__(self, H, profile, quad, c):
+        if not 0 < c <= 1:
+            raise InvalidInput("c must lie in (0, 1]")
+        if abs(quad.lower - c) > 1e-12:
+            raise InvalidInput(f"quadrature built for c={quad.lower}, not c={c}")
         self.c = float(c)
+        self.height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
         self.m = m = H.u.size
         self.u = H.u
         self.lam = H.lam
@@ -402,7 +409,7 @@ class _Anderson:
 _SOLVE_FAILURES = (NoConvergence, DegenerateDenominator, NumericalFailure)
 
 
-def _solve(z, stepper, height, opts, start):
+def _solve(z, stepper, opts, start):
     """One solve at ``z`` from the stacked iterate ``start``, or from the
     cold start when it is None.  Returns the report and the converged
     stacked iterate.  A failure carries the map applications it spent as
@@ -412,7 +419,7 @@ def _solve(z, stepper, height, opts, start):
     mixer = None
     if damping is None:
         damping = 1.0
-        if z.imag < height:
+        if z.imag < stepper.height:
             mixer = _Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA)
     m = stepper.m
     residuals = []
@@ -455,20 +462,18 @@ def solve_master(z, c, H, profile, quad, opts=None, initial=None):
 
     ``initial`` optionally warm-starts the iteration from a (pi, pi_tilde)
     pair in the iterate layout, e.g. the kernels of a neighbouring solve.
-    Raises :class:`NoConvergence` when the iteration budget runs out,
-    :class:`DegenerateDenominator` on numerical breakdown and
-    :class:`NumericalFailure` when the answer leaves the Stieltjes class.
+    Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
+    is the quadrature on [c, 1], :class:`NoConvergence` when the iteration
+    budget runs out, :class:`DegenerateDenominator` on numerical breakdown
+    and :class:`NumericalFailure` when the answer leaves the Stieltjes class.
     """
     z = complex(z)
     if z.imag <= 0:
         raise InvalidInput("z must lie in the upper half plane")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
-    height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
     start = None if initial is None else stepper.unpack(*initial)
-    return _solve(z, stepper, height, opts, start)[0]
+    return _solve(z, stepper, opts, start)[0]
 
 
 def _rungs(y_from, y_to, factor):
@@ -479,7 +484,7 @@ def _rungs(y_from, y_to, factor):
     return rungs
 
 
-def _solve_or_climb(z, stepper, height, opts, start, y_from, factor, where):
+def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
     """Solve at ``z`` once from ``start`` (the cold start when None); if that
     fails, rescue it with the continuation ladder ``_rungs(y_from, Im z,
     factor)``, the top rung cold and each further rung warm-started from
@@ -489,7 +494,7 @@ def _solve_or_climb(z, stepper, height, opts, start, y_from, factor, where):
     own error type with ``where`` and the rung height added.
     """
     try:
-        return _solve(z, stepper, height, opts, start)
+        return _solve(z, stepper, opts, start)
     except _SOLVE_FAILURES as exc:
         spent = exc.iterations
         rungs = _rungs(y_from, z.imag, factor)
@@ -500,7 +505,7 @@ def _solve_or_climb(z, stepper, height, opts, start, y_from, factor, where):
     s = None
     for y in rungs:
         try:
-            report, s = _solve(complex(z.real, y), stepper, height, opts, s)
+            report, s = _solve(complex(z.real, y), stepper, opts, s)
         except _SOLVE_FAILURES as exc:
             raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
         spent += report.iterations
@@ -521,6 +526,8 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     one, until the target is reached; its report has ``rescued`` set.
     Returns a dict mapping each target z to its SolveReport.  A failed rung
     re-raises its error type with the target and the rung height added.
+    Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
+    is the quadrature on [c, 1].
     """
     targets = [complex(zt) for zt in z_targets]
     if any(zt.imag <= 0 for zt in targets):
@@ -529,9 +536,8 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
         raise InvalidInput("factor must lie in (0, 1)")
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
-    height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
-    y_from = height if y_start is None else y_start
-    return {zt: _solve_or_climb(zt, stepper, height, opts, None, y_from, factor,
+    y_from = stepper.height if y_start is None else y_start
+    return {zt: _solve_or_climb(zt, stepper, opts, None, y_from, factor,
                                 f"target z={zt}")[0]
             for zt in targets}
 
@@ -545,17 +551,17 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     continuation ladder of :func:`solve_with_continuation`, from the
     contraction height down to epsilon; a failed rescue re-raises its error
     type with x and the rung height added.  Returns the list of
-    SolveReports in x order.
+    SolveReports in x order.  Raises :class:`InvalidInput` unless ``c``
+    lies in (0, 1] and ``quad`` is the quadrature on [c, 1].
     """
     if epsilon <= 0:
         raise InvalidInput("epsilon must be > 0")
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
-    height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
     reports = []
     state = None
     for x in np.asarray(x_values, dtype=float).tolist():
-        report, state = _solve_or_climb(complex(x, epsilon), stepper, height, opts,
-                                        state, height, factor, f"rescue at x={x!r}")
+        report, state = _solve_or_climb(complex(x, epsilon), stepper, opts, state,
+                                        stepper.height, factor, f"rescue at x={x!r}")
         reports.append(report)
     return reports

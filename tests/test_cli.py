@@ -83,11 +83,19 @@ class TestSolveCommand:
             assert row["rescued"] == "0"
 
     def test_zero_threads_exits_2_before_creating_out(self, tmp_path):
-        cfg = write_config(tmp_path, MP_SOLVE)
-        out = tmp_path / "never"
-        assert cli.main(["solve", "--config", str(cfg), "--out", str(out),
-                         "--threads", "0"]) == 2
-        assert not out.exists()
+        no_profile = {k: v for k, v in MP_SOLVE.items() if k != "profile"}
+        cases = [
+            ("solve", MP_SOLVE, ["--threads", "0"]),
+            ("solve", no_profile, []),
+            # compare rejects this config too: c must match the ensemble's N/n
+            ("simulate", dict(SIM_BASE, c=0.25), []),
+        ]
+        for k, (command, cfg_dict, extra) in enumerate(cases):
+            cfg = write_config(tmp_path, cfg_dict, name=f"cfg{k}.json")
+            out = tmp_path / f"never{k}"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                             *extra]) == 2
+            assert not out.exists()
 
     def test_invalid_ratio_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, dict(MP_SOLVE, c=1.5))

@@ -242,6 +242,28 @@ class TestSolveMaster:
                          QuadratureRule.midpoint(1.0))
 
 
+ENTRY_POINTS = {
+    "solve_master": lambda c, H, prof, quad: solve_master(1j, c, H, prof, quad),
+    "solve_with_continuation":
+        lambda c, H, prof, quad: solve_with_continuation([1j], c, H, prof, quad),
+    "sweep_line": lambda c, H, prof, quad: sweep_line([0.5], 0.1, c, H, prof, quad),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("c, quad_c, message", [
+    (1.5, 1.0, r"c must lie in \(0, 1\]"),
+    (0.0, 0.5, r"c must lie in \(0, 1\]"),
+    (0.3, 0.5, r"quadrature built for c=0\.5, not c=0\.3"),
+], ids=["c=1.5", "c=0", "quad-for-other-c"])
+def test_ratio_and_quadrature_validated(entry, c, quad_c, message):
+    H = uniform_H(16)
+    prof = VarianceProfile.constant(1.0)
+    quad = QuadratureRule.midpoint(quad_c, 16)
+    with pytest.raises(InvalidInput, match=message):
+        ENTRY_POINTS[entry](c, H, prof, quad)
+
+
 class TestContinuation:
     def test_high_target_matches_plain_solve(self):
         H = uniform_H(32)
