@@ -9,7 +9,9 @@ ensemble, noise, grids, solver options); subcommands run the workflows:
     gramspec compare  --config cfg.json --out outdir [--sim-dir dir]
     gramspec capacity --config cfg.json --out outdir [--bits]
 
-The :class:`Model` is read once, before the output directory is created.
+The :class:`Model` and every field the command reads (z grid, x grid and
+epsilon, ensemble, offsets and seeds, noise) are read once, before the
+output directory is created, so a bad field leaves no output behind.
 ``--threads`` sets how many seeds are sampled at once (simulate, compare,
 capacity); solve and density run serially.
 
@@ -24,6 +26,7 @@ failure.
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -225,6 +228,23 @@ def build_ensemble(cfg, seed):
 
 
 @dataclasses.dataclass(frozen=True)
+class Sampling:
+    """What sampling reads from the config: the ensemble (its seed left
+    unset), whether it was transposed, its diagonal offsets and the seeds."""
+
+    spec: simulator.EnsembleSpec
+    transposed: bool
+    lambda_diag: np.ndarray
+    seeds: list
+
+
+def build_sampling(cfg, seeds_override):
+    spec, transposed = build_ensemble(cfg, None)
+    return Sampling(spec, transposed, build_lambda_diag(cfg, spec.N),
+                    resolve_seeds(cfg, seeds_override))
+
+
+@dataclasses.dataclass(frozen=True)
 class Model:
     """What every command reads from the config, built once; ``meta`` is
     the header (config hash, RNG, canonical config) every output embeds."""
@@ -264,8 +284,7 @@ def _meta(cfg):
             "config": json.dumps(cfg, sort_keys=True, separators=(",", ":"))}
 
 
-def cmd_solve(model, out_dir):
-    zs = build_z_grid(model.cfg)
+def cmd_solve(model, zs, out_dir):
     # one stepper for all targets; each target is solved from its own cold start
     reports = master_solver.solve_with_continuation(zs, model.c, model.H, model.profile,
                                                     model.quad, model.opts)
@@ -283,16 +302,23 @@ def cmd_solve(model, out_dir):
     return 0
 
 
-def _limit_curve(model):
+def build_curve_grid(model):
+    """The x grid and the height epsilon of the model's density curve."""
     epsilon = float(model.cfg.get("epsilon", DEFAULT_EPSILON))
-    x_grid = build_x_grid(model.cfg, model.profile, model.H, model.c)
+    if not epsilon > 0:
+        raise ConfigError("epsilon", "must be > 0")
+    return build_x_grid(model.cfg, model.profile, model.H, model.c), epsilon
+
+
+def _limit_curve(model, grid):
+    x_grid, epsilon = grid
     return spectra.limit_density(model.H, model.profile, model.quad, model.c, x_grid,
                                  epsilon, model.opts,
                                  transpose=bool(model.cfg.get("transpose_curve", False)))
 
 
-def cmd_density(model, out_dir):
-    curve = _limit_curve(model)
+def cmd_density(model, grid, out_dir):
+    curve = _limit_curve(model, grid)
     _write_csv(out_dir / "density.csv", model.meta, ["x", "density"],
                list(zip(curve.x_grid.tolist(), curve.values.tolist())))
     _write_json(out_dir / "density.json", model, {
@@ -304,28 +330,22 @@ def cmd_density(model, out_dir):
     return 0
 
 
-def _simulate_all(model, seeds, threads):
-    """The (seed, sample) pairs in seed order, and whether the ensemble was
-    transposed.  The ensemble and its offsets are read once for all seeds."""
-    spec, transposed = build_ensemble(model.cfg, None)
-    lam = build_lambda_diag(model.cfg, spec.N)
-
+def _simulate_all(model, sampling, threads):
+    """The (seed, sample) pairs in seed order."""
     def one(seed):
-        return seed, simulator.sample_spectrum(dataclasses.replace(spec, seed=seed),
-                                               model.profile, lam)
+        spec = dataclasses.replace(sampling.spec, seed=seed)
+        return seed, simulator.sample_spectrum(spec, model.profile, sampling.lambda_diag)
 
-    seeds = sorted(seeds)
+    seeds = sorted(sampling.seeds)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            return list(pool.map(one, seeds)), transposed
-    return [one(s) for s in seeds], transposed
+            return list(pool.map(one, seeds))
+    return [one(s) for s in seeds]
 
 
-def cmd_simulate(model, out_dir, threads, seeds_override):
-    samples, transposed = _simulate_all(model, resolve_seeds(model.cfg, seeds_override),
-                                        threads)
-    extra = dict(model.meta, transposed=transposed)
-    for seed, sample in samples:
+def cmd_simulate(model, sampling, threads, out_dir):
+    extra = dict(model.meta, transposed=sampling.transposed)
+    for seed, sample in _simulate_all(model, sampling, threads):
         simulator.export_csv(sample, out_dir / f"eigenvalues_seed{seed}.csv", extra)
     return 0
 
@@ -336,22 +356,27 @@ def _pad_to_transposed(sample):
     return simulator.SpectrumSample(padded, sample.seed, (n_cols, n_cols))
 
 
-def cmd_compare(model, out_dir, threads, seeds_override, sim_dir):
+def _load_samples(model, sim_dir):
+    """The (seed, sample) pairs of a previous simulate run of this config."""
     want_hash = model.meta["config_hash"]
-    if sim_dir is not None:
-        samples = []
-        paths = sorted(Path(sim_dir).glob("eigenvalues_seed*.csv"))
-        if not paths:
-            raise ConfigError("sim-dir", f"no eigenvalue CSVs under {sim_dir}")
-        for path in paths:
-            sample, meta = simulator.load_csv(path)
-            if meta.get("config_hash") != want_hash:
-                raise ConfigError("sim-dir", f"{path.name} was produced by config "
-                                             f"{meta.get('config_hash')}, expected {want_hash}")
-            samples.append((sample.seed, sample))
-    else:
-        samples, _ = _simulate_all(model, resolve_seeds(model.cfg, seeds_override), threads)
-    curve = _limit_curve(model)
+    samples = []
+    paths = sorted(Path(sim_dir).glob("eigenvalues_seed*.csv"))
+    if not paths:
+        raise ConfigError("sim-dir", f"no eigenvalue CSVs under {sim_dir}")
+    for path in paths:
+        sample, meta = simulator.load_csv(path)
+        if meta.get("config_hash") != want_hash:
+            raise ConfigError("sim-dir", f"{path.name} was produced by config "
+                                         f"{meta.get('config_hash')}, expected {want_hash}")
+        samples.append((sample.seed, sample))
+    return samples
+
+
+def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
+    """Compare the limit with the ``loaded`` samples, or with fresh ones
+    drawn by ``sampling`` when ``loaded`` is None."""
+    samples = _simulate_all(model, sampling, threads) if loaded is None else loaded
+    curve = _limit_curve(model, grid)
     cdf = spectra.cdf_with_atom(curve)
     if bool(model.cfg.get("transpose_curve", False)):
         # transposed Gram side: same nonzero spectrum plus n - N exact zeros
@@ -369,12 +394,10 @@ def cmd_compare(model, out_dir, threads, seeds_override, sim_dir):
     return 0
 
 
-def cmd_capacity(model, out_dir, threads, seeds_override, bits):
-    noise = cap.NoiseLevel(float(model.cfg.get("noise", {}).get("s_sq", 1.0)))
-    samples, _ = _simulate_all(model, resolve_seeds(model.cfg, seeds_override), threads)
+def cmd_capacity(model, grid, sampling, threads, noise, bits, out_dir):
     values = [(seed, cap.capacity_from_spectrum(sample, noise, bits=bits))
-              for seed, sample in samples]
-    curve = _limit_curve(model)
+              for seed, sample in _simulate_all(model, sampling, threads)]
+    curve = _limit_curve(model, grid)
     _write_json(out_dir / "capacity.json", model, {
         "s_sq": noise.s_sq,
         "units": "bits" if bits else "nats",
@@ -387,9 +410,12 @@ def cmd_capacity(model, out_dir, threads, seeds_override, bits):
 
 def _parse_seeds(text):
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError("--seeds", "expected comma-separated integers") from exc
+    if not seeds:
+        raise ConfigError("--seeds", "names no seed")
+    return seeds
 
 
 def build_parser():
@@ -418,17 +444,33 @@ def run(argv=None):
         raise ConfigError("--threads", "must be >= 1")
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     model = build_model(cfg)
+    command = _bind_command(args, model, seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return command(out_dir)
+
+
+def _bind_command(args, model, seeds):
+    """The command with every input it reads parsed and checked, so that a
+    bad field fails before the output directory exists; call it with the
+    output directory."""
     if args.command == "solve":
-        return cmd_solve(model, out_dir)
-    if args.command == "density":
-        return cmd_density(model, out_dir)
+        return functools.partial(cmd_solve, model, build_z_grid(model.cfg))
     if args.command == "simulate":
-        return cmd_simulate(model, out_dir, args.threads, seeds)
+        return functools.partial(cmd_simulate, model, build_sampling(model.cfg, seeds),
+                                 args.threads)
+    grid = build_curve_grid(model)
+    if args.command == "density":
+        return functools.partial(cmd_density, model, grid)
     if args.command == "compare":
-        return cmd_compare(model, out_dir, args.threads, seeds, args.sim_dir)
-    return cmd_capacity(model, out_dir, args.threads, seeds, args.bits)
+        if args.sim_dir is not None:
+            return functools.partial(cmd_compare, model, grid, None, args.threads,
+                                     _load_samples(model, args.sim_dir))
+        return functools.partial(cmd_compare, model, grid,
+                                 build_sampling(model.cfg, seeds), args.threads, None)
+    noise = cap.NoiseLevel(float(model.cfg.get("noise", {}).get("s_sq", 1.0)))
+    return functools.partial(cmd_capacity, model, grid, build_sampling(model.cfg, seeds),
+                             args.threads, noise, args.bits)
 
 
 def main(argv=None):

@@ -23,11 +23,14 @@ side) are the total masses ``f = sum(pi)`` and ``f_tilde = sum(pi_tilde)``.
 
 The iterate is one complex vector ``s = [p | pa | r]`` of length 2m + q:
 the m weights of pi on H's atoms, then the m atomic and q quadrature
-weights of pi_tilde.  The profile enters through one real m x (m + q)
-matrix ``W = [sigma2(u_k, c u_i) | sigma2(u_k, t_j)]``, so the integrals of
-a step are ``A = W @ s[m:]`` and ``[B; C] = W.T @ s[:m]``: two real matrix
-products on the (re, im) pairs of the weights.  Damping, the residual and
-the masses are single expressions on ``s``.
+weights of pi_tilde.  The profile enters only through its separable
+factors (:meth:`VarianceProfile.factors`), ``sigma2(x, y) = phi(x) V
+psi(y)^T`` of rank k, kept as two thin real matrices: ``Phi = phi(u) V``
+(m x k) and ``Psi = psi([c u; t])`` ((m + q) x k).  The integrals of a step
+are ``A = Phi (Psi^T s[m:])`` and ``[B; C] = Psi (Phi^T s[:m])``, real
+products on the (re, im) pairs of the weights that cost O((m + q) k); the
+dense m x (m + q) profile matrix is never formed.  Damping, the residual
+and the masses are single expressions on ``s``.
 
 The map G is iterated from the cold start ``pi = pi_tilde = -H / z``.
 Above the contraction height (see :func:`contraction_start_height`) plain
@@ -230,18 +233,21 @@ def _weights_from_integrals(z, c, lam, num, A, BC, min_den):
     return num / den
 
 
-def _real_matmul(M, v):
-    """``M @ v`` for a real matrix and a contiguous complex vector, computed
-    as one real product on the ``(re, im)`` pairs so nothing is upcast."""
-    return (M @ v.view(np.float64).reshape(-1, 2)).view(complex).ravel()
+def _real_lowrank(left, right, v):
+    """``left @ (right.T @ v)`` for real thin matrices and a contiguous
+    complex vector, computed on the ``(re, im)`` pairs so nothing is upcast."""
+    return (left @ (right.T @ v.view(np.float64).reshape(-1, 2))).view(complex).ravel()
 
 
 class _Stepper:
     """The fixed-point map at fixed (H, quad, c) on the stacked iterate,
     and the system's contraction ``height``.
 
-    See the module docstring for the layout of ``W`` and ``s``.  Rejects a
-    ``c`` outside (0, 1] and a ``quad`` not on [c, 1].
+    Holds the profile as the thin factors ``Phi`` (m x k) and ``Psi``
+    ((m + q) x k) of the module docstring, and the integrals of the cold
+    start, ``a_cold = Phi (psi(u)^T w)`` and ``bc_cold = Psi (Phi^T w)``,
+    so no array it keeps grows like m (m + q).  Rejects a ``c`` outside
+    (0, 1] and a ``quad`` not on [c, 1].
     """
 
     def __init__(self, H, profile, quad, c):
@@ -255,16 +261,14 @@ class _Stepper:
         self.u = H.u
         self.lam = H.lam
         self.num = np.concatenate([H.w, c * H.w, quad.weights])
-        # filled block by block: a whole-row evaluation or a contiguous
-        # transposed copy would raise the peak memory of a solve
-        self.W = np.empty((m, m + len(quad)))
-        self.W[:, :m] = profile.evaluate(self.u[:, None], (c * self.u)[None, :])
-        if len(quad):
-            self.W[:, m:] = profile.evaluate(self.u[:, None], quad.nodes[None, :])
-        # the cold start puts both kernels at -H/z on H's own points
-        self.a_cold = profile.evaluate(self.u[:, None], self.u[None, :]) @ H.w
-        self.bc_cold = self.W.T @ H.w
         self.tilde_t, self.tilde_zeta = _iterate_points(H, quad, c)
+        # psi is also taken at H's own points, where the cold start puts
+        # pi_tilde = -H/z
+        phi, V, psi = profile.factors(self.u, np.concatenate([self.tilde_t, self.u]))
+        self.Phi = phi @ V
+        self.Psi = psi[:-m]
+        self.a_cold = self.Phi @ (psi[-m:].T @ H.w)
+        self.bc_cold = self.Psi @ (self.Phi.T @ H.w)
 
     def _map(self, z, A, BC, min_den):
         return _weights_from_integrals(z, self.c, self.lam, self.num, A, BC, min_den)
@@ -275,8 +279,8 @@ class _Stepper:
 
     def step(self, z, s, min_den):
         m = self.m
-        return self._map(z, _real_matmul(self.W, s[m:]),
-                         _real_matmul(self.W.T, s[:m]), min_den)
+        return self._map(z, _real_lowrank(self.Phi, self.Psi, s[m:]),
+                         _real_lowrank(self.Psi, self.Phi, s[:m]), min_den)
 
     def pack(self, s):
         m = self.m
@@ -300,7 +304,9 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
     ``pi_prev`` must live on H's points; ``pi_tilde_prev`` may live on any
     point set (its points are read generically), which covers both the cold
     start layout and the iterate layout.  The returned second kernel always
-    uses the iterate layout.
+    uses the iterate layout.  The profile is evaluated densely here, not
+    through its factors, so this stays an independent reference for the
+    solver's own step.
     """
     z = complex(z)
     if z.imag <= 0:

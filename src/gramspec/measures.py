@@ -114,23 +114,76 @@ class VarianceProfile:
             (v,) = self._params
             r = v.shape[0] - 1
             xb, yb = np.broadcast_arrays(x, y)
-            i = np.clip(np.floor(xb * r).astype(int), 0, r - 1)
-            j = np.clip(np.floor(yb * r).astype(int), 0, r - 1)
-            s = xb * r - i
-            t = yb * r - j
+            i, s = _cell(xb, r)
+            j, t = _cell(yb, r)
             out = ((1 - s) * (1 - t) * v[i, j] + s * (1 - t) * v[i + 1, j]
                    + (1 - s) * t * v[i, j + 1] + s * t * v[i + 1, j + 1])
             return out if out.shape else float(out)
         (v,) = self._params
         bx, by = v.shape
         xb, yb = np.broadcast_arrays(x, y)
-        i = np.clip(np.floor(xb * bx).astype(int), 0, bx - 1)
-        j = np.clip(np.floor(yb * by).astype(int), 0, by - 1)
-        out = v[i, j]
+        out = v[_cell(xb, bx)[0], _cell(yb, by)[0]]
         return out if out.shape else float(out)
+
+    def factors(self, x, y):
+        """Separable factors ``(phi(x), V, psi(y))`` of the profile on two
+        point sets, with
+
+            phi(x) @ V @ psi(y).T == evaluate(x[:, None], y[None, :])
+
+        for 1-d ``x`` and ``y``: exactly for the constant, separable and
+        block kinds, up to rounding for the bilinear kind.  ``phi(x)`` has
+        one row per point of ``x`` and ``psi(y)`` one per point of ``y``.
+        The rank, the column count of both bases, is 1 for the constant
+        and separable kinds (``V = [[value]]`` and ``[[1]]``); R + 1 for
+        an (R+1) x (R+1) bilinear grid, whose bases are the hat functions
+        of the interpolation formula (at most 2 nonzeros per row) and whose
+        ``V`` is the grid; and bx and by for a bx x by block profile, whose
+        bases are the block indicators (1 nonzero per row) and whose ``V``
+        is the block values.
+        """
+        x = np.asarray(x, dtype=float).reshape(-1)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if self.kind == "constant":
+            (value,) = self._params
+            return np.ones((x.size, 1)), np.array([[value]]), np.ones((y.size, 1))
+        if self.kind == "separable-product":
+            g, gx, h, hx = self._params
+            return (np.interp(x, gx, g)[:, None], np.ones((1, 1)),
+                    np.interp(y, hx, h)[:, None])
+        v = self._params[0].copy()
+        if self.kind == "bilinear-grid":
+            r = v.shape[0] - 1
+            return _hat_basis(x, r), v, _hat_basis(y, r)
+        bx, by = v.shape
+        return _indicator_basis(x, bx), v, _indicator_basis(y, by)
 
     def __repr__(self):
         return f"VarianceProfile(kind={self.kind!r}, sigma_max_sq={self.sigma_max_sq})"
+
+
+def _cell(x, r):
+    """Cell index ``i = floor(x r)``, clipped to [0, r - 1], of points in
+    [0, 1] split into r equal cells, and the offset ``x r - i``."""
+    i = np.clip(np.floor(x * r).astype(int), 0, r - 1)
+    return i, x * r - i
+
+
+def _hat_basis(x, r):
+    """The r + 1 hat functions of the uniform grid on [0, 1] at 1-d ``x``."""
+    i, s = _cell(x, r)
+    rows = np.arange(x.size)
+    out = np.zeros((x.size, r + 1))
+    out[rows, i] = 1.0 - s
+    out[rows, i + 1] = s
+    return out
+
+
+def _indicator_basis(x, b):
+    """Indicators of the b equal cells of [0, 1] at 1-d ``x``."""
+    out = np.zeros((x.size, b))
+    out[np.arange(x.size), _cell(x, b)[0]] = 1.0
+    return out
 
 
 class JointLimitMeasure:

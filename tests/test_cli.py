@@ -89,6 +89,13 @@ class TestSolveCommand:
             ("solve", no_profile, []),
             # compare rejects this config too: c must match the ensemble's N/n
             ("simulate", dict(SIM_BASE, c=0.25), []),
+            # the command's own fields are read before --out too
+            ("solve", dict(MP_SOLVE, z_grid=[[0, -1]]), []),
+            ("density", dict(SIM_BASE, x_grid=[1.0, 0.5]), []),
+            ("density", dict(SIM_BASE, epsilon=0), []),
+            ("simulate", dict(SIM_BASE, ensemble=dict(SIM_BASE["ensemble"],
+                                                      entry_law="cauchy")), []),
+            ("capacity", dict(SIM_BASE, noise={"s_sq": -1.0}), []),
         ]
         for k, (command, cfg_dict, extra) in enumerate(cases):
             cfg = write_config(tmp_path, cfg_dict, name=f"cfg{k}.json")
@@ -96,6 +103,14 @@ class TestSolveCommand:
             assert cli.main([command, "--config", str(cfg), "--out", str(out),
                              *extra]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "capacity"])
+    def test_empty_seed_list_exits_2_before_creating_out(self, tmp_path, command):
+        cfg = write_config(tmp_path, SIM_BASE)
+        out = tmp_path / "never"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                         "--seeds", ","]) == 2
+        assert not out.exists()
 
     def test_invalid_ratio_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, dict(MP_SOLVE, c=1.5))

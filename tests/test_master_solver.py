@@ -98,10 +98,14 @@ class TestPicardStep:
         np.testing.assert_allclose(pi1.weights, expect, atol=1e-15)
 
 
+_STEP_RNG = np.random.default_rng(17)
 STEP_PROFILES = {
     "constant": VarianceProfile.constant(1.3),
+    "separable": VarianceProfile.separable([0.5, 1.0, 1.5], [1.5, 1.0, 0.5]),
     "bilinear": VarianceProfile.bilinear([[0.5, 1.0], [1.2, 2.0]]),
+    "bilinear 4x4": VarianceProfile.bilinear(_STEP_RNG.uniform(0.2, 2.0, (4, 4))),
     "blocks": VarianceProfile.blocks([[0.4, 1.5, 0.9], [1.1, 0.3, 2.0]]),
+    "blocks 64x64": VarianceProfile.blocks(_STEP_RNG.uniform(0.2, 2.0, (64, 64))),
 }
 
 
@@ -135,6 +139,21 @@ class TestStepperAgainstReference:
         np.testing.assert_array_equal(pi.t, pi1.t)
         np.testing.assert_array_equal(pit.t, pit1.t)
         np.testing.assert_array_equal(pit.zeta, pit1.zeta)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_PROFILES))
+    def test_no_array_is_dense_in_the_profile(self, kind):
+        # the stepper keeps the profile as thin factors: no array it holds
+        # is as large as the dense m x (m + q) profile matrix
+        prof = STEP_PROFILES[kind]
+        H = uniform_H(200)
+        quad = QuadratureRule.midpoint(0.5, 150)
+        stepper = _Stepper(H, prof, quad, 0.5)
+        m, q = H.u.size, len(quad)
+        k = prof.factors([0.5], [0.5])[1].shape[1]
+        assert (2 * m + q) * k < m * (m + q)
+        arrays = [a for a in vars(stepper).values() if isinstance(a, np.ndarray)]
+        assert arrays
+        assert max(a.size for a in arrays) <= (2 * m + q) * k
 
 
 class TestContractionHeight:
@@ -360,8 +379,13 @@ class TestContinuation:
         monkeypatch.setattr(master_solver, "_check_solution", fail_first_at_target)
         reports = sweep_line([0.5, 1.0, 1.5], eps, 1.0, H, prof, quad, opts)
         assert forced == [target]
-        ref = solve_with_continuation([target], 1.0, H, prof, quad, opts)[target]
-        assert abs(reports[1].f - ref.f) <= 1e-12
+        assert reports[1].rescued
+        # the rescue is the continuation ladder from the contraction height
+        ladder = ladder_reference(target, 1.0, H, prof, quad, opts)[-1]
+        assert abs(reports[1].f - ladder.f) <= 1e-12
+        ref = solve_with_continuation([target], 1.0, H, prof, quad,
+                                      SolverOptions(tol=1e-15, max_iters=50000))[target]
+        assert abs(reports[1].f - ref.f) <= 10 * opts.tol
 
 
 def density_system():

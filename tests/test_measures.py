@@ -72,6 +72,58 @@ class TestVarianceProfile:
             VarianceProfile.bilinear([[1.0, -0.1], [0.0, 0.0]])
 
 
+_FACTOR_RNG = np.random.default_rng(11)
+# each profile with the shape of its V
+FACTOR_PROFILES = {
+    "constant": (VarianceProfile.constant(1.3), (1, 1)),
+    "separable": (VarianceProfile.separable([0.5, 1.0, 1.5], [1.5, 1.0, 0.5]), (1, 1)),
+    "bilinear 2x2": (VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]]), (2, 2)),
+    "bilinear 4x4": (VarianceProfile.bilinear(_FACTOR_RNG.uniform(0, 3, (4, 4))), (4, 4)),
+    "blocks 2x3": (VarianceProfile.blocks([[0.4, 1.5, 0.9], [1.1, 0.3, 2.0]]), (2, 3)),
+    "blocks 64x64": (VarianceProfile.blocks(_FACTOR_RNG.uniform(0, 2, (64, 64))), (64, 64)),
+}
+
+
+def factor_points(shape):
+    """Random points, both ends of [0, 1], and the points where a cell index
+    changes: every edge of ``shape`` block cells and every node of a
+    bilinear grid with ``shape`` nodes."""
+    rng = np.random.default_rng(3)
+    x, y = ([rng.uniform(0, 1, 50), [0.0, 1.0], np.arange(r + 1) / r,
+             np.arange(r) / max(r - 1, 1)] for r in shape)
+    return np.concatenate(x), np.concatenate(y[::-1])
+
+
+class TestProfileFactors:
+    @pytest.mark.parametrize("name", sorted(FACTOR_PROFILES))
+    def test_factors_reproduce_evaluate(self, name):
+        prof, shape = FACTOR_PROFILES[name]
+        x, y = factor_points(shape)
+        phi, V, psi = prof.factors(x, y)
+        assert V.shape == shape
+        assert phi.shape == (x.size, shape[0])
+        assert psi.shape == (y.size, shape[1])
+        got = phi @ V @ psi.T
+        want = prof.evaluate(x[:, None], y[None, :])
+        if prof.kind == "bilinear-grid":
+            assert np.max(np.abs(got - want)) <= 1e-15
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["bilinear 2x2", "bilinear 4x4", "blocks 2x3",
+                                      "blocks 64x64"])
+    def test_nonzeros_per_row(self, name):
+        prof, shape = FACTOR_PROFILES[name]
+        for basis in prof.factors(*factor_points(shape))[::2]:
+            nonzeros = (basis != 0).sum(axis=1)
+            if prof.kind == "bilinear-grid":
+                assert np.all(nonzeros <= 2)
+                np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            else:
+                assert np.all(nonzeros == 1)
+                assert np.all(basis.sum(axis=1) == 1.0)
+
+
 class TestJointLimitMeasure:
     def test_validation(self):
         with pytest.raises(InvalidInput):
