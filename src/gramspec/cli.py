@@ -185,13 +185,27 @@ def build_x_grid(cfg, profile, H, c):
     return spectra.default_x_grid(profile, H, c, points=points)
 
 
+def _checked_seeds(values, field):
+    """The seeds as integers, each a Philox key in [0, 2**128)."""
+    try:
+        seeds = [int(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, "expected a list of integers") from exc
+    if not seeds:
+        raise ConfigError(field, "names no seed")
+    for seed in seeds:
+        if not 0 <= seed < simulator.SEED_BOUND:
+            raise ConfigError(field, f"seed {seed} outside [0, 2**128)")
+    return seeds
+
+
 def resolve_seeds(cfg, override):
     if override is not None:
         return override
     seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
+    if not isinstance(seeds, list):
         raise ConfigError("seeds", "must be a nonempty list of integers")
-    return [int(s) for s in seeds]
+    return _checked_seeds(seeds, "seeds")
 
 
 def build_lambda_diag(cfg, n_rows):
@@ -409,13 +423,7 @@ def cmd_capacity(model, grid, sampling, threads, noise, bits, out_dir):
 
 
 def _parse_seeds(text):
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError("--seeds", "expected comma-separated integers") from exc
-    if not seeds:
-        raise ConfigError("--seeds", "names no seed")
-    return seeds
+    return _checked_seeds([tok for tok in text.split(",") if tok.strip()], "--seeds")
 
 
 def build_parser():
@@ -468,6 +476,10 @@ def _bind_command(args, model, seeds):
                                      _load_samples(model, args.sim_dir))
         return functools.partial(cmd_compare, model, grid,
                                  build_sampling(model.cfg, seeds), args.threads, None)
+    if model.cfg.get("transpose_curve", False) and model.c < 1.0:
+        # the transposed curve carries the atom 1 - c at zero
+        raise ConfigError("transpose_curve", "capacity is defined on the Gram-side "
+                                             "curve; drop transpose_curve or use c = 1")
     noise = cap.NoiseLevel(float(model.cfg.get("noise", {}).get("s_sq", 1.0)))
     return functools.partial(cmd_capacity, model, grid, build_sampling(model.cfg, seeds),
                              args.threads, noise, args.bits)

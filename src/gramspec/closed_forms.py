@@ -112,7 +112,9 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
 
         f = sum_k w_k / ( -z (1 + c s2 f) + (1-c) s2 + lambda_k / (1 + c s2 f) )
 
-    by damped iteration from f = -1/z.
+    by damped iteration from f = -1/z.  The iteration runs on Python
+    complex scalars: the offset law has a handful of atoms, too few for
+    array arithmetic to pay for its per-call overhead.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -125,16 +127,23 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
     w = np.asarray([p[1] for p in pairs], dtype=float)
     if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
         raise InvalidInput("h_lambda must be a probability vector")
+    atoms = list(zip(lam.tolist(), w.tolist()))
+    cs2 = c * sigma_sq
+    shift = (1.0 - c) * sigma_sq
+    damping = opts.damping
     f = -1.0 / z
     for _ in range(opts.max_iters):
-        den1 = 1.0 + c * sigma_sq * f
+        den1 = 1.0 + cs2 * f
         if abs(den1) < 1e-14:
             raise DegenerateDenominator(f"1 + c s2 f vanished at z={z}")
-        den = -z * den1 + (1.0 - c) * sigma_sq + lam / den1
-        if np.min(np.abs(den)) < 1e-14:
-            raise DegenerateDenominator(f"resolvent denominator vanished at z={z}")
-        f_new = complex(np.dot(w, 1.0 / den))
-        f_next = opts.damping * f_new + (1.0 - opts.damping) * f
+        base = -z * den1 + shift
+        f_new = 0j
+        for lam_k, w_k in atoms:
+            den = base + lam_k / den1
+            if abs(den) < 1e-14:
+                raise DegenerateDenominator(f"resolvent denominator vanished at z={z}")
+            f_new += w_k * (1.0 / den)
+        f_next = damping * f_new + (1.0 - damping) * f
         delta = abs(f_next - f)
         f = f_next
         if delta <= opts.tol:

@@ -5,6 +5,13 @@ sqrt(n) * X_ij and a diagonal offset, computes Gram spectra, diagonal
 resolvent kernels, row-deletion identities, and empirical-vs-limit
 distances.  Sampling uses the counter-based Philox generator keyed by the
 seed, so every sample is reproducible independently of scheduling.
+
+Every Gram product goes through one helper that forms only the lower
+triangle of Sigma Sigma* (syrk for a real Sigma, zherk for a complex one,
+with no conjugated copy of Sigma).  The eigensolver reads that triangle
+alone; the resolvent diagonal mirrors it once, factors G - zI by LU in
+place and reads diag((G - zI)^{-1}) off the inverted triangular factors,
+so the N x N resolvent is never formed.
 """
 
 import csv
@@ -20,6 +27,7 @@ from .measures import ComplexKernel
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform", "complex-gaussian")
 RNG_NAME = "philox4x64"
+SEED_BOUND = 2 ** 128  # Philox keys are 128-bit
 
 _EIG_CLAMP = -1e-10
 
@@ -29,7 +37,8 @@ class EnsembleSpec:
     """Entry law, seed and dimensions of one matrix ensemble.
 
     All built-in laws are centered with unit (absolute) second moment and
-    have all moments finite.
+    have all moments finite.  The seed is None (left to be set) or an
+    integer in [0, 2**128), the key range of Philox.
     """
 
     entry_law: str
@@ -40,6 +49,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.entry_law not in ENTRY_LAWS:
             raise InvalidInput(f"unknown entry law {self.entry_law!r}")
+        if self.seed is not None and not (
+                isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < SEED_BOUND):
+            raise InvalidInput(f"seed must be None or an integer in [0, 2**128), "
+                               f"got {self.seed!r}")
         if self.N < 1 or self.n < 1:
             raise InvalidInput("dimensions must be >= 1")
         if self.N > self.n:
@@ -96,20 +110,94 @@ def sample_sigma_matrix(spec, profile, lambda_diag):
     return sigma
 
 
+def _gram(sigma):
+    """Sigma Sigma*, whole for a real Sigma and as its lower triangle (the
+    upper one unspecified) for a complex one.
+
+    A real Sigma goes through ``sigma @ sigma.T``, which numpy sends to
+    syrk.  A complex one goes to zherk on the Fortran-ordered view
+    ``sigma.T``, which needs neither a copy of Sigma nor a conjugated one.
+    """
+    if np.iscomplexobj(sigma):
+        return sla.blas.zherk(1.0, sigma.T, trans=2, lower=0).T
+    return sigma @ sigma.T
+
+
+def _mirror_lower(a):
+    """Overwrite the upper triangle of a square array with the conjugate
+    transpose of its lower one, 128 rows at a time (index arrays for the
+    whole triangle take three times as long)."""
+    n = a.shape[0]
+    for lo in range(0, n, 128):
+        hi = min(lo + 128, n)
+        a[lo:hi, hi:] = a[hi:, lo:hi].conj().T
+        diag = a[lo:hi, lo:hi]
+        diag[...] = np.tril(diag) + np.tril(diag, -1).conj().T
+
+
+def _shifted_gram(sigma, z):
+    """Sigma Sigma* - zI as a whole complex matrix in C order.
+
+    A complex Gram has its triangle mirrored in place, and z is taken off
+    the diagonal in place; no identity matrix is built.
+    """
+    a = _gram(sigma)
+    if np.iscomplexobj(a):
+        _mirror_lower(a)
+    else:
+        a = a.astype(complex)
+    diag = np.arange(a.shape[0])
+    a[diag, diag] -= z
+    return a
+
+
+def _inverse_diagonal(a):
+    """diag(A^{-1}) from an LU factorization of A, never forming A^{-1}.
+
+    ``a`` is overwritten.  With A = P L U, both triangular factors are
+    inverted in place by LAPACK trtri (L with its unit diagonal), and
+    diag(A^{-1})_i = sum_j (U^{-1})_ij (L^{-1})_{j, k_i}, where P^T sends
+    column k_i to i.  That costs 2/3 N^3 after the factorization, against
+    2 N^3 for solving against the identity.  The factorization runs on the
+    Fortran-ordered view a.T, whose inverse has the same diagonal as A's.
+    """
+    n = a.shape[0]
+    lu, piv = sla.lu_factor(a.T, overwrite_a=True)
+    trtri, = sla.get_lapack_funcs(("trtri",), (lu,))
+    inv, info = trtri(lu, lower=0, unitdiag=0, overwrite_c=1)
+    if info == 0:
+        inv, info = trtri(inv, lower=1, unitdiag=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalFailure(f"triangular factor inversion failed (info={info})")
+    # inv holds U^{-1} on and above the diagonal and L^{-1} strictly below;
+    # the row interchanges give L U = A[perm], so A^{-1} = U^{-1} L^{-1} P^T
+    perm = np.arange(n)
+    for i, p in enumerate(piv):
+        perm[i], perm[p] = perm[p], perm[i]
+    col = np.empty(n, dtype=np.intp)
+    col[perm] = np.arange(n)
+    rows = np.arange(n)
+    # row i of w is column col[i] of L^{-1}, cut to the columns j >= i where
+    # U^{-1} is nonzero
+    w = inv.T[col]
+    w[rows[None, :] < np.maximum(col, rows)[:, None]] = 0.0
+    w[rows, col] = col >= rows
+    return np.einsum("ij,ij->i", inv, w)
+
+
 def gram_eigenvalues(sigma, seed=None):
     """Sorted eigenvalues of Sigma Sigma*; trace must match ||Sigma||_F^2."""
     sigma = np.asarray(sigma)
     if sigma.ndim != 2 or sigma.size == 0:
         raise InvalidInput("sigma must be a nonempty matrix")
-    gram = sigma @ sigma.conj().T
     try:
-        ev = sla.eigvalsh(gram)
+        ev = sla.eigvalsh(_gram(sigma), lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
         raise NumericalFailure(f"eigensolve failed: {exc}") from exc
     if ev[0] < _EIG_CLAMP:
         raise NumericalFailure(f"negative eigenvalue {ev[0]:.3e} beyond round-off")
     ev = np.clip(ev, 0.0, None)
-    fro2 = float(np.sum(np.abs(sigma) ** 2))
+    fro2 = float(np.vdot(sigma, sigma).real)
     if abs(ev.sum() - fro2) > 1e-8 * max(1.0, fro2):
         raise NumericalFailure(
             f"trace identity violated: sum(eig)={ev.sum():.12g}, ||Sigma||_F^2={fro2:.12g}")
@@ -126,8 +214,10 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     """Diagonal resolvent kernel of Sigma Sigma* and its normalized trace.
 
     Returns (L, f_n) where L puts weight q_ii(z)/N on (i/N, Lambda_ii^2)
-    and f_n = (1/N) Tr (Sigma Sigma* - z)^{-1}.  The resolvent comes from a
-    single dense LU factorization, never an explicit inverse routine.
+    and f_n = (1/N) Tr (Sigma Sigma* - z)^{-1}.  The diagonal comes from
+    one dense LU factorization of Sigma Sigma* - zI and the inverses of its
+    two triangular factors; the N x N resolvent is never formed, and no
+    general inverse routine (inv, getri) is called.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -137,13 +227,7 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     lam = np.asarray(lambda_diag, dtype=float)
     if lam.shape != (n_rows,):
         raise InvalidInput("lambda_diag must match the row count")
-    gram = sigma @ sigma.conj().T
-    try:
-        lu, piv = sla.lu_factor(gram - z * np.eye(n_rows))
-        resolvent = sla.lu_solve((lu, piv), np.eye(n_rows, dtype=complex))
-    except sla.LinAlgError as exc:
-        raise NumericalFailure(f"resolvent solve failed: {exc}") from exc
-    q_diag = np.diag(resolvent)
+    q_diag = _inverse_diagonal(_shifted_gram(sigma, z))
     if np.max(np.abs(q_diag)) > (1.0 + 1e-9) / z.imag:
         raise NumericalFailure("diagonal resolvent entries exceed 1/Im(z)")
     points_u = np.arange(1, n_rows + 1) / n_rows
@@ -176,19 +260,17 @@ def schur_identity_check(sigma, z, i):
     if z.imag <= 0:
         raise InvalidInput("z must lie in the upper half plane")
     sigma = np.asarray(sigma)
-    n_rows, n_cols = sigma.shape
+    n_rows = sigma.shape[0]
     if not 1 <= i <= n_rows:
         raise InvalidInput(f"row index must lie in [1, {n_rows}]")
-    gram = sigma @ sigma.conj().T
     try:
-        lu, piv = sla.lu_factor(gram - z * np.eye(n_rows))
         e_i = np.zeros(n_rows, dtype=complex)
         e_i[i - 1] = 1.0
-        q_ii = sla.lu_solve((lu, piv), e_i)[i - 1]
+        q_ii = sla.solve(_shifted_gram(sigma, z), e_i)[i - 1]
         xi = sigma[i - 1]
         rest = np.delete(sigma, i - 1, axis=0)
-        small = rest.conj().T @ rest - z * np.eye(n_cols)
-        inner = xi @ sla.solve(small, xi.conj())
+        # S_i* S_i is the Gram of S_i*
+        inner = xi @ sla.solve(_shifted_gram(rest.conj().T, z), xi.conj())
     except sla.LinAlgError as exc:
         raise NumericalFailure(f"linear solve failed: {exc}") from exc
     return float(abs(q_ii - 1.0 / (-z - z * inner)))

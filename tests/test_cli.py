@@ -96,6 +96,8 @@ class TestSolveCommand:
             ("simulate", dict(SIM_BASE, ensemble=dict(SIM_BASE["ensemble"],
                                                       entry_law="cauchy")), []),
             ("capacity", dict(SIM_BASE, noise={"s_sq": -1.0}), []),
+            # the transposed curve has an atom at zero, which capacity rejects
+            ("capacity", dict(SIM_BASE, transpose_curve=True), []),
         ]
         for k, (command, cfg_dict, extra) in enumerate(cases):
             cfg = write_config(tmp_path, cfg_dict, name=f"cfg{k}.json")
@@ -110,6 +112,21 @@ class TestSolveCommand:
         out = tmp_path / "never"
         assert cli.main([command, "--config", str(cfg), "--out", str(out),
                          "--seeds", ","]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,cfg_seeds,extra", [
+        ("simulate", [-1], []),
+        ("simulate", [1, 2], ["--seeds", "-1"]),
+        ("compare", [1, 2], ["--seeds", "3,-1"]),
+        ("capacity", [2 ** 128], []),
+        ("simulate", ["one"], []),
+    ])
+    def test_bad_seed_exits_2_before_creating_out(self, tmp_path, command, cfg_seeds,
+                                                  extra):
+        # a seed outside the Philox key range [0, 2**128) is a config error
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=cfg_seeds))
+        out = tmp_path / "never"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
         assert not out.exists()
 
     def test_invalid_ratio_exits_2(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from gramspec.closed_forms import (ScalarFixedPointOptions, centered_profile_k,
                                    iid_noncentered_f, mp_cdf, mp_density,
                                    mp_stieltjes)
-from gramspec.errors import InvalidInput
+from gramspec.errors import DegenerateDenominator, InvalidInput
 from gramspec.measures import VarianceProfile
 
 Z_GRID = [0.5j, 1j, 2j, 1 + 1j, -0.5 + 0.7j, 3 + 4j, 10j, 0.1 + 0.6j,
@@ -99,6 +99,37 @@ class TestIidNoncentered:
     def test_bad_weights_rejected(self):
         with pytest.raises(InvalidInput):
             iid_noncentered_f(1j, 0.5, 1.0, [(0.0, 0.7)])
+
+    @pytest.mark.parametrize("c,s2", [(0.25, 2.0), (1.0, 0.5)])
+    def test_zero_offset_law_matches_mp_near_the_axis(self, c, s2):
+        for x in np.linspace(-0.5, 4.0, 19):
+            z = complex(x, 1e-2)
+            f = iid_noncentered_f(z, c, s2, [(0, 1)])
+            assert abs(f - mp_stieltjes(z, c, s2)) <= 1e-10 * max(1.0, abs(f))
+
+    def test_matches_array_iteration(self):
+        # the same damped iteration on numpy arrays, as a reference
+        def array_f(z, c, s2, pairs):
+            lam = np.array([p[0] for p in pairs])
+            w = np.array([p[1] for p in pairs])
+            f = -1.0 / z
+            while True:
+                den1 = 1.0 + c * s2 * f
+                f_next = 0.5 * complex(np.dot(w, 1.0 / (-z * den1 + (1.0 - c) * s2
+                                                        + lam / den1))) + 0.5 * f
+                if abs(f_next - f) <= 1e-14:
+                    return f_next
+                f = f_next
+
+        h = [(0.0, 0.5), (0.5, 0.3), (2.0, 0.2)]
+        for z in Z_GRID + [0.3 + 1e-3j, 1.7 + 1e-3j]:
+            assert abs(iid_noncentered_f(z, 0.5, 1.0, h) - array_f(z, 0.5, 1.0, h)) <= 1e-13
+
+    def test_vanishing_denominator_raises(self):
+        # at z = i, c = s2 = 1 the first denominator is -z(1 + f) + lambda/(1 + f)
+        # with f = -1/z, which is exactly zero for lambda = -2
+        with pytest.raises(DegenerateDenominator, match="resolvent denominator vanished"):
+            iid_noncentered_f(1j, 1.0, 1.0, [(-2.0, 1.0)])
 
 
 class TestCenteredProfileK:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gramspec.closed_forms import mp_cdf
-from gramspec.errors import InvalidInput
+from gramspec.errors import InvalidInput, NumericalFailure
 from gramspec.measures import VarianceProfile
-from gramspec.simulator import (EnsembleSpec, SpectrumSample, empirical_f_tilde,
-                                empirical_stieltjes, export_csv,
+from gramspec.simulator import (EnsembleSpec, SpectrumSample, _inverse_diagonal,
+                                empirical_f_tilde, empirical_stieltjes, export_csv,
                                 gram_eigenvalues, ks_compare, load_csv,
                                 sample_sigma_matrix, sample_spectrum,
                                 schur_identity_check, truncate_diagonal)
@@ -60,6 +61,15 @@ class TestSampleSigmaMatrix:
         with pytest.raises(InvalidInput):
             EnsembleSpec("gaussian", 0, 5, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, "3", True])
+    def test_seed_outside_philox_keys_rejected(self, seed):
+        with pytest.raises(InvalidInput, match="seed"):
+            EnsembleSpec("gaussian", seed, 2, 3)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2 ** 128 - 1, np.uint64(7)])
+    def test_seed_inside_philox_keys_accepted(self, seed):
+        assert EnsembleSpec("gaussian", seed, 2, 3).seed == seed
+
 
 class TestGramEigenvalues:
     def test_identity_block(self):
@@ -86,6 +96,14 @@ class TestGramEigenvalues:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         assert a.seed == 9 and a.dims == (10, 15)
 
+    def test_complex_matches_numpy(self):
+        spec = EnsembleSpec("complex-gaussian", 6, 40, 70)
+        sigma = sample_sigma_matrix(spec, UNIT, np.linspace(0, 2, 40))
+        ev = gram_eigenvalues(sigma).eigenvalues
+        ref = np.linalg.eigvalsh(sigma @ sigma.conj().T)
+        np.testing.assert_allclose(ev, np.clip(ref, 0, None), rtol=1e-12,
+                                   atol=1e-12 * ref[-1])
+
     def test_finite_duality_with_transposed_gram(self):
         spec = EnsembleSpec("gaussian", 2, 6, 10)
         sigma = sample_sigma_matrix(spec, UNIT, np.linspace(-1, 1, 6))
@@ -103,13 +121,61 @@ class TestEmpiricalStieltjes:
         assert kern.weights[0] == pytest.approx(1 / (4.0 - 1j))
 
     def test_matches_eigenvalue_sum(self):
-        spec = EnsembleSpec("gaussian", 4, 12, 18)
-        lam = np.linspace(0, 2, 12)
+        for law in ("gaussian", "complex-gaussian"):
+            spec = EnsembleSpec(law, 4, 12, 18)
+            lam = np.linspace(0, 2, 12)
+            sigma = sample_sigma_matrix(spec, UNIT, lam)
+            ev = gram_eigenvalues(sigma).eigenvalues
+            for z in (1j, 2 + 0.5j):
+                _, fn = empirical_stieltjes(sigma, lam, z)
+                assert abs(fn - np.mean(1 / (ev - z))) <= 1e-10
+
+    @pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+    @pytest.mark.parametrize("z", [0.8 + 1e-3j, 2.5 + 1e-3j, 1.2 + 0.1j,
+                                   1e-3 + 1e-3j, 0.5 + 2j])
+    def test_diagonal_matches_dense_solve(self, law, z):
+        n_rows = 60
+        spec = EnsembleSpec(law, 8, n_rows, 90)
+        lam = np.linspace(0, 1.5, n_rows)
         sigma = sample_sigma_matrix(spec, UNIT, lam)
+        gram = sigma @ sigma.conj().T
+        ref = np.diag(np.linalg.solve(gram - z * np.eye(n_rows), np.eye(n_rows)))
+        kern, fn = empirical_stieltjes(sigma, lam, z)
+        q = kern.weights * n_rows
+        assert np.max(np.abs(q - ref) / np.abs(ref)) <= 1e-11
+        assert abs(fn - ref.mean()) <= 1e-11 * abs(ref.mean())
+
+    @pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+    def test_memory_layout_does_not_matter(self, law):
+        spec = EnsembleSpec(law, 11, 30, 50)
+        lam = np.linspace(0, 1, 30)
+        sigma = sample_sigma_matrix(spec, UNIT, lam)
+        wide = np.zeros((30, 100), dtype=sigma.dtype)
+        wide[:, ::2] = sigma
         ev = gram_eigenvalues(sigma).eigenvalues
-        for z in (1j, 2 + 0.5j):
-            _, fn = empirical_stieltjes(sigma, lam, z)
-            assert abs(fn - np.mean(1 / (ev - z))) <= 1e-10
+        _, fn = empirical_stieltjes(sigma, lam, 1 + 0.1j)
+        for other in (np.asfortranarray(sigma), wide[:, ::2]):
+            np.testing.assert_allclose(gram_eigenvalues(other).eigenvalues, ev,
+                                       rtol=1e-13, atol=1e-13 * ev[-1])
+            _, fn_other = empirical_stieltjes(other, lam, 1 + 0.1j)
+            assert abs(fn_other - fn) <= 1e-12 * abs(fn)
+
+    def test_no_solve_against_the_identity(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lu_solve called")
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        spec = EnsembleSpec("complex-gaussian", 12, 20, 30)
+        sigma = sample_sigma_matrix(spec, UNIT, np.zeros(20))
+        kern, fn = empirical_stieltjes(sigma, np.zeros(20), 1j)
+        assert kern.weights.shape == (20,)
+        assert fn.imag > 0
+
+    def test_singular_factor_raises(self):
+        # G - zI is never singular for Im z > 0; the guard is reached directly
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            with pytest.raises(NumericalFailure, match="triangular"):
+                _inverse_diagonal(np.zeros((3, 3), dtype=complex))
 
     def test_diagonal_entries_bounded(self):
         spec = EnsembleSpec("gaussian", 7, 16, 24)
