@@ -9,7 +9,7 @@ from .measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
                        lambda_moment, product_H, tv_distance, uniform_H)
 from .master_solver import (SolveReport, SolverOptions,
                             contraction_start_height, init_kernels,
-                            picard_step, profile_integrals, solve_master,
+                            picard_step, solve_master,
                             solve_with_continuation, theta_bound)
 from .closed_forms import (ScalarFixedPointOptions, centered_profile_k,
                            iid_noncentered_f, mp_cdf, mp_density, mp_stieltjes)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-
-_MASS_WINDOW = (0.95, 1.05)
+from .spectra import MASS_WINDOW
 
 
 @dataclass
@@ -47,8 +46,8 @@ def capacity_from_limit(curve, c, noise, bits=False):
     if not 0 < c <= 1:
         raise InvalidInput("c must lie in (0, 1]")
     mass = curve.mass()
-    if not _MASS_WINDOW[0] <= mass <= _MASS_WINDOW[1]:
-        raise NumericalFailure(f"curve mass {mass:.4f} outside {_MASS_WINDOW}")
+    if not MASS_WINDOW[0] <= mass <= MASS_WINDOW[1]:
+        raise NumericalFailure(f"curve mass {mass:.4f} outside {MASS_WINDOW}")
     integrand = np.log1p(curve.x_grid / noise.s_sq) * curve.values
     val = c * float(np.trapezoid(integrand, curve.x_grid)) / mass
     return val / math.log(2.0) if bits else val

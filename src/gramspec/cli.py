@@ -147,15 +147,21 @@ def build_quad(cfg, c):
 
 
 def build_solver_opts(cfg):
+    """The solver options; ``solver`` accepts only ``tol`` and ``max_iters``,
+    so a key this version does not read is an error, not ignored."""
     spec = cfg.get("solver", {})
+    if not isinstance(spec, dict):
+        raise ConfigError("solver", "expected an object")
+    unknown = sorted(set(spec) - {"tol", "max_iters"})
+    if unknown:
+        raise ConfigError("solver." + unknown[0],
+                          "unknown key; solver accepts only tol and max_iters")
     try:
         return master_solver.SolverOptions(
             tol=float(spec.get("tol", 1e-12)),
             max_iters=int(spec.get("max_iters", 10000)),
-            damping=spec.get("damping"),
-            min_denominator=float(spec.get("min_denominator", 1e-14)),
         )
-    except InvalidInput as exc:
+    except (InvalidInput, TypeError, ValueError) as exc:
         raise ConfigError("solver", str(exc)) from exc
 
 
@@ -185,17 +191,16 @@ def build_x_grid(cfg, profile, H, c):
     return spectra.default_x_grid(profile, H, c, points=points)
 
 
-def _checked_seeds(values, field):
-    """The seeds as integers, each a Philox key in [0, 2**128)."""
-    try:
-        seeds = [int(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, "expected a list of integers") from exc
+def _checked_seeds(seeds, field):
+    """``seeds`` if it is nonempty and each seed passes
+    :func:`simulator.check_seed`."""
     if not seeds:
         raise ConfigError(field, "names no seed")
-    for seed in seeds:
-        if not 0 <= seed < simulator.SEED_BOUND:
-            raise ConfigError(field, f"seed {seed} outside [0, 2**128)")
+    try:
+        for seed in seeds:
+            simulator.check_seed(seed)
+    except InvalidInput as exc:
+        raise ConfigError(field, str(exc)) from exc
     return seeds
 
 
@@ -423,7 +428,11 @@ def cmd_capacity(model, grid, sampling, threads, noise, bits, out_dir):
 
 
 def _parse_seeds(text):
-    return _checked_seeds([tok for tok in text.split(",") if tok.strip()], "--seeds")
+    try:
+        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError("--seeds", "expected comma-separated integers") from exc
+    return _checked_seeds(seeds, "--seeds")
 
 
 def build_parser():

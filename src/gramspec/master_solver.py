@@ -40,16 +40,17 @@ mixes the iterates with type-II Anderson acceleration (window
 A mixed iterate with a negative imaginary part in any weight has left the
 Stieltjes class, so the mixer then drops its history and takes the plain
 step ``s + beta (G(s) - s)``: the damped Picard step, which is also what it
-does with an empty history.  At every height the solve stops once the
-undamped residual ``|G(s) - s|_1`` is at most ``tol`` and returns
-``G(s)``.  An explicit ``SolverOptions.damping`` replaces both policies by
-damped Picard at every height, stopping on the size of the damped step.
+does with an empty history.  The system has one solution in the Stieltjes
+class, so this is the only iteration policy.  At every height the solve
+stops once the undamped residual ``|G(s) - s|_1`` is at most ``tol`` and
+returns ``G(s)``.  A denominator of the map below ``MIN_DENOMINATOR`` in
+magnitude raises :class:`DegenerateDenominator`.
 
 A converged ``G(s)`` must lie in the Stieltjes class weight by weight: each
 weight ``s_k`` with numerator ``num_k`` has ``Im s_k >= 0``,
-``Im(z s_k) >= 0`` and ``|s_k| <= num_k / Im z`` (up to a small slack), on
-top of the same checks on the masses ``f`` and ``f_tilde``.  A solve that
-fails them raises :class:`NumericalFailure`.
+``Im(z s_k) >= 0`` and ``|s_k| <= num_k / Im z`` (up to a small slack).
+The masses ``f`` and ``f_tilde`` must pass the same three rules with
+numerator 1.  A solve that fails them raises :class:`NumericalFailure`.
 
 Each target is solved once, straight from the cold start at the target (or
 from a neighbour's iterate along a line).  Only when that solve fails does
@@ -69,11 +70,12 @@ from .measures import ComplexKernel, lambda_moment
 
 __all__ = [
     "SolverOptions", "SolveReport", "contraction_start_height", "theta_bound",
-    "init_kernels", "profile_integrals", "picard_step", "solve_master",
+    "init_kernels", "picard_step", "solve_master",
     "solve_with_continuation", "sweep_line",
 ]
 
-DEFAULT_MIN_DENOMINATOR = 1e-14
+# smallest magnitude a denominator of the map may take
+MIN_DENOMINATOR = 1e-14
 # Anderson mixing below the contraction height: differences kept, and the
 # factor on the residual in the mixed step
 ANDERSON_WINDOW = 6
@@ -82,30 +84,22 @@ ANDERSON_BETA = 0.5
 
 @dataclass
 class SolverOptions:
-    """Knobs for the fixed-point iteration.
+    """Stopping rule and budget of the fixed-point iteration.
 
-    ``damping=None`` selects the default policy: undamped Picard when
-    Im(z) is at or above the contraction height, safeguarded Anderson
-    mixing below it, stopping on the undamped residual.  A number selects
-    damped Picard with that factor at every height, stopping on the size
-    of the damped step.  ``max_iters`` bounds the applications of the map
-    in one solve.
+    A solve stops once the undamped residual ``|G(s) - s|_1`` is at most
+    ``tol``; ``max_iters`` bounds the applications of the map in one solve.
+    The iteration itself is fixed: undamped Picard when Im(z) is at or
+    above the contraction height, safeguarded Anderson mixing below it.
     """
 
     tol: float = 1e-12
     max_iters: int = 10000
-    damping: float | None = None
-    min_denominator: float = DEFAULT_MIN_DENOMINATOR
 
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidInput("tol must be > 0")
         if self.max_iters < 1:
             raise InvalidInput("max_iters must be >= 1")
-        if self.damping is not None and not 0 < self.damping <= 1:
-            raise InvalidInput("damping must lie in (0, 1]")
-        if not self.min_denominator >= 0:
-            raise InvalidInput("min_denominator must be >= 0")
 
 
 @dataclass
@@ -186,33 +180,19 @@ def init_kernels(H, quad, z, c):
     return pi0, pi_tilde0
 
 
-def profile_integrals(profile, kernel, side, v):
-    """Integrate a profile slice against a kernel.
-
-    side="first":  sum_k sigma2(v, t_k) * weight_k
-    side="second": sum_k sigma2(t_k, v) * weight_k
-    """
-    if side == "first":
-        vals = profile.evaluate(v, kernel.t)
-    elif side == "second":
-        vals = profile.evaluate(kernel.t, v)
-    else:
-        raise InvalidInput("side must be 'first' or 'second'")
-    return complex(np.dot(np.atleast_1d(vals), kernel.weights)) if len(kernel) else 0j
-
-
 def _iterate_points(H, quad, c):
     t = np.concatenate([c * H.u, quad.nodes])
     zeta = np.concatenate([H.lam, np.zeros(len(quad))])
     return t, zeta
 
 
-def _weights_from_integrals(z, c, lam, num, A, BC, min_den):
+def _weights_from_integrals(z, c, lam, num, A, BC):
     """One application of the fixed-point map given the integrals ``A`` and
     ``BC = [B; C]``; ``num = [w | c w | omega]`` holds the numerators.
 
-    Returns the new weights stacked as ``[p | pa | r]``.  The floor applies
-    to ``1 + A``, ``1 + c B`` and every denominator, which share one buffer.
+    Returns the new weights stacked as ``[p | pa | r]``.  The floor
+    ``MIN_DENOMINATOR`` applies to ``1 + A``, ``1 + c B`` and every
+    denominator, which share one buffer.
     """
     m = lam.size
     buf = np.empty(2 * m + num.size, complex)
@@ -227,9 +207,9 @@ def _weights_from_integrals(z, c, lam, num, A, BC, min_den):
     den[:m] += lam / one[m:]
     den[m:2 * m] += lam / one[:m]
     floor = np.abs(buf).min()
-    if floor < min_den:
+    if floor < MIN_DENOMINATOR:
         raise DegenerateDenominator(
-            f"denominator magnitude {floor:.3e} below floor {min_den:.3e} at z={z}")
+            f"denominator magnitude {floor:.3e} below floor {MIN_DENOMINATOR:.3e} at z={z}")
     return num / den
 
 
@@ -270,17 +250,17 @@ class _Stepper:
         self.a_cold = self.Phi @ (psi[-m:].T @ H.w)
         self.bc_cold = self.Psi @ (self.Phi.T @ H.w)
 
-    def _map(self, z, A, BC, min_den):
-        return _weights_from_integrals(z, self.c, self.lam, self.num, A, BC, min_den)
+    def _map(self, z, A, BC):
+        return _weights_from_integrals(z, self.c, self.lam, self.num, A, BC)
 
-    def cold(self, z, min_den):
+    def cold(self, z):
         """The first iterate, from the cold start ``pi = pi_tilde = -H/z``."""
-        return self._map(z, -self.a_cold / z, -self.bc_cold / z, min_den)
+        return self._map(z, -self.a_cold / z, -self.bc_cold / z)
 
-    def step(self, z, s, min_den):
+    def step(self, z, s):
         m = self.m
         return self._map(z, _real_lowrank(self.Phi, self.Psi, s[m:]),
-                         _real_lowrank(self.Psi, self.Phi, s[:m]), min_den)
+                         _real_lowrank(self.Psi, self.Phi, s[:m]))
 
     def pack(self, s):
         m = self.m
@@ -323,28 +303,22 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
               if len(quad) else np.zeros((H.u.size, 0)))
     C = sig_tq.T @ pi_prev.weights
     num = np.concatenate([H.w, c * H.w, quad.weights])
-    s = _weights_from_integrals(z, c, H.lam, num, A, np.concatenate([B, C]),
-                                DEFAULT_MIN_DENOMINATOR)
+    s = _weights_from_integrals(z, c, H.lam, num, A, np.concatenate([B, C]))
     t, zeta = _iterate_points(H, quad, c)
     m = H.u.size
     return ComplexKernel(H.u, H.lam, s[:m]), ComplexKernel(t, zeta, s[m:])
 
 
 def _check_solution(z, f, f_tilde):
-    bound = 1.0 / z.imag + 1e-9 * (1.0 + 1.0 / z.imag)
-    slack = 1e-10 * (1.0 + abs(z))
-    for name, val in (("f", f), ("f_tilde", f_tilde)):
-        if abs(val) > bound:
-            raise NumericalFailure(f"|{name}|={abs(val):.6g} exceeds 1/Im(z) at z={z}")
-        if val.imag < -slack:
-            raise NumericalFailure(f"Im {name} negative ({val.imag:.3e}) at z={z}")
-        if (z * val).imag < -slack:
-            raise NumericalFailure(f"Im(z*{name}) negative at z={z}")
+    """The checks of :func:`_check_weights` on the masses, numerator 1 each."""
+    _check_weights(z, np.array([f, f_tilde]), np.ones(2), ("f", "f_tilde"))
 
 
-def _check_weights(z, s, num):
-    """The checks of :func:`_check_solution` on every weight ``s_k``, with
-    the bound and the slack scaled by its numerator ``num_k``."""
+def _check_weights(z, s, num, names=None):
+    """Check that every weight ``s_k`` lies in the Stieltjes class:
+    ``Im s_k >= 0``, ``Im(z s_k) >= 0`` and ``|s_k| <= num_k / Im z``, the
+    bound and the slack scaled by its numerator ``num_k``.  The error names
+    ``names[k]``, or ``weight k`` without names, and the rule it breaks."""
     bound = num * (1.0 / z.imag + 1e-9 * (1.0 + 1.0 / z.imag))
     slack = num * (1e-10 * (1.0 + abs(z)))
     for rule, excess in (("Im s_k >= 0", -slack - s.imag),
@@ -352,8 +326,9 @@ def _check_weights(z, s, num):
                          ("|s_k| <= num_k/Im(z)", np.abs(s) - bound)):
         k = int(np.argmax(excess))
         if excess[k] > 0:
+            name = f"weight {k}" if names is None else names[k]
             raise NumericalFailure(
-                f"weight {k} breaks {rule} by {excess[k]:.3e} at z={z}")
+                f"{name} breaks {rule} by {excess[k]:.3e} at z={z}")
 
 
 class _Anderson:
@@ -421,26 +396,20 @@ def _solve(z, stepper, opts, start):
     stacked iterate.  A failure carries the map applications it spent as
     ``exc.iterations``."""
     z = complex(z)
-    damping = opts.damping
-    mixer = None
-    if damping is None:
-        damping = 1.0
-        if z.imag < stepper.height:
-            mixer = _Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA)
+    mixer = (_Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA)
+             if z.imag < stepper.height else None)
     m = stepper.m
     residuals = []
     iterations = 0
     try:
         if start is None:
             iterations = 1
-            s = stepper.cold(z, opts.min_denominator)
+            s = stepper.cold(z)
         else:
             s = start
         while iterations < opts.max_iters:
             iterations += 1
-            g = stepper.step(z, s, opts.min_denominator)
-            if damping < 1.0:
-                g = damping * g + (1.0 - damping) * s
+            g = stepper.step(z, s)
             r = g - s
             res = float(np.abs(r).sum())
             residuals.append(res)

@@ -32,13 +32,21 @@ SEED_BOUND = 2 ** 128  # Philox keys are 128-bit
 _EIG_CLAMP = -1e-10
 
 
+def check_seed(seed):
+    """Raise :class:`InvalidInput` unless ``seed`` is an integer, not a
+    bool, in [0, 2**128), the key range of Philox."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed < SEED_BOUND):
+        raise InvalidInput(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 @dataclass
 class EnsembleSpec:
     """Entry law, seed and dimensions of one matrix ensemble.
 
     All built-in laws are centered with unit (absolute) second moment and
-    have all moments finite.  The seed is None (left to be set) or an
-    integer in [0, 2**128), the key range of Philox.
+    have all moments finite.  The seed is None (left to be set) or passes
+    :func:`check_seed`.
     """
 
     entry_law: str
@@ -49,11 +57,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.entry_law not in ENTRY_LAWS:
             raise InvalidInput(f"unknown entry law {self.entry_law!r}")
-        if self.seed is not None and not (
-                isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-                and 0 <= self.seed < SEED_BOUND):
-            raise InvalidInput(f"seed must be None or an integer in [0, 2**128), "
-                               f"got {self.seed!r}")
+        if self.seed is not None:
+            check_seed(self.seed)
         if self.N < 1 or self.n < 1:
             raise InvalidInput("dimensions must be >= 1")
         if self.N > self.n:

@@ -20,7 +20,7 @@ __all__ = ["DensityCurve", "stieltjes_pair", "density_from_stieltjes",
            "default_x_grid"]
 
 _NEG_CLAMP = 1e-12
-_MASS_WINDOW = (0.95, 1.05)
+MASS_WINDOW = (0.95, 1.05)
 
 
 @dataclass
@@ -130,9 +130,9 @@ def cdf_with_atom(curve):
     v = curve.values
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(x))])
     total = curve.atom_at_zero + cum[-1]
-    if not _MASS_WINDOW[0] <= total <= _MASS_WINDOW[1]:
+    if not MASS_WINDOW[0] <= total <= MASS_WINDOW[1]:
         raise NumericalFailure(
-            f"curve mass {total:.4f} outside {_MASS_WINDOW}; refine the grid")
+            f"curve mass {total:.4f} outside {MASS_WINDOW}; refine the grid")
     scale = 1.0 / total
     atom = curve.atom_at_zero * scale
     cum = cum * scale

@@ -98,6 +98,10 @@ class TestSolveCommand:
             ("capacity", dict(SIM_BASE, noise={"s_sq": -1.0}), []),
             # the transposed curve has an atom at zero, which capacity rejects
             ("capacity", dict(SIM_BASE, transpose_curve=True), []),
+            # solver accepts only tol and max_iters, both numbers
+            ("solve", dict(MP_SOLVE, solver={"tol": 1e-12, "damping": 0.5}), []),
+            ("density", dict(SIM_BASE, solver={"min_denominator": 1e-14}), []),
+            ("solve", dict(MP_SOLVE, solver={"tol": "tight"}), []),
         ]
         for k, (command, cfg_dict, extra) in enumerate(cases):
             cfg = write_config(tmp_path, cfg_dict, name=f"cfg{k}.json")
@@ -120,6 +124,10 @@ class TestSolveCommand:
         ("compare", [1, 2], ["--seeds", "3,-1"]),
         ("capacity", [2 ** 128], []),
         ("simulate", ["one"], []),
+        # config seeds are JSON integers: no floats, booleans or strings
+        ("simulate", [1.5], []),
+        ("compare", [True], []),
+        ("capacity", ["7"], []),
     ])
     def test_bad_seed_exits_2_before_creating_out(self, tmp_path, command, cfg_seeds,
                                                   extra):
@@ -171,6 +179,20 @@ class TestSimulateCommand:
         for seed in (1, 2):
             name = f"eigenvalues_seed{seed}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_threads_write_the_same_bytes(self, tmp_path, command):
+        # --threads reaches only the sampling pool, never the output
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[3, 1, 2]))
+        outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                             "--threads", str(threads)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert len(names) == 3      # three seeds, or compare's three files
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, SIM_BASE)

@@ -10,8 +10,7 @@ from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
 from gramspec.master_solver import (SolverOptions, _Stepper, _check_solution,
                                     _check_weights, _rungs,
                                     contraction_start_height,
-                                    init_kernels, picard_step,
-                                    profile_integrals, solve_master,
+                                    init_kernels, picard_step, solve_master,
                                     solve_with_continuation, sweep_line,
                                     theta_bound)
 from gramspec.measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
@@ -44,26 +43,6 @@ class TestInitKernels:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(InvalidInput):
             init_kernels(two_atom_H(), QuadratureRule.midpoint(1.0), -1j, 1.0)
-
-
-class TestProfileIntegrals:
-    def test_constant_profile_gives_scaled_mass(self):
-        kern = ComplexKernel([0.2, 0.8], [0.0, 1.0], [1 + 1j, 2.0])
-        prof = VarianceProfile.constant(3.0)
-        assert profile_integrals(prof, kern, "first", 0.4) == pytest.approx(3 * (3 + 1j))
-        assert profile_integrals(prof, kern, "second", 0.4) == pytest.approx(3 * (3 + 1j))
-
-    def test_zero_profile(self):
-        kern = ComplexKernel([0.2], [0.0], [5j])
-        assert profile_integrals(VarianceProfile.constant(0.0), kern, "first", 0.1) == 0
-
-    def test_separable_factorizes(self):
-        prof = VarianceProfile.separable([1.0, 2.0], [0.5, 1.5])
-        kern = ComplexKernel([0.0, 1.0], [0.0, 0.0], [0.25j, 0.75])
-        v = 0.3
-        g_v = np.interp(v, [0, 1], [1.0, 2.0])
-        expect = g_v * (0.5 * 0.25j + 1.5 * 0.75)
-        assert profile_integrals(prof, kern, "first", v) == pytest.approx(expect)
 
 
 class TestPicardStep:
@@ -124,13 +103,13 @@ class TestStepperAgainstReference:
         stepper = _Stepper(H, prof, quad, c)
         pi0, pit0 = init_kernels(H, quad, z, c)
         if layout == "cold":
-            got = stepper.cold(z, 1e-14)
+            got = stepper.cold(z)
         else:
             pi0, pit0 = picard_step(z, c, H, prof, quad, pi0, pit0)
             # perturb so the step is not taken from a cold-start image
             pi0.weights *= 1.0 + 0.1j * rng.standard_normal(pi0.weights.size)
             pit0.weights *= 1.0 - 0.1j * rng.standard_normal(pit0.weights.size)
-            got = stepper.step(z, np.concatenate([pi0.weights, pit0.weights]), 1e-14)
+            got = stepper.step(z, np.concatenate([pi0.weights, pit0.weights]))
         pi1, pit1 = picard_step(z, c, H, prof, quad, pi0, pit0)
         want = np.concatenate([pi1.weights, pit1.weights])
         assert got.size == 2 * H.u.size + len(quad)
@@ -324,11 +303,12 @@ class TestContinuation:
             k = centered_profile_k(z, 0.5, prof, grid)
             assert abs(rep.f - complex(k.mean())) <= 1e-10
 
-    @pytest.mark.parametrize("opts, error", [
-        (SolverOptions(min_denominator=1e3), DegenerateDenominator),
-        (SolverOptions(max_iters=2), NoConvergence),
+    @pytest.mark.parametrize("floor, opts, error", [
+        (1e3, SolverOptions(), DegenerateDenominator),
+        (master_solver.MIN_DENOMINATOR, SolverOptions(max_iters=2), NoConvergence),
     ])
-    def test_failed_rung_reports_target(self, opts, error):
+    def test_failed_rung_reports_target(self, monkeypatch, floor, opts, error):
+        monkeypatch.setattr(master_solver, "MIN_DENOMINATOR", floor)
         H = uniform_H(16)
         prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0)
@@ -336,11 +316,12 @@ class TestContinuation:
         with pytest.raises(error, match=r"target z=\(0\.5\+0\.1j\): rung Im=6 failed"):
             solve_with_continuation([z], 1.0, H, prof, quad, opts)
 
-    @pytest.mark.parametrize("opts, error", [
-        (SolverOptions(min_denominator=1e3), DegenerateDenominator),
-        (SolverOptions(max_iters=2), NoConvergence),
+    @pytest.mark.parametrize("floor, opts, error", [
+        (1e3, SolverOptions(), DegenerateDenominator),
+        (master_solver.MIN_DENOMINATOR, SolverOptions(max_iters=2), NoConvergence),
     ])
-    def test_failed_rescue_reports_x(self, opts, error):
+    def test_failed_rescue_reports_x(self, monkeypatch, floor, opts, error):
+        monkeypatch.setattr(master_solver, "MIN_DENOMINATOR", floor)
         H = uniform_H(16)
         prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0)
@@ -401,10 +382,27 @@ def density_system():
 
 @pytest.fixture(scope="module")
 def density_reference():
-    """Damped Picard at tol = 1e-14 along the small density sweep."""
+    """Damped Picard, ``s <- G(s)/2 + s/2``, along the small density sweep,
+    each x warm-started from the last and stopped once the damped step is
+    at most 1e-14: a reference that shares the map but not the Anderson
+    mixing with the solver."""
     H, prof, quad, xs, eps = density_system()
-    opts = SolverOptions(tol=1e-14, damping=0.5, max_iters=60000)
-    return np.array([rep.f for rep in sweep_line(xs, eps, 0.5, H, prof, quad, opts)])
+    stepper = _Stepper(H, prof, quad, 0.5)
+    damping = 0.5
+    f, s = [], None
+    for x in xs:
+        z = complex(x, eps)
+        s = stepper.cold(z) if s is None else s
+        for _ in range(60000):
+            g = damping * stepper.step(z, s) + (1.0 - damping) * s
+            step = float(np.abs(g - s).sum())
+            s = g
+            if step <= 1e-14:
+                break
+        else:
+            raise AssertionError(f"damped reference did not converge at z={z}")
+        f.append(complex(s[:stepper.m].sum()))
+    return np.array(f)
 
 
 class TestAndersonBelowHeight:
@@ -433,18 +431,6 @@ class TestAndersonBelowHeight:
         assert np.max(np.abs(f - density_reference)) <= 10 * opts.tol
         # the safeguard fires on this sweep, and its restarts are reported
         assert sum(rep.restarts for rep in reports) > 0
-
-    def test_explicit_damping_keeps_damped_picard(self):
-        # reference values of the damped loop: an explicit damping keeps its
-        # step and its step-size stopping rule
-        H = empirical_H_from_diagonal(np.linspace(-1.0, 1.0, 12))
-        prof = VarianceProfile.bilinear([[0.5, 1.0], [1.2, 2.0]])
-        quad = QuadratureRule.midpoint(0.5, 12)
-        rep = solve_master(0.4 + 0.2j, 0.5, H, prof, quad, SolverOptions(damping=0.5))
-        assert rep.iterations == 152
-        assert rep.restarts == 0
-        assert abs(rep.f - (0.6422435559303715 + 1.1418635939510193j)) <= 1e-13
-        assert abs(rep.f_tilde - (-0.6788782220358893 + 1.0709317969743466j)) <= 1e-13
 
     def test_iterations_count_every_map_application(self):
         H = uniform_H(16)
@@ -578,6 +564,22 @@ class TestColdStartAtTarget:
         s = np.array([0.1j, 1.01j * 0.5 / z.imag])
         with pytest.raises(NumericalFailure, match=r"weight 1 breaks \|s_k\|"):
             _check_weights(z, s, num)
+
+    @pytest.mark.parametrize("name", ["f", "f_tilde"])
+    @pytest.mark.parametrize("value, rule", [
+        (2.1j, r"\|s_k\| <= num_k/Im\(z\)"),
+        (0.1 - 1e-6j, r"Im s_k >= 0"),
+        (-1.0 + 0.01j, r"Im\(z\*s_k\) >= 0"),
+    ], ids=["above-bound", "negative-im", "negative-im-z-times"])
+    def test_mass_outside_class_raises(self, name, value, rule):
+        # at z = 1 + 0.5i the bound is 1/Im z = 2; each value breaks one rule
+        z = 1.0 + 0.5j
+        valid = -1.0 / z
+        _check_solution(z, valid, valid)
+        pair = dict(f=valid, f_tilde=valid)
+        pair[name] = value
+        with pytest.raises(NumericalFailure, match=rf"^{name} breaks {rule} by "):
+            _check_solution(z, pair["f"], pair["f_tilde"])
 
     def test_zgrid_step_count(self):
         # the separable profile, offset law and tolerance of the zgrid
