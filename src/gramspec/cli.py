@@ -9,9 +9,10 @@ ensemble, noise, grids, solver options); subcommands run the workflows:
     gramspec compare  --config cfg.json --out outdir [--sim-dir dir]
     gramspec capacity --config cfg.json --out outdir [--bits]
 
-The :class:`Model` and every field the command reads (z grid, x grid and
-epsilon, ensemble, offsets and seeds, noise) are read once, before the
-output directory is created, so a bad field leaves no output behind.
+Every config field is read once, by one typed reader that names the
+field by its dotted path (``H.M``) in any error; a bool is only ever a
+flag, never a number.  The :class:`Model` and the fields the command reads
+are read before the output directory exists, so a bad field leaves none.
 ``--threads`` sets how many seeds are sampled at once (simulate, compare,
 capacity); solve and density run serially.
 
@@ -25,10 +26,12 @@ failure.
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +46,18 @@ DEFAULT_QUAD_NODES = 256
 DEFAULT_EPSILON = 1e-3
 DEFAULT_X_POINTS = 2000
 
+# The JSON kinds of a config value; a bool is only ever a flag.
+_KINDS = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: _KINDS["integer"](v) or isinstance(v, float) and math.isfinite(v),
+    "flag": lambda v: isinstance(v, bool),
+    "text": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "list of numbers": lambda v: isinstance(v, list) and all(map(_KINDS["number"], v)),
+    "object": lambda v: isinstance(v, dict),
+}
+_REQUIRED = object()
+
 
 def config_hash(cfg):
     """Stable short hash of the canonical JSON form."""
@@ -53,124 +68,131 @@ def config_hash(cfg):
 def load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "expected a JSON object")
+    return cfg
 
 
-def _require(cfg, field, types, where=""):
-    if field not in cfg:
-        raise ConfigError(where + field, "missing required field")
-    value = cfg[field]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(where + field, f"expected {types}, got {type(value).__name__}")
+def _require(cfg, path, kinds, default=_REQUIRED):
+    """The value at the dotted ``path`` of ``cfg``, of one of the JSON ``kinds``
+    (e.g. ``"list or object"``); ``default`` when it is absent, else an
+    error.  Every section on the path must be an object."""
+    section, _, key = path.rpartition(".")
+    node = _require(cfg, section, "object", {}) if section else cfg
+    value = node.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(path, "missing required field")
+    if key in node and not any(_KINDS[kind](value) for kind in kinds.split(" or ")):
+        raise ConfigError(path, f"expected {kinds}, got {json.dumps(value)[:40]}")
     return value
 
 
-def build_profile(cfg):
-    spec = _require(cfg, "profile", dict)
-    kind = _require(spec, "kind", str, "profile.")
+def _rows(cfg, path, width=None):
+    """The list at ``path`` of lists of ``width`` numbers (or as many as the first)."""
+    rows = _require(cfg, path, "list")
+    width = width or (len(rows[0]) if rows and isinstance(rows[0], list) else 1)
+    if not all(_KINDS["list of numbers"](row) and len(row) == width for row in rows):
+        raise ConfigError(path, f"expected a list of {width}-number rows")
+    return rows
+
+
+@contextlib.contextmanager
+def _field(field):
+    """Report an :class:`InvalidInput` raised inside as a config error on ``field``."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except InvalidInput as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+def build_profile(cfg):
+    kind = _require(cfg, "profile.kind", "text")
+    with _field("profile"):
         if kind == "constant":
-            return measures.VarianceProfile.constant(_require(spec, "value", (int, float), "profile."))
+            return measures.VarianceProfile.constant(_require(cfg, "profile.value", "number"))
         if kind in ("separable", "separable-product"):
             return measures.VarianceProfile.separable(
-                _require(spec, "g_values", list, "profile."),
-                _require(spec, "h_values", list, "profile."))
+                _require(cfg, "profile.g_values", "list of numbers"),
+                _require(cfg, "profile.h_values", "list of numbers"))
         if kind in ("bilinear", "bilinear-grid"):
-            return measures.VarianceProfile.bilinear(_require(spec, "values", list, "profile."))
+            return measures.VarianceProfile.bilinear(_rows(cfg, "profile.values"))
         if kind in ("blocks", "piecewise-constant-blocks"):
-            return measures.VarianceProfile.blocks(_require(spec, "values", list, "profile."))
-    except InvalidInput as exc:
-        raise ConfigError("profile", str(exc)) from exc
+            return measures.VarianceProfile.blocks(_rows(cfg, "profile.values"))
     raise ConfigError("profile.kind", f"unknown kind {kind!r}")
 
 
 def build_H(cfg):
-    spec = _require(cfg, "H", dict)
-    kind = _require(spec, "type", str, "H.")
-    try:
+    """The limit measure and ``offsets(N)``, the diagonal of Lambda that it
+    gives a simulated ensemble with N rows (None for ``atoms``)."""
+    kind = _require(cfg, "H.type", "text")
+    with _field("H"):
         if kind == "diagonal":
-            return measures.empirical_H_from_diagonal(_require(spec, "lambda_diag", list, "H."))
+            lam = np.asarray(_require(cfg, "H.lambda_diag", "list of numbers"), dtype=float)
+            return measures.empirical_H_from_diagonal(lam), lambda n_rows: lam
         if kind == "product":
-            pairs = [tuple(p) for p in _require(spec, "h_lambda", list, "H.")]
-            return measures.product_H(pairs, int(spec.get("M", 256)))
+            pairs = _rows(cfg, "H.h_lambda", 2)
+            return (measures.product_H(pairs, _require(cfg, "H.M", "integer", 256)),
+                    lambda n_rows: np.sqrt(measures.product_H(pairs, n_rows).lam))
         if kind == "uniform":
-            return measures.uniform_H(int(spec.get("M", 256)), float(spec.get("lambda", 0.0)))
+            lam = float(_require(cfg, "H.lambda", "number", 0.0))
+            return (measures.uniform_H(_require(cfg, "H.M", "integer", 256), lam),
+                    lambda n_rows: np.full(n_rows, np.sqrt(lam)))
         if kind == "atoms":
-            atoms = _require(spec, "atoms", list, "H.")
-            u, lam, w = (np.asarray(col, dtype=float) for col in zip(*atoms))
-            return measures.JointLimitMeasure(u, lam, w)
-    except (InvalidInput, TypeError, ValueError) as exc:
-        raise ConfigError("H", str(exc)) from exc
+            u, lam, w = np.array(_rows(cfg, "H.atoms", 3), dtype=float).reshape(-1, 3).T.copy()
+            return measures.JointLimitMeasure(u, lam, w), None
     raise ConfigError("H.type", f"unknown type {kind!r}")
 
 
-def resolve_ratio(cfg):
-    """Ratio c in (0, 1]; c > 1 needs an explicit transpose directive."""
-    if "c" not in cfg:
-        if "ensemble" not in cfg:
+def resolve_ratio(cfg, dims):
+    """Ratio c in (0, 1]; c > 1 needs an explicit transpose directive.
+    ``dims`` are the ensemble's (N, n), or None."""
+    c = _require(cfg, "c", "number", None)
+    transpose = _require(cfg, "transpose", "flag", False)
+    if c is None:
+        if dims is None:
             raise ConfigError("c", "missing (give c or an ensemble)")
-        n_rows, n_cols = _ensemble_dims(cfg)
-        c = n_rows / n_cols
+        c = dims[0] / dims[1]
         return 1.0 / c if c > 1.0 else c
-    c = cfg["c"]
-    if not isinstance(c, (int, float)) or not c > 0:
-        raise ConfigError("c", "must be a number > 0")
+    if not c > 0:
+        raise ConfigError("c", "must be > 0")
     c = float(c)
-    if c > 1.0:
-        if not cfg.get("transpose", False):
-            raise ConfigError("c", f"c={c} > 1; set \"transpose\": true to "
-                                   "relabel the two Gram sides")
-        c = 1.0 / c
-    if "ensemble" in cfg:
-        n_rows, n_cols = _ensemble_dims(cfg)
-        ratio = min(n_rows, n_cols) / max(n_rows, n_cols)
-        if abs(c - ratio) > 1e-12:
-            raise ConfigError("c", f"c={c} conflicts with ensemble N/n={ratio}")
+    if c > 1.0 and not transpose:
+        raise ConfigError("c", f"c={c} > 1; set \"transpose\": true to relabel "
+                               "the two Gram sides")
+    c = 1.0 / c if c > 1.0 else c
+    if dims is not None and abs(c - min(dims) / max(dims)) > 1e-12:
+        raise ConfigError("c", f"c={c} conflicts with ensemble N/n={min(dims) / max(dims)}")
     return c
 
 
-def _ensemble_dims(cfg):
-    ens = _require(cfg, "ensemble", dict)
-    n_rows = _require(ens, "N", int, "ensemble.")
-    n_cols = _require(ens, "n", int, "ensemble.")
-    if n_rows < 1 or n_cols < 1:
-        raise ConfigError("ensemble", "dimensions must be >= 1")
-    return n_rows, n_cols
-
-
 def build_quad(cfg, c):
-    return measures.QuadratureRule.midpoint(c, int(cfg.get("quadrature_nodes", DEFAULT_QUAD_NODES)))
+    with _field("quadrature_nodes"):
+        return measures.QuadratureRule.midpoint(
+            c, _require(cfg, "quadrature_nodes", "integer", DEFAULT_QUAD_NODES))
 
 
 def build_solver_opts(cfg):
     """The solver options; ``solver`` accepts only ``tol`` and ``max_iters``,
     so a key this version does not read is an error, not ignored."""
-    spec = cfg.get("solver", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("solver", "expected an object")
-    unknown = sorted(set(spec) - {"tol", "max_iters"})
+    unknown = sorted(set(_require(cfg, "solver", "object", {})) - {"tol", "max_iters"})
     if unknown:
         raise ConfigError("solver." + unknown[0],
                           "unknown key; solver accepts only tol and max_iters")
-    try:
+    with _field("solver"):
         return master_solver.SolverOptions(
-            tol=float(spec.get("tol", 1e-12)),
-            max_iters=int(spec.get("max_iters", 10000)),
-        )
-    except (InvalidInput, TypeError, ValueError) as exc:
-        raise ConfigError("solver", str(exc)) from exc
+            tol=float(_require(cfg, "solver.tol", "number", 1e-12)),
+            max_iters=_require(cfg, "solver.max_iters", "integer", 10000))
 
 
 def build_z_grid(cfg):
-    raw = _require(cfg, "z_grid", list)
-    try:
-        zs = [complex(float(re), float(im)) for re, im in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("z_grid", "expected a list of [re, im] pairs") from exc
+    zs = [complex(re, im) for re, im in _rows(cfg, "z_grid", 2)]
     if not zs:
         raise ConfigError("z_grid", "must be nonempty")
     if any(z.imag <= 0 for z in zs):
@@ -179,94 +201,61 @@ def build_z_grid(cfg):
 
 
 def build_x_grid(cfg, profile, H, c):
-    spec = cfg.get("x_grid", {})
+    spec = _require(cfg, "x_grid", "list of numbers or object", {})
     if isinstance(spec, list):
-        grid = np.asarray(spec, dtype=float)
-        if grid.size < 2 or np.any(np.diff(grid) <= 0):
+        if len(spec) < 2 or np.any(np.diff(spec) <= 0):
             raise ConfigError("x_grid", "explicit grid must be increasing, length >= 2")
-        return grid
-    points = int(spec.get("points", DEFAULT_X_POINTS))
-    if "max" in spec:
-        return np.linspace(float(spec.get("min", 0.0)), float(spec["max"]), points)
-    return spectra.default_x_grid(profile, H, c, points=points)
+        return np.asarray(spec, dtype=float)
+    points = _require(cfg, "x_grid.points", "integer", DEFAULT_X_POINTS)
+    lower = _require(cfg, "x_grid.min", "number", 0.0)
+    upper = _require(cfg, "x_grid.max", "number", None)
+    if points < 2:
+        raise ConfigError("x_grid.points", "must be >= 2")
+    if upper is None:
+        return spectra.default_x_grid(profile, H, c, points=points)
+    return np.linspace(float(lower), float(upper), points)
 
 
 def _checked_seeds(seeds, field):
-    """``seeds`` if it is nonempty and each seed passes
-    :func:`simulator.check_seed`."""
+    """``seeds`` if it is nonempty and each passes :func:`simulator.check_seed`."""
     if not seeds:
         raise ConfigError(field, "names no seed")
-    try:
+    with _field(field):
         for seed in seeds:
             simulator.check_seed(seed)
-    except InvalidInput as exc:
-        raise ConfigError(field, str(exc)) from exc
     return seeds
-
-
-def resolve_seeds(cfg, override):
-    if override is not None:
-        return override
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list):
-        raise ConfigError("seeds", "must be a nonempty list of integers")
-    return _checked_seeds(seeds, "seeds")
-
-
-def build_lambda_diag(cfg, n_rows):
-    spec = _require(cfg, "H", dict)
-    kind = spec.get("type")
-    if kind == "diagonal":
-        lam = np.asarray(_require(spec, "lambda_diag", list, "H."), dtype=float)
-        if lam.size != n_rows:
-            raise ConfigError("H.lambda_diag", f"length {lam.size} != N={n_rows}")
-        return lam
-    if kind == "uniform":
-        return np.full(n_rows, np.sqrt(float(spec.get("lambda", 0.0))))
-    if kind == "product":
-        pairs = [tuple(p) for p in _require(spec, "h_lambda", list, "H.")]
-        try:
-            return np.sqrt(measures.product_H(pairs, n_rows).lam)
-        except InvalidInput as exc:
-            raise ConfigError("H.h_lambda", str(exc)) from exc
-    raise ConfigError("H.type", f"type {kind!r} cannot drive a simulation "
-                                "(use diagonal, uniform or product)")
-
-
-def build_ensemble(cfg, seed):
-    spec = _require(cfg, "ensemble", dict)
-    law = _require(spec, "entry_law", str, "ensemble.")
-    n_rows, n_cols = _ensemble_dims(cfg)
-    transposed = n_rows > n_cols
-    if transposed:
-        n_rows, n_cols = n_cols, n_rows
-    try:
-        return simulator.EnsembleSpec(law, seed, n_rows, n_cols), transposed
-    except InvalidInput as exc:
-        raise ConfigError("ensemble", str(exc)) from exc
 
 
 @dataclasses.dataclass(frozen=True)
 class Sampling:
     """What sampling reads from the config: the ensemble (its seed left
-    unset), whether it was transposed, its diagonal offsets and the seeds."""
+    unset, its dims in Gram order), its diagonal offsets and the seeds."""
 
     spec: simulator.EnsembleSpec
-    transposed: bool
     lambda_diag: np.ndarray
     seeds: list
 
 
-def build_sampling(cfg, seeds_override):
-    spec, transposed = build_ensemble(cfg, None)
-    return Sampling(spec, transposed, build_lambda_diag(cfg, spec.N),
-                    resolve_seeds(cfg, seeds_override))
+def build_sampling(model, seeds_override):
+    law = _require(model.cfg, "ensemble.entry_law", "text")
+    # the entry law is present, so the model read the ensemble's dims too
+    with _field("ensemble"):
+        spec = simulator.EnsembleSpec(law, None, min(model.dims), max(model.dims))
+    if model.offsets is None:
+        raise ConfigError("H.type", "type 'atoms' cannot drive a simulation "
+                                    "(use diagonal, uniform or product)")
+    with _field("H"):
+        lambda_diag = model.offsets(spec.N)
+    if lambda_diag.size != spec.N:
+        raise ConfigError("H.lambda_diag", f"length {lambda_diag.size} != N={spec.N}")
+    seeds = _checked_seeds(_require(model.cfg, "seeds", "list", [0]), "seeds")
+    return Sampling(spec, lambda_diag, seeds if seeds_override is None else seeds_override)
 
 
 @dataclasses.dataclass(frozen=True)
 class Model:
-    """What every command reads from the config, built once; ``meta`` is
-    the header (config hash, RNG, canonical config) every output embeds."""
+    """What every command reads from the config, built once: ``meta`` is the
+    output header, ``dims`` (N, n) or None, ``offsets`` from :func:`build_H`."""
 
     cfg: dict
     profile: measures.VarianceProfile
@@ -275,14 +264,21 @@ class Model:
     quad: measures.QuadratureRule
     opts: master_solver.SolverOptions
     meta: dict
+    dims: tuple
+    offsets: object
 
 
 def build_model(cfg):
     profile = build_profile(cfg)
-    H = build_H(cfg)
-    c = resolve_ratio(cfg)
+    H, offsets = build_H(cfg)
+    dims = None
+    if _require(cfg, "ensemble", "object", None) is not None:
+        dims = _require(cfg, "ensemble.N", "integer"), _require(cfg, "ensemble.n", "integer")
+        if min(dims) < 1:
+            raise ConfigError("ensemble", "dimensions must be >= 1")
+    c = resolve_ratio(cfg, dims)
     return Model(cfg, profile, H, c, build_quad(cfg, c), build_solver_opts(cfg),
-                 _meta(cfg))
+                 _meta(cfg), dims, offsets)
 
 
 def _write_csv(path, header_meta, columns, rows):
@@ -321,19 +317,26 @@ def cmd_solve(model, zs, out_dir):
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class CurveGrid:
+    """Where the density curve is sampled, and which Gram side it shows."""
+
+    x_grid: np.ndarray
+    epsilon: float
+    transpose: bool
+
+
 def build_curve_grid(model):
-    """The x grid and the height epsilon of the model's density curve."""
-    epsilon = float(model.cfg.get("epsilon", DEFAULT_EPSILON))
+    epsilon = float(_require(model.cfg, "epsilon", "number", DEFAULT_EPSILON))
     if not epsilon > 0:
         raise ConfigError("epsilon", "must be > 0")
-    return build_x_grid(model.cfg, model.profile, model.H, model.c), epsilon
+    return CurveGrid(build_x_grid(model.cfg, model.profile, model.H, model.c), epsilon,
+                     _require(model.cfg, "transpose_curve", "flag", False))
 
 
 def _limit_curve(model, grid):
-    x_grid, epsilon = grid
-    return spectra.limit_density(model.H, model.profile, model.quad, model.c, x_grid,
-                                 epsilon, model.opts,
-                                 transpose=bool(model.cfg.get("transpose_curve", False)))
+    return spectra.limit_density(model.H, model.profile, model.quad, model.c, grid.x_grid,
+                                 grid.epsilon, model.opts, transpose=grid.transpose)
 
 
 def cmd_density(model, grid, out_dir):
@@ -363,7 +366,7 @@ def _simulate_all(model, sampling, threads):
 
 
 def cmd_simulate(model, sampling, threads, out_dir):
-    extra = dict(model.meta, transposed=sampling.transposed)
+    extra = dict(model.meta, transposed=model.dims[0] > model.dims[1])
     for seed, sample in _simulate_all(model, sampling, threads):
         simulator.export_csv(sample, out_dir / f"eigenvalues_seed{seed}.csv", extra)
     return 0
@@ -397,7 +400,7 @@ def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
     samples = _simulate_all(model, sampling, threads) if loaded is None else loaded
     curve = _limit_curve(model, grid)
     cdf = spectra.cdf_with_atom(curve)
-    if bool(model.cfg.get("transpose_curve", False)):
+    if grid.transpose:
         # transposed Gram side: same nonzero spectrum plus n - N exact zeros
         samples = [(seed, _pad_to_transposed(sample)) for seed, sample in samples]
     per_seed = [{"seed": seed, "ks": simulator.ks_compare(sample, cdf)}
@@ -474,34 +477,31 @@ def _bind_command(args, model, seeds):
     if args.command == "solve":
         return functools.partial(cmd_solve, model, build_z_grid(model.cfg))
     if args.command == "simulate":
-        return functools.partial(cmd_simulate, model, build_sampling(model.cfg, seeds),
+        return functools.partial(cmd_simulate, model, build_sampling(model, seeds),
                                  args.threads)
     grid = build_curve_grid(model)
     if args.command == "density":
         return functools.partial(cmd_density, model, grid)
     if args.command == "compare":
-        if args.sim_dir is not None:
-            return functools.partial(cmd_compare, model, grid, None, args.threads,
-                                     _load_samples(model, args.sim_dir))
-        return functools.partial(cmd_compare, model, grid,
-                                 build_sampling(model.cfg, seeds), args.threads, None)
-    if model.cfg.get("transpose_curve", False) and model.c < 1.0:
+        loaded = None if args.sim_dir is None else _load_samples(model, args.sim_dir)
+        sampling = build_sampling(model, seeds) if loaded is None else None
+        return functools.partial(cmd_compare, model, grid, sampling, args.threads, loaded)
+    if grid.transpose and model.c < 1.0:
         # the transposed curve carries the atom 1 - c at zero
         raise ConfigError("transpose_curve", "capacity is defined on the Gram-side "
                                              "curve; drop transpose_curve or use c = 1")
-    noise = cap.NoiseLevel(float(model.cfg.get("noise", {}).get("s_sq", 1.0)))
-    return functools.partial(cmd_capacity, model, grid, build_sampling(model.cfg, seeds),
+    with _field("noise.s_sq"):
+        noise = cap.NoiseLevel(float(_require(model.cfg, "noise.s_sq", "number", 1.0)))
+    return functools.partial(cmd_capacity, model, grid, build_sampling(model, seeds),
                              args.threads, noise, args.bits)
 
 
 def main(argv=None):
     try:
         code = run(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        code = 2
     except InvalidInput as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+        kind = "config error" if isinstance(exc, ConfigError) else "invalid input"
+        print(f"{kind}: {exc}", file=sys.stderr)
         code = 2
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)

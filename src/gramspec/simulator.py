@@ -32,11 +32,15 @@ SEED_BOUND = 2 ** 128  # Philox keys are 128-bit
 _EIG_CLAMP = -1e-10
 
 
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed):
     """Raise :class:`InvalidInput` unless ``seed`` is an integer, not a
     bool, in [0, 2**128), the key range of Philox."""
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-            and 0 <= seed < SEED_BOUND):
+    if not (_is_integer(seed) and 0 <= seed < SEED_BOUND):
         raise InvalidInput(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
@@ -46,7 +50,7 @@ class EnsembleSpec:
 
     All built-in laws are centered with unit (absolute) second moment and
     have all moments finite.  The seed is None (left to be set) or passes
-    :func:`check_seed`.
+    :func:`check_seed`; the dimensions are integers under the same rule.
     """
 
     entry_law: str
@@ -59,6 +63,9 @@ class EnsembleSpec:
             raise InvalidInput(f"unknown entry law {self.entry_law!r}")
         if self.seed is not None:
             check_seed(self.seed)
+        if not (_is_integer(self.N) and _is_integer(self.n)):
+            raise InvalidInput(f"dimensions must be integers, got N={self.N!r}, "
+                               f"n={self.n!r}")
         if self.N < 1 or self.n < 1:
             raise InvalidInput("dimensions must be >= 1")
         if self.N > self.n:
@@ -331,19 +338,44 @@ def _csv_text(sample, metadata=None):
 
 
 def load_csv(path):
-    """Read back an exported spectrum; returns (sample, metadata dict)."""
-    meta = {}
-    values = []
+    """Read back an exported spectrum; returns (sample, metadata dict).
+
+    A file that is not such an export (no ``# N:`` or ``# n:`` line, a
+    value or a header that does not parse, a seed outside the Philox keys,
+    other than N eigenvalues) raises :class:`InvalidInput` naming the file
+    and, where there is one, the line.
+    """
+    meta, lines, values = {}, {}, []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, val = line[1:].partition(":")
                 meta[key.strip()] = val.strip()
-            elif line != "eigenvalue":
-                values.append(float(line))
-    seed = int(meta["seed"]) if meta.get("seed", "None") != "None" else None
-    dims = (int(meta["N"]), int(meta["n"]))
-    return SpectrumSample(np.asarray(values), seed, dims), meta
+                lines[key.strip()] = number
+            elif line and line != "eigenvalue":
+                values.append(_parse(float, line, path, number))
+    for key in ("N", "n"):
+        if key not in meta:
+            raise InvalidInput(f"{path}: no '# {key}:' header line")
+    seed = meta.get("seed", "None")
+    seed = None if seed == "None" else _parse(int, seed, path, lines["seed"])
+    dims = tuple(_parse(int, meta[key], path, lines[key]) for key in ("N", "n"))
+    try:
+        if seed is not None:
+            check_seed(seed)
+        if len(values) != dims[0]:
+            raise InvalidInput(f"{len(values)} eigenvalues for N={dims[0]}")
+        return SpectrumSample(np.asarray(values), seed, dims), meta
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _parse(kind, text, path, number):
+    """``kind(text)``, or :class:`InvalidInput` naming line ``number`` of
+    ``path`` when ``text`` does not parse."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{path}, line {number}: cannot read {text!r} "
+                           f"as {kind.__name__}") from exc

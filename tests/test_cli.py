@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,33 +83,59 @@ class TestSolveCommand:
             assert int(row["total_iters"]) == int(row["iters"]) > 0
             assert row["rescued"] == "0"
 
-    def test_zero_threads_exits_2_before_creating_out(self, tmp_path):
+    def test_zero_threads_exits_2_before_creating_out(self, tmp_path, capsys):
         no_profile = {k: v for k, v in MP_SOLVE.items() if k != "profile"}
+        ensemble = SIM_BASE["ensemble"]
         cases = [
-            ("solve", MP_SOLVE, ["--threads", "0"]),
-            ("solve", no_profile, []),
+            ("solve", MP_SOLVE, ["--threads", "0"], "--threads"),
+            ("solve", no_profile, [], "profile.kind"),
             # compare rejects this config too: c must match the ensemble's N/n
-            ("simulate", dict(SIM_BASE, c=0.25), []),
+            ("simulate", dict(SIM_BASE, c=0.25), [], "c"),
             # the command's own fields are read before --out too
-            ("solve", dict(MP_SOLVE, z_grid=[[0, -1]]), []),
-            ("density", dict(SIM_BASE, x_grid=[1.0, 0.5]), []),
-            ("density", dict(SIM_BASE, epsilon=0), []),
-            ("simulate", dict(SIM_BASE, ensemble=dict(SIM_BASE["ensemble"],
-                                                      entry_law="cauchy")), []),
-            ("capacity", dict(SIM_BASE, noise={"s_sq": -1.0}), []),
+            ("solve", dict(MP_SOLVE, z_grid=[[0, -1]]), [], "z_grid"),
+            ("density", dict(SIM_BASE, x_grid=[1.0, 0.5]), [], "x_grid"),
+            ("density", dict(SIM_BASE, epsilon=0), [], "epsilon"),
+            ("simulate", dict(SIM_BASE, ensemble=dict(ensemble, entry_law="cauchy")), [],
+             "ensemble"),
+            ("capacity", dict(SIM_BASE, noise={"s_sq": -1.0}), [], "noise.s_sq"),
             # the transposed curve has an atom at zero, which capacity rejects
-            ("capacity", dict(SIM_BASE, transpose_curve=True), []),
+            ("capacity", dict(SIM_BASE, transpose_curve=True), [], "transpose_curve"),
             # solver accepts only tol and max_iters, both numbers
-            ("solve", dict(MP_SOLVE, solver={"tol": 1e-12, "damping": 0.5}), []),
-            ("density", dict(SIM_BASE, solver={"min_denominator": 1e-14}), []),
-            ("solve", dict(MP_SOLVE, solver={"tol": "tight"}), []),
+            ("solve", dict(MP_SOLVE, solver={"tol": 1e-12, "damping": 0.5}), [],
+             "solver.damping"),
+            ("density", dict(SIM_BASE, solver={"min_denominator": 1e-14}), [],
+             "solver.min_denominator"),
+            ("solve", dict(MP_SOLVE, solver={"tol": "tight"}), [], "solver.tol"),
+            # every field is a JSON value of its own kind: an integer is never
+            # a float, a number never a string or a bool, a flag only a bool
+            ("solve", dict(MP_SOLVE, quadrature_nodes="x"), [], "quadrature_nodes"),
+            ("solve", dict(MP_SOLVE, c=0.5, quadrature_nodes=2.7), [], "quadrature_nodes"),
+            ("solve", dict(MP_SOLVE, c=0.5, quadrature_nodes=True), [], "quadrature_nodes"),
+            ("solve", dict(MP_SOLVE, H={"type": "uniform", "M": 2.7}), [], "H.M"),
+            ("solve", dict(MP_SOLVE, H={"type": "uniform", "M": "x"}), [], "H.M"),
+            ("solve", dict(MP_SOLVE, H={"type": "uniform", "lambda": "x"}), [], "H.lambda"),
+            ("solve", dict(MP_SOLVE, c=True), [], "c"),
+            ("solve", dict(MP_SOLVE, c=2, transpose="no"), [], "transpose"),
+            ("solve", dict(MP_SOLVE, solver={"max_iters": 2.7}), [], "solver.max_iters"),
+            ("solve", dict(MP_SOLVE, solver={"tol": True}), [], "solver.tol"),
+            ("solve", dict(MP_SOLVE, solver={"tol": "1e-3"}), [], "solver.tol"),
+            ("density", dict(SIM_BASE, epsilon="abc"), [], "epsilon"),
+            ("density", dict(SIM_BASE, x_grid="abc"), [], "x_grid"),
+            ("density", dict(SIM_BASE, x_grid={"points": "x"}), [], "x_grid.points"),
+            ("density", dict(SIM_BASE, x_grid={"points": 2.7}), [], "x_grid.points"),
+            ("density", dict(SIM_BASE, x_grid=["a", "b"]), [], "x_grid"),
+            ("density", dict(SIM_BASE, transpose_curve="no"), [], "transpose_curve"),
+            ("capacity", dict(SIM_BASE, noise=5), [], "noise"),
+            ("capacity", dict(SIM_BASE, noise={"s_sq": "x"}), [], "noise.s_sq"),
+            ("simulate", dict(SIM_BASE, ensemble=dict(ensemble, N=True)), [], "ensemble.N"),
         ]
-        for k, (command, cfg_dict, extra) in enumerate(cases):
+        for k, (command, cfg_dict, extra, field) in enumerate(cases):
             cfg = write_config(tmp_path, cfg_dict, name=f"cfg{k}.json")
             out = tmp_path / f"never{k}"
             assert cli.main([command, "--config", str(cfg), "--out", str(out),
-                             *extra]) == 2
-            assert not out.exists()
+                             *extra]) == 2, field
+            assert not out.exists(), field
+            assert f"{field}: " in capsys.readouterr().err, field
 
     @pytest.mark.parametrize("command", ["compare", "capacity"])
     def test_empty_seed_list_exits_2_before_creating_out(self, tmp_path, command):
@@ -255,6 +282,26 @@ class TestCompareCommand:
         report = json.loads((out / "compare.json").read_text())
         assert {r["seed"] for r in report["per_seed"]} == {1, 2}
 
+    @pytest.mark.parametrize("old,new", [
+        ("# N: 60\n", ""),
+        ("\neigenvalue\n", "\neigenvalue\nnot-a-number\n"),
+        ("# seed: 1\n", "# seed: x\n"),
+    ])
+    def test_malformed_artifact_exits_2_before_creating_out(self, tmp_path, capsys,
+                                                            old, new):
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[1]))
+        sim_out = tmp_path / "sims"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        path = sim_out / "eigenvalues_seed1.csv"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        out = tmp_path / "never"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                         "--sim-dir", str(sim_out)]) == 2
+        assert not out.exists()
+        assert "eigenvalues_seed1.csv" in capsys.readouterr().err
+
     def test_transposed_side_comparison(self, tmp_path):
         cfg = write_config(tmp_path, dict(SIM_BASE, transpose_curve=True))
         out = tmp_path / "out"
@@ -272,6 +319,12 @@ class TestCapacityCommand:
         report = json.loads((out / "capacity.json").read_text())
         assert report["units"] == "nats"
         assert abs(report["empirical_mean"] - report["limit"]) / report["limit"] <= 0.05
+
+    def test_integer_noise_keeps_its_float_spelling(self, tmp_path):
+        cfg = write_config(tmp_path, dict(SIM_BASE, noise={"s_sq": 2}))
+        out = tmp_path / "out"
+        assert cli.main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert '"s_sq": 2.0' in (out / "capacity.json").read_text()
 
     def test_bits_flag_scales(self, tmp_path):
         cfg = write_config(tmp_path, SIM_BASE)
@@ -307,3 +360,20 @@ class TestDensityCommand:
         xs = np.array([float(r["x"]) for r in rows])
         vals = np.array([float(r["density"]) for r in rows])
         assert np.interp(2.0, xs, vals) == pytest.approx(1 / (2 * np.pi), abs=5e-3)
+
+
+class TestReadmeExample:
+    def test_every_command_reads_the_example_config(self):
+        # the README's example config must pass the strict reader as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Example config", 1)[1]
+        cfg = json.loads(example.split("```json\n", 1)[1].split("```", 1)[0])
+        model = cli.build_model(cfg)
+        assert model.c == 0.5 and len(model.H.u) == 256 and len(model.quad) == 256
+        assert cli.build_z_grid(cfg) == [1j, 0.5j, 2 + 0.1j]
+        grid = cli.build_curve_grid(model)
+        assert grid.x_grid.size == 2000 and grid.epsilon == 0.001 and not grid.transpose
+        sampling = cli.build_sampling(model, None)
+        assert (sampling.spec.N, sampling.spec.n) == (200, 400)
+        assert sampling.lambda_diag.shape == (200,)
+        assert sampling.seeds == [0, 1, 2, 3, 4]

@@ -66,6 +66,17 @@ class TestSampleSigmaMatrix:
         with pytest.raises(InvalidInput, match="seed"):
             EnsembleSpec("gaussian", seed, 2, 3)
 
+    @pytest.mark.parametrize("dims", [(1, 2.5), (2.5, 5), (True, 5), (1, True),
+                                      ("2", 5), (2.0, 5)])
+    def test_non_integer_dims_rejected(self, dims):
+        # the dimensions follow the seed's rule: integers, never bools
+        with pytest.raises(InvalidInput, match="integers"):
+            EnsembleSpec("gaussian", 0, *dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        spec = EnsembleSpec("gaussian", 0, np.int64(2), np.int32(3))
+        assert (spec.N, spec.n) == (2, 3)
+
     @pytest.mark.parametrize("seed", [None, 0, 2 ** 128 - 1, np.uint64(7)])
     def test_seed_inside_philox_keys_accepted(self, seed):
         assert EnsembleSpec("gaussian", seed, 2, 3).seed == seed
@@ -313,3 +324,21 @@ class TestCsvRoundTrip:
         assert loaded.dims == (5, 8)
         assert meta["config_hash"] == "abc123"
         assert meta["rng"] == "philox4x64"
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("# N: 5\n", "", "no '# N:' header line"),
+        ("\neigenvalue\n", "\neigenvalue\n1.5e\n", "line 6: cannot read '1.5e'"),
+        ("# seed: 3\n", "# seed: x\n", "line 1: cannot read 'x'"),
+        ("# seed: 3\n", "# seed: -1\n", "seed must be an integer in [0, 2**128)"),
+        ("\neigenvalue\n", "\neigenvalue\n0.5\n", "6 eigenvalues for N=5"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, old, new, where):
+        sample = sample_spectrum(EnsembleSpec("gaussian", 3, 5, 8), UNIT, np.zeros(5))
+        path = tmp_path / "eig.csv"
+        export_csv(sample, path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(InvalidInput, match="eig.csv") as info:
+            load_csv(path)
+        assert where in str(info.value)
