@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, check_ratio
 from .spectra import MASS_WINDOW
 
 
@@ -43,8 +43,7 @@ def capacity_from_limit(curve, c, noise, bits=False):
     if curve.atom_at_zero > 1e-12:
         raise InvalidInput("capacity is defined on the Gram-side curve "
                            "(atom at zero must be 0)")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
+    check_ratio(c)
     mass = curve.mass()
     if not MASS_WINDOW[0] <= mass <= MASS_WINDOW[1]:
         raise NumericalFailure(f"curve mass {mass:.4f} outside {MASS_WINDOW}")

@@ -15,25 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidInput, NoConvergence
+from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, check_ratio,
+                     upper_half_plane)
 
 __all__ = ["ScalarFixedPointOptions", "mp_stieltjes", "mp_density", "mp_cdf",
            "iid_noncentered_f", "centered_profile_k"]
+
+
+# factor on the new value in the damped iterations of the scalar oracles
+DAMPING = 0.5
 
 
 @dataclass
 class ScalarFixedPointOptions:
     tol: float = 1e-14
     max_iters: int = 100000
-    damping: float = 0.5
 
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidInput("tol must be > 0")
         if self.max_iters < 1:
             raise InvalidInput("max_iters must be >= 1")
-        if not 0 < self.damping <= 1:
-            raise InvalidInput("damping must lie in (0, 1]")
 
 
 def mp_stieltjes(z, c, sigma_sq):
@@ -42,11 +44,8 @@ def mp_stieltjes(z, c, sigma_sq):
     This is the Stieltjes transform of the Marchenko-Pastur law with ratio
     c and scale sigma_sq, i.e. the constant-profile, zero-offset limit.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
+    z = upper_half_plane(z)
+    check_ratio(c)
     if not sigma_sq > 0:
         raise InvalidInput("sigma_sq must be > 0")
     a = z * c * sigma_sq
@@ -64,8 +63,7 @@ def mp_density(x, c, sigma_sq):
     Support is [s2 (1 - sqrt(c))^2, s2 (1 + sqrt(c))^2]; inside, the value
     is sqrt((x+ - x)(x - x-)) / (2 pi s2 c x).
     """
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
+    check_ratio(c)
     if not sigma_sq > 0:
         raise InvalidInput("sigma_sq must be > 0")
     x = np.asarray(x, dtype=float)
@@ -116,11 +114,8 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
     complex scalars: the offset law has a handful of atoms, too few for
     array arithmetic to pay for its per-call overhead.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
+    z = upper_half_plane(z)
+    check_ratio(c)
     opts = opts or ScalarFixedPointOptions()
     pairs = list(h_lambda)
     lam = np.asarray([p[0] for p in pairs], dtype=float)
@@ -130,7 +125,6 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
     atoms = list(zip(lam.tolist(), w.tolist()))
     cs2 = c * sigma_sq
     shift = (1.0 - c) * sigma_sq
-    damping = opts.damping
     f = -1.0 / z
     for _ in range(opts.max_iters):
         den1 = 1.0 + cs2 * f
@@ -143,7 +137,7 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
             if abs(den) < 1e-14:
                 raise DegenerateDenominator(f"resolvent denominator vanished at z={z}")
             f_new += w_k * (1.0 / den)
-        f_next = damping * f_new + (1.0 - damping) * f
+        f_next = DAMPING * f_new + (1.0 - DAMPING) * f
         delta = abs(f_next - f)
         f = f_next
         if delta <= opts.tol:
@@ -168,11 +162,8 @@ def centered_profile_k(z, c, profile, u_grid, opts=None, quad_count=None):
     Returns the array of k values; integrate against the grid (mean value)
     for the Stieltjes transform.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
+    z = upper_half_plane(z)
+    check_ratio(c)
     opts = opts or ScalarFixedPointOptions()
     u = np.asarray(u_grid, dtype=float)
     if u.ndim != 1 or u.size == 0 or np.any(u < 0) or np.any(u > 1):
@@ -196,7 +187,7 @@ def centered_profile_k(z, c, profile, u_grid, opts=None, quad_count=None):
         denom = -z + sig @ (tw / inner)
         if np.min(np.abs(denom)) < 1e-14:
             raise DegenerateDenominator(f"outer denominator vanished at z={z}")
-        k_new = opts.damping / denom + (1.0 - opts.damping) * k
+        k_new = DAMPING / denom + (1.0 - DAMPING) * k
         delta = float(np.max(np.abs(k_new - k)))
         k = k_new
         if delta <= opts.tol:

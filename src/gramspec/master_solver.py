@@ -32,7 +32,9 @@ products on the (re, im) pairs of the weights that cost O((m + q) k); the
 dense m x (m + q) profile matrix is never formed.  Damping, the residual
 and the masses are single expressions on ``s``.
 
-The map G is iterated from the cold start ``pi = pi_tilde = -H / z``.
+The map G is iterated from the cold start ``s = -num / z``: each weight
+is its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both
+kernels have mass ``-1/z`` and the start lies in the iterate layout.
 Above the contraction height (see :func:`contraction_start_height`) plain
 Picard contracts geometrically in total variation.  Below it the solver
 mixes the iterates with type-II Anderson acceleration (window
@@ -65,7 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .errors import DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure
+from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
+                     check_ratio, positive_height, upper_half_plane)
 from .measures import ComplexKernel, lambda_moment
 
 __all__ = [
@@ -151,8 +154,7 @@ def contraction_start_height(sigma_max_sq, c, lambda_m1):
 
 def theta_bound(sigma_max_sq, c, lambda_m1, im_z):
     """Largest of the four contraction bounds at height Im(z) = im_z."""
-    if im_z <= 0:
-        raise InvalidInput("im_z must be > 0")
+    im_z = positive_height(im_z, "im_z")
     s2 = float(sigma_max_sq)
     return max(
         2.0 * c * s2 * lambda_m1 / im_z ** 2,
@@ -162,28 +164,49 @@ def theta_bound(sigma_max_sq, c, lambda_m1, im_z):
     )
 
 
+class _System:
+    """The layout of the system at (H, quad, c): pi on H's atoms, and
+    pi_tilde on the image points (c u_i, lambda_i) joined with the
+    quadrature nodes (t_j, 0), stacked as one iterate whose weights have
+    the numerators ``num = [w | c w | omega]``.  Rejects a ``c`` outside
+    (0, 1] and a ``quad`` not on [c, 1]."""
+
+    def __init__(self, H, quad, c):
+        self.c = c = check_ratio(c)
+        if abs(quad.lower - c) > 1e-12:
+            raise InvalidInput(f"quadrature built for c={quad.lower}, not c={c}")
+        self.H = H
+        self.m = H.u.size
+        self.tilde_t = np.concatenate([c * H.u, quad.nodes])
+        self.tilde_zeta = np.concatenate([H.lam, np.zeros(len(quad))])
+        self.num = np.concatenate([H.w, c * H.w, quad.weights])
+
+    def pack(self, s):
+        """The (pi, pi_tilde) pair of the stacked iterate ``s``."""
+        m = self.m
+        return (ComplexKernel(self.H.u, self.H.lam, s[:m]),
+                ComplexKernel(self.tilde_t, self.tilde_zeta, s[m:]))
+
+    def unpack(self, pi, pi_tilde):
+        """The stacked iterate of a (pi, pi_tilde) pair from outside; the
+        inverse of :meth:`pack`."""
+        for kernel, t, zeta in ((pi, self.H.u, self.H.lam),
+                                (pi_tilde, self.tilde_t, self.tilde_zeta)):
+            if (kernel.t.size != t.size or not np.allclose(kernel.t, t)
+                    or not np.allclose(kernel.zeta, zeta)):
+                raise InvalidInput("kernels do not match the system layout")
+        return np.concatenate([pi.weights, pi_tilde.weights])
+
+
 def init_kernels(H, quad, z, c):
-    """Cold-start kernels: both equal -H/z, placed on H's own points.
-
-    Only the first iterate keeps this layout for the second kernel; from
-    then on it lives on the image points (c u_i, lambda_i) joined with the
-    quadrature nodes (t_j, 0).
+    """The cold start ``s = -num / z`` as a (pi, pi_tilde) pair in the
+    iterate layout: pi has weights ``-w/z`` on H's atoms, pi_tilde has
+    ``-[c w | omega]/z`` on (c u_i, lambda_i) and (t_j, 0).  Each kernel
+    has mass ``-1/z``; this is the solver's own start.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
-    w0 = -H.w / z
-    pi0 = ComplexKernel(H.u.copy(), H.lam.copy(), w0)
-    pi_tilde0 = ComplexKernel(H.u.copy(), H.lam.copy(), w0.copy())
-    return pi0, pi_tilde0
-
-
-def _iterate_points(H, quad, c):
-    t = np.concatenate([c * H.u, quad.nodes])
-    zeta = np.concatenate([H.lam, np.zeros(len(quad))])
-    return t, zeta
+    z = upper_half_plane(z)
+    system = _System(H, quad, c)
+    return system.pack(-system.num / z)
 
 
 def _weights_from_integrals(z, c, lam, num, A, BC):
@@ -219,94 +242,47 @@ def _real_lowrank(left, right, v):
     return (left @ (right.T @ v.view(np.float64).reshape(-1, 2))).view(complex).ravel()
 
 
-class _Stepper:
-    """The fixed-point map at fixed (H, quad, c) on the stacked iterate,
+class _Stepper(_System):
+    """The fixed-point map on the stacked iterate of a :class:`_System`,
     and the system's contraction ``height``.
 
     Holds the profile as the thin factors ``Phi`` (m x k) and ``Psi``
-    ((m + q) x k) of the module docstring, and the integrals of the cold
-    start, ``a_cold = Phi (psi(u)^T w)`` and ``bc_cold = Psi (Phi^T w)``,
-    so no array it keeps grows like m (m + q).  Rejects a ``c`` outside
-    (0, 1] and a ``quad`` not on [c, 1].
+    ((m + q) x k) of the module docstring, so no array it keeps grows like
+    m (m + q).
     """
 
     def __init__(self, H, profile, quad, c):
-        if not 0 < c <= 1:
-            raise InvalidInput("c must lie in (0, 1]")
-        if abs(quad.lower - c) > 1e-12:
-            raise InvalidInput(f"quadrature built for c={quad.lower}, not c={c}")
-        self.c = float(c)
+        super().__init__(H, quad, c)
         self.height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
-        self.m = m = H.u.size
-        self.u = H.u
-        self.lam = H.lam
-        self.num = np.concatenate([H.w, c * H.w, quad.weights])
-        self.tilde_t, self.tilde_zeta = _iterate_points(H, quad, c)
-        # psi is also taken at H's own points, where the cold start puts
-        # pi_tilde = -H/z
-        phi, V, psi = profile.factors(self.u, np.concatenate([self.tilde_t, self.u]))
+        phi, V, self.Psi = profile.factors(H.u, self.tilde_t)
         self.Phi = phi @ V
-        self.Psi = psi[:-m]
-        self.a_cold = self.Phi @ (psi[-m:].T @ H.w)
-        self.bc_cold = self.Psi @ (self.Phi.T @ H.w)
-
-    def _map(self, z, A, BC):
-        return _weights_from_integrals(z, self.c, self.lam, self.num, A, BC)
 
     def cold(self, z):
-        """The first iterate, from the cold start ``pi = pi_tilde = -H/z``."""
-        return self._map(z, -self.a_cold / z, -self.bc_cold / z)
+        """The first iterate: one step from the cold start ``-num / z``."""
+        return self.step(z, -self.num / z)
 
     def step(self, z, s):
         m = self.m
-        return self._map(z, _real_lowrank(self.Phi, self.Psi, s[m:]),
-                         _real_lowrank(self.Psi, self.Phi, s[:m]))
-
-    def pack(self, s):
-        m = self.m
-        return (ComplexKernel(self.u, self.lam, s[:m]),
-                ComplexKernel(self.tilde_t, self.tilde_zeta, s[m:]))
-
-    def unpack(self, pi, pi_tilde):
-        """The stacked iterate of a (pi, pi_tilde) pair in the iterate
-        layout; the inverse of :meth:`pack` for kernels from outside."""
-        if (pi.weights.size != self.m
-                or pi_tilde.weights.size != self.tilde_t.size
-                or not np.allclose(pi.t, self.u)
-                or not np.allclose(pi_tilde.t, self.tilde_t)):
-            raise InvalidInput("initial kernels do not match the system layout")
-        return np.concatenate([pi.weights, pi_tilde.weights])
+        return _weights_from_integrals(
+            z, self.c, self.H.lam, self.num,
+            _real_lowrank(self.Phi, self.Psi, s[m:]), _real_lowrank(self.Psi, self.Phi, s[:m]))
 
 
 def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
-    """One application of the fixed-point map to arbitrary input kernels.
+    """One application of the fixed-point map to a (pi, pi_tilde) pair in
+    the iterate layout, such as :func:`init_kernels` returns.
 
-    ``pi_prev`` must live on H's points; ``pi_tilde_prev`` may live on any
-    point set (its points are read generically), which covers both the cold
-    start layout and the iterate layout.  The returned second kernel always
-    uses the iterate layout.  The profile is evaluated densely here, not
-    through its factors, so this stays an independent reference for the
-    solver's own step.
+    The profile is evaluated densely here, once on H's atoms against the
+    iterate points, not through its factors, so this stays an independent
+    reference for the solver's own step.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
-    if not 0 < c <= 1:
-        raise InvalidInput("c must lie in (0, 1]")
-    if not (np.allclose(pi_prev.t, H.u) and np.allclose(pi_prev.zeta, H.lam)):
-        raise InvalidInput("pi_prev must be supported on H's atoms")
-    sig_first = np.asarray(profile.evaluate(H.u[:, None], pi_tilde_prev.t[None, :]))
-    A = sig_first @ pi_tilde_prev.weights
-    sig_cu = np.asarray(profile.evaluate(H.u[:, None], (c * H.u)[None, :]))
-    B = sig_cu.T @ pi_prev.weights
-    sig_tq = (np.asarray(profile.evaluate(H.u[:, None], quad.nodes[None, :]))
-              if len(quad) else np.zeros((H.u.size, 0)))
-    C = sig_tq.T @ pi_prev.weights
-    num = np.concatenate([H.w, c * H.w, quad.weights])
-    s = _weights_from_integrals(z, c, H.lam, num, A, np.concatenate([B, C]))
-    t, zeta = _iterate_points(H, quad, c)
-    m = H.u.size
-    return ComplexKernel(H.u, H.lam, s[:m]), ComplexKernel(t, zeta, s[m:])
+    z = upper_half_plane(z)
+    system = _System(H, quad, c)
+    s = system.unpack(pi_prev, pi_tilde_prev)
+    m = system.m
+    sig = np.asarray(profile.evaluate(H.u[:, None], system.tilde_t[None, :]))
+    return system.pack(_weights_from_integrals(z, system.c, H.lam, system.num,
+                                               sig @ s[m:], sig.T @ s[:m]))
 
 
 def _check_solution(z, f, f_tilde):
@@ -442,9 +418,7 @@ def solve_master(z, c, H, profile, quad, opts=None, initial=None):
     budget runs out, :class:`DegenerateDenominator` on numerical breakdown
     and :class:`NumericalFailure` when the answer leaves the Stieltjes class.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
+    z = upper_half_plane(z)
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     start = None if initial is None else stepper.unpack(*initial)
@@ -504,9 +478,7 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
     is the quadrature on [c, 1].
     """
-    targets = [complex(zt) for zt in z_targets]
-    if any(zt.imag <= 0 for zt in targets):
-        raise InvalidInput("all targets must lie in the upper half plane")
+    targets = [upper_half_plane(zt, "target") for zt in z_targets]
     if not 0 < factor < 1:
         raise InvalidInput("factor must lie in (0, 1)")
     opts = opts or SolverOptions()
@@ -529,14 +501,15 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     SolveReports in x order.  Raises :class:`InvalidInput` unless ``c``
     lies in (0, 1] and ``quad`` is the quadrature on [c, 1].
     """
-    if epsilon <= 0:
-        raise InvalidInput("epsilon must be > 0")
+    epsilon = positive_height(epsilon, "epsilon")
+    points = [upper_half_plane(complex(x, epsilon))
+              for x in np.asarray(x_values, dtype=float).tolist()]
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     reports = []
     state = None
-    for x in np.asarray(x_values, dtype=float).tolist():
-        report, state = _solve_or_climb(complex(x, epsilon), stepper, opts, state,
-                                        stepper.height, factor, f"rescue at x={x!r}")
+    for z in points:
+        report, state = _solve_or_climb(z, stepper, opts, state, stepper.height,
+                                        factor, f"rescue at x={z.real!r}")
         reports.append(report)
     return reports

@@ -15,7 +15,7 @@ instances can be shared freely across threads.
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_ratio
 
 _MASS_TOL = 1e-12
 
@@ -262,16 +262,16 @@ class QuadratureRule:
     """
 
     def __init__(self, lower, nodes, weights):
-        lower = float(lower)
+        lower = check_ratio(float(lower), "lower endpoint")
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if not 0 < lower <= 1:
-            raise InvalidInput("lower endpoint must lie in (0, 1]")
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise InvalidInput("nodes and weights must be 1-d of equal length")
         if nodes.size:
-            if np.any(np.diff(nodes) <= 0):
-                raise InvalidInput("nodes must be strictly increasing")
+            # nodes may repeat: on an interval a few ulps wide, distinct
+            # midpoints round to the same double
+            if np.any(np.diff(nodes) < 0):
+                raise InvalidInput("nodes must be nondecreasing")
             if nodes[0] < lower or nodes[-1] > 1:
                 raise InvalidInput("nodes must lie in [lower, 1]")
             if np.any(weights <= 0):
@@ -284,9 +284,7 @@ class QuadratureRule:
 
     @classmethod
     def midpoint(cls, lower, count=256):
-        lower = float(lower)
-        if not 0 < lower <= 1:
-            raise InvalidInput("lower endpoint must lie in (0, 1]")
+        lower = check_ratio(float(lower), "lower endpoint")
         if lower == 1.0:
             return cls(1.0, np.empty(0), np.empty(0))
         if count < 1:

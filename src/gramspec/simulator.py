@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, upper_half_plane
 from .measures import ComplexKernel
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform", "complex-gaussian")
@@ -231,9 +231,7 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     two triangular factors; the N x N resolvent is never formed, and no
     general inverse routine (inv, getri) is called.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
+    z = upper_half_plane(z)
     sigma = np.asarray(sigma)
     n_rows = sigma.shape[0]
     lam = np.asarray(lambda_diag, dtype=float)
@@ -253,9 +251,7 @@ def empirical_f_tilde(sample, z):
     Computed from the Gram spectrum: the transposed matrix shares the
     nonzero eigenvalues and carries n - N extra zeros.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
+    z = upper_half_plane(z)
     n_rows, n_cols = sample.dims
     trace = np.sum(1.0 / (sample.eigenvalues - z)) + (n_cols - n_rows) * (-1.0 / z)
     return complex(trace / n_cols)
@@ -268,9 +264,7 @@ def schur_identity_check(sigma, z, i):
     xi is row i and S_i is sigma with that row removed.  The identity is
     exact in exact arithmetic; the residual measures round-off only.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("z must lie in the upper half plane")
+    z = upper_half_plane(z)
     sigma = np.asarray(sigma)
     n_rows = sigma.shape[0]
     if not 1 <= i <= n_rows:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, positive_height, upper_half_plane
 from . import master_solver
 
 __all__ = ["DensityCurve", "stieltjes_pair", "density_from_stieltjes",
@@ -43,8 +43,7 @@ class DensityCurve:
             raise InvalidInput("values must match x_grid in length")
         if np.any(self.values < 0):
             raise InvalidInput("density values must be >= 0")
-        if not self.epsilon > 0:
-            raise InvalidInput("epsilon must be > 0")
+        self.epsilon = positive_height(self.epsilon, "epsilon")
         if not 0 <= self.atom_at_zero <= 1:
             raise InvalidInput("atom_at_zero must lie in [0, 1]")
 
@@ -83,10 +82,10 @@ def density_from_stieltjes(f_at, x_grid, epsilon, atom_at_zero=0.0):
     -1e-12; anything lower raises NumericalFailure.  Evaluator exceptions
     propagate per grid point.
     """
-    if epsilon <= 0:
-        raise InvalidInput("epsilon must be > 0")
+    epsilon = positive_height(epsilon, "epsilon")
     x = np.asarray(x_grid, dtype=float)
-    f_values = [complex(f_at(complex(xi, epsilon))) for xi in x]
+    zs = [upper_half_plane(complex(xi, epsilon)) for xi in x]
+    f_values = [complex(f_at(z)) for z in zs]
     values = _clamped_density(f_values, f"epsilon={epsilon}")
     return DensityCurve(x, values, epsilon, atom_at_zero)
 
@@ -113,9 +112,7 @@ def mass_check(f_at, y_sequence):
     For the transform of a probability measure the values approach 1 at a
     rate O(1/y).
     """
-    ys = np.asarray(y_sequence, dtype=float)
-    if np.any(ys <= 0):
-        raise InvalidInput("y values must be > 0")
+    ys = [positive_height(y, "y") for y in np.asarray(y_sequence, dtype=float).tolist()]
     return [float((-1j * y * complex(f_at(complex(0.0, y)))).real) for y in ys]
 
 

@@ -45,6 +45,52 @@ class TestInitKernels:
             init_kernels(two_atom_H(), QuadratureRule.midpoint(1.0), -1j, 1.0)
 
 
+class TestOneLayout:
+    """The cold start, the solver's iterates and picard_step share one
+    layout: pi_tilde on (c u_i, lambda_i) and the quadrature nodes (t_j, 0)."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_init_kernels_is_the_solver_start(self, c):
+        H = empirical_H_from_diagonal(np.linspace(-1.5, 1.5, 12))
+        quad = QuadratureRule.midpoint(c, 9)
+        z = 0.4 + 0.7j
+        stepper = _Stepper(H, VarianceProfile.constant(1.3), quad, c)
+        got = init_kernels(H, quad, z, c)
+        want = stepper.pack(-stepper.num / z)
+        for kernel, ref in zip(got, want):
+            np.testing.assert_array_equal(kernel.t, ref.t)
+            np.testing.assert_array_equal(kernel.zeta, ref.zeta)
+            np.testing.assert_array_equal(kernel.weights, ref.weights)
+        pit0 = got[1]
+        np.testing.assert_array_equal(pit0.t, np.concatenate([c * H.u, quad.nodes]))
+        np.testing.assert_array_equal(pit0.zeta, np.concatenate([H.lam, np.zeros(len(quad))]))
+        np.testing.assert_array_equal(pit0.weights,
+                                      -np.concatenate([c * H.w, quad.weights]) / z)
+
+    @pytest.mark.parametrize("entry", ["init_kernels", "picard_step"])
+    def test_quadrature_for_another_c_rejected(self, entry):
+        # a quadrature on [0.3, 1] at c = 0.5 would give pi_tilde numerators
+        # summing to 0.5 + 0.7 = 1.2
+        H = uniform_H(16)
+        quad = QuadratureRule.midpoint(0.3, 16)
+        with pytest.raises(InvalidInput, match=r"quadrature built for c=0\.3, not c=0\.5"):
+            if entry == "init_kernels":
+                init_kernels(H, quad, 1j, 0.5)
+            else:
+                pi0, pit0 = init_kernels(H, QuadratureRule.midpoint(0.5, 16), 1j, 0.5)
+                picard_step(1j, 0.5, H, VarianceProfile.constant(1.0), quad, pi0, pit0)
+
+    def test_picard_step_rejects_kernels_off_the_layout(self):
+        # pi_tilde = -H/z on H's own points is not a point of the iterate
+        # layout at c < 1
+        H = uniform_H(16)
+        quad = QuadratureRule.midpoint(0.5, 16)
+        pi0, _ = init_kernels(H, quad, 1j, 0.5)
+        off = ComplexKernel(H.u, H.lam, -H.w / 1j)
+        with pytest.raises(InvalidInput, match="kernels do not match the system layout"):
+            picard_step(1j, 0.5, H, VarianceProfile.constant(1.0), quad, pi0, off)
+
+
 class TestPicardStep:
     def test_zero_profile_weights(self):
         H = two_atom_H()

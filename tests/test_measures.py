@@ -228,6 +228,18 @@ class TestQuadratureRule:
         with pytest.raises(InvalidInput):
             QuadratureRule(0.5, [0.6, 0.7], [0.3, 0.3])  # mass != 0.5
 
+    def test_interval_one_ulp_wide(self):
+        # the 16 midpoints of [1 - 2**-53, 1] round onto its two endpoints
+        c = np.nextafter(1.0, 0.0)
+        quad = QuadratureRule.midpoint(c, 16)
+        assert len(quad) == 16
+        assert np.all(np.diff(quad.nodes) >= 0)
+        assert abs(quad.weights.sum() - (1 - c)) <= 1e-12
+
+    def test_unsorted_nodes_rejected(self):
+        with pytest.raises(InvalidInput, match="nondecreasing"):
+            QuadratureRule(0.5, [0.7, 0.6], [0.25, 0.25])
+
 
 complex_weights = st.lists(
     st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
