@@ -281,14 +281,6 @@ def build_model(cfg):
                  _meta(cfg), dims, offsets)
 
 
-def _write_csv(path, header_meta, columns, rows):
-    lines = [f"# {k}: {v}" for k, v in header_meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _write_json(path, model, fields):
     report = {"config_hash": model.meta["config_hash"], "rng": model.meta["rng"], **fields}
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -310,10 +302,9 @@ def cmd_solve(model, zs, out_dir):
         rows.append((z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual,
                      rep.iterations, rep.total_iterations, int(rep.rescued)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(out_dir / "solve.csv", model.meta,
-               ["z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters",
-                "total_iters", "rescued"],
-               rows)
+    simulator.write_csv(out_dir / "solve.csv", model.meta, [
+        "z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters", "total_iters",
+        "rescued"], rows)
     return 0
 
 
@@ -341,8 +332,8 @@ def _limit_curve(model, grid):
 
 def cmd_density(model, grid, out_dir):
     curve = _limit_curve(model, grid)
-    _write_csv(out_dir / "density.csv", model.meta, ["x", "density"],
-               list(zip(curve.x_grid.tolist(), curve.values.tolist())))
+    simulator.write_csv(out_dir / "density.csv", model.meta, ["x", "density"],
+                        list(zip(curve.x_grid.tolist(), curve.values.tolist())))
     _write_json(out_dir / "density.json", model, {
         "epsilon": curve.epsilon,
         "atom_at_zero": curve.atom_at_zero,
@@ -409,10 +400,10 @@ def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
         "per_seed": per_seed,
         "median_ks": float(np.median([r["ks"] for r in per_seed])),
     })
-    _write_csv(out_dir / "compare.csv", model.meta, ["seed", "ks"],
-               [(r["seed"], r["ks"]) for r in per_seed])
-    _write_csv(out_dir / "limit_cdf.csv", model.meta, ["x", "cdf"],
-               list(zip(curve.x_grid.tolist(), np.asarray(cdf(curve.x_grid)).tolist())))
+    simulator.write_csv(out_dir / "compare.csv", model.meta, ["seed", "ks"],
+                        [(r["seed"], r["ks"]) for r in per_seed])
+    simulator.write_csv(out_dir / "limit_cdf.csv", model.meta, ["x", "cdf"],
+                        list(zip(curve.x_grid.tolist(), cdf(curve.x_grid).tolist())))
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, check_ratio,
                      upper_half_plane)
+from .measures import offset_law
 
 __all__ = ["ScalarFixedPointOptions", "mp_stieltjes", "mp_density", "mp_cdf",
            "iid_noncentered_f", "centered_profile_k"]
@@ -110,19 +111,17 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
 
         f = sum_k w_k / ( -z (1 + c s2 f) + (1-c) s2 + lambda_k / (1 + c s2 f) )
 
-    by damped iteration from f = -1/z.  The iteration runs on Python
+    by damped iteration from f = -1/z, for a finite ``sigma_sq >= 0`` and
+    an :func:`~gramspec.measures.offset_law`.  The iteration runs on Python
     complex scalars: the offset law has a handful of atoms, too few for
     array arithmetic to pay for its per-call overhead.
     """
     z = upper_half_plane(z)
     check_ratio(c)
+    if not 0.0 <= sigma_sq < np.inf:
+        raise InvalidInput(f"sigma_sq must be finite and >= 0, got {sigma_sq!r}")
     opts = opts or ScalarFixedPointOptions()
-    pairs = list(h_lambda)
-    lam = np.asarray([p[0] for p in pairs], dtype=float)
-    w = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise InvalidInput("h_lambda must be a probability vector")
-    atoms = list(zip(lam.tolist(), w.tolist()))
+    atoms = list(zip(*offset_law(h_lambda)))
     cs2 = c * sigma_sq
     shift = (1.0 - c) * sigma_sq
     f = -1.0 / z

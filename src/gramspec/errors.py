@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the argument rules that
-every module applies the same way."""
+"""Exception types shared across the package, and the argument rules and
+the one Stieltjes-class rule that every module applies the same way."""
 
 import cmath
 import math
+
+import numpy as np
 
 
 class InvalidInput(ValueError):
@@ -52,3 +54,24 @@ def check_ratio(c, name="c"):
     if not 0 < c <= 1:
         raise InvalidInput(f"{name} must lie in (0, 1]")
     return float(c)
+
+
+def stieltjes_limits(z):
+    """``(slack, bound)`` of :func:`check_stieltjes` per unit of numerator."""
+    return 1e-10 * (1.0 + abs(z)), 1.0 / z.imag + 1e-9 * (1.0 + 1.0 / z.imag)
+
+
+def check_stieltjes(z, s, num):
+    """Raise :class:`NumericalFailure` unless every weight ``s_k`` lies in
+    the Stieltjes class at z: ``Im s_k >= 0``, ``Im(z s_k) >= 0`` and
+    ``|s_k| <= num_k / Im z``, up to the :func:`stieltjes_limits` times the
+    numerator ``num_k`` (an array like ``s``, or one number).  The solver's
+    weights and a resolvent's ``q_ii`` (numerator 1) pass it; a kernel's
+    mass, whose numerators sum to 1, passes it by addition."""
+    slack, bound = stieltjes_limits(z)
+    for rule, excess in (("Im s_k >= 0", -num * slack - s.imag),
+                         ("Im(z*s_k) >= 0", -num * slack - (z * s).imag),
+                         ("|s_k| <= num_k/Im(z)", np.abs(s) - num * bound)):
+        k = int(np.argmax(excess))      # the first NaN, if there is one
+        if not excess[k] <= 0:
+            raise NumericalFailure(f"weight {k} breaks {rule} by {excess[k]:.3e} at z={z}")

@@ -48,11 +48,13 @@ stops once the undamped residual ``|G(s) - s|_1`` is at most ``tol`` and
 returns ``G(s)``.  A denominator of the map below ``MIN_DENOMINATOR`` in
 magnitude raises :class:`DegenerateDenominator`.
 
-A converged ``G(s)`` must lie in the Stieltjes class weight by weight: each
-weight ``s_k`` with numerator ``num_k`` has ``Im s_k >= 0``,
-``Im(z s_k) >= 0`` and ``|s_k| <= num_k / Im z`` (up to a small slack).
-The masses ``f`` and ``f_tilde`` must pass the same three rules with
-numerator 1.  A solve that fails them raises :class:`NumericalFailure`.
+A converged ``G(s)`` must lie in the Stieltjes class weight by weight
+(:func:`~gramspec.errors.check_stieltjes`): each weight ``s_k`` with
+numerator ``num_k`` has ``Im s_k >= 0``, ``Im(z s_k) >= 0`` and
+``|s_k| <= num_k / Im z`` (up to a small slack), or the solve raises
+:class:`NumericalFailure`.  The masses ``f`` and ``f_tilde`` need no check:
+each kernel's numerators sum to 1, so the weights' rules imply the same
+rules on the masses with numerator 1, up to rounding.
 
 Each target is solved once, straight from the cold start at the target (or
 from a neighbour's iterate along a line).  Only when that solve fails does
@@ -68,7 +70,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
-                     check_ratio, positive_height, upper_half_plane)
+                     check_ratio, check_stieltjes, positive_height, upper_half_plane)
 from .measures import ComplexKernel, lambda_moment
 
 __all__ = [
@@ -83,6 +85,8 @@ MIN_DENOMINATOR = 1e-14
 # factor on the residual in the mixed step
 ANDERSON_WINDOW = 6
 ANDERSON_BETA = 0.5
+# factor by which the continuation ladder lowers Im z from rung to rung
+LADDER_FACTOR = 0.7
 
 
 @dataclass
@@ -135,33 +139,30 @@ class SolveReport:
     rescued: bool = False
 
 
-def contraction_start_height(sigma_max_sq, c, lambda_m1):
-    """Smallest Im(z) above which all four contraction bounds are < 1/2.
+def _contraction_bounds(sigma_max_sq, c, lambda_m1):
+    """The contraction bounds 2 c s2 m1 / y^2, sqrt(2) s2 / y, 3 s2 / y and
+    2 s2 m1 / y^2 as ``(a, p)`` pairs, a bound being ``a / y**p``; s2 =
+    sigma_max_sq and m1, the first lambda moment, are finite and >= 0."""
+    s2, m1 = float(sigma_max_sq), float(lambda_m1)
+    if not (math.isfinite(s2) and s2 >= 0 and math.isfinite(m1) and m1 >= 0):
+        raise InvalidInput(f"sigma_max_sq and lambda_m1 must be finite and >= 0, "
+                           f"got {s2!r} and {m1!r}")
+    c = check_ratio(c)
+    return ((2.0 * c * s2 * m1, 2), (math.sqrt(2.0) * s2, 1), (3.0 * s2, 1),
+            (2.0 * s2 * m1, 2))
 
-    The bounds are 2 c s2 m1 / y^2, sqrt(2) s2 / y, 3 s2 / y and
-    2 s2 m1 / y^2 with s2 = sigma_max_sq and m1 the first lambda moment.
-    """
-    if sigma_max_sq < 0 or c < 0 or lambda_m1 < 0:
-        raise InvalidInput("inputs must be >= 0")
-    s2 = float(sigma_max_sq)
-    return max(
-        2.0 * math.sqrt(c * s2 * lambda_m1),
-        2.0 * math.sqrt(2.0) * s2,
-        6.0 * s2,
-        2.0 * math.sqrt(s2 * lambda_m1),
-    )
+
+def contraction_start_height(sigma_max_sq, c, lambda_m1):
+    """Smallest Im(z) above which all four contraction bounds of
+    :func:`theta_bound` are < 1/2: ``a / y**p = 1/2`` at ``y = (2 a)**(1/p)``."""
+    return max(2.0 * a if p == 1 else math.sqrt(2.0 * a)
+               for a, p in _contraction_bounds(sigma_max_sq, c, lambda_m1))
 
 
 def theta_bound(sigma_max_sq, c, lambda_m1, im_z):
     """Largest of the four contraction bounds at height Im(z) = im_z."""
     im_z = positive_height(im_z, "im_z")
-    s2 = float(sigma_max_sq)
-    return max(
-        2.0 * c * s2 * lambda_m1 / im_z ** 2,
-        math.sqrt(2.0) * s2 / im_z,
-        3.0 * s2 / im_z,
-        2.0 * s2 * lambda_m1 / im_z ** 2,
-    )
+    return max(a / im_z ** p for a, p in _contraction_bounds(sigma_max_sq, c, lambda_m1))
 
 
 class _System:
@@ -285,28 +286,6 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
                                                sig @ s[m:], sig.T @ s[:m]))
 
 
-def _check_solution(z, f, f_tilde):
-    """The checks of :func:`_check_weights` on the masses, numerator 1 each."""
-    _check_weights(z, np.array([f, f_tilde]), np.ones(2), ("f", "f_tilde"))
-
-
-def _check_weights(z, s, num, names=None):
-    """Check that every weight ``s_k`` lies in the Stieltjes class:
-    ``Im s_k >= 0``, ``Im(z s_k) >= 0`` and ``|s_k| <= num_k / Im z``, the
-    bound and the slack scaled by its numerator ``num_k``.  The error names
-    ``names[k]``, or ``weight k`` without names, and the rule it breaks."""
-    bound = num * (1.0 / z.imag + 1e-9 * (1.0 + 1.0 / z.imag))
-    slack = num * (1e-10 * (1.0 + abs(z)))
-    for rule, excess in (("Im s_k >= 0", -slack - s.imag),
-                         ("Im(z*s_k) >= 0", -slack - (z * s).imag),
-                         ("|s_k| <= num_k/Im(z)", np.abs(s) - bound)):
-        k = int(np.argmax(excess))
-        if excess[k] > 0:
-            name = f"weight {k}" if names is None else names[k]
-            raise NumericalFailure(
-                f"{name} breaks {rule} by {excess[k]:.3e} at z={z}")
-
-
 class _Anderson:
     """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
     on the float64 view of the stacked iterate.
@@ -390,14 +369,11 @@ def _solve(z, stepper, opts, start):
             res = float(np.abs(r).sum())
             residuals.append(res)
             if res <= opts.tol:
-                f = complex(g[:m].sum())
-                f_tilde = complex(g[m:].sum())
-                _check_solution(z, f, f_tilde)
-                _check_weights(z, g, stepper.num)
+                check_stieltjes(z, g, stepper.num)
                 pi, pi_tilde = stepper.pack(g)
                 restarts = 0 if mixer is None else mixer.restarts
-                return SolveReport(pi, pi_tilde, f, f_tilde, residuals, iterations,
-                                   restarts, total_iterations=iterations), g
+                return SolveReport(pi, pi_tilde, complex(g[:m].sum()), complex(g[m:].sum()),
+                                   residuals, iterations, restarts, total_iterations=iterations), g
             s = g if mixer is None else mixer.next(s, r)
         last = f"{residuals[-1]:.3e}" if residuals else "n/a"
         raise NoConvergence(
@@ -464,15 +440,16 @@ def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
 
 
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
-                            factor=0.7, y_start=None):
+                            factor=LADDER_FACTOR, y_start=None):
     """Solve at each target z, by continuation down the imaginary axis
     where a direct solve fails.
 
     Each target is first solved from the cold start at the target.  If that
-    fails, it is solved at Im(z) = max(y_start, Im z), ``y_start`` being
-    the contraction height by default, and the height is then reduced
-    geometrically by ``factor``, warm-starting every rung from the previous
-    one, until the target is reached; its report has ``rescued`` set.
+    fails, it is solved at Im(z) = max(y_start, Im z), ``y_start`` (finite
+    and > 0) being the contraction height by default, and the height is
+    then reduced geometrically by ``factor``, warm-starting every rung from
+    the previous one, until the target is reached; its report has
+    ``rescued`` set.
     Returns a dict mapping each target z to its SolveReport.  A failed rung
     re-raises its error type with the target and the rung height added.
     Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
@@ -481,6 +458,7 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     targets = [upper_half_plane(zt, "target") for zt in z_targets]
     if not 0 < factor < 1:
         raise InvalidInput("factor must lie in (0, 1)")
+    y_start = None if y_start is None else positive_height(y_start, "y_start")
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     y_from = stepper.height if y_start is None else y_start
@@ -489,17 +467,17 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
             for zt in targets}
 
 
-def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7):
+def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     """Solve along the horizontal line Im(z) = epsilon, warm-starting
     each point from its left neighbour.
 
     Points where the warm-started solve fails (no convergence, a degenerate
     denominator, or an answer that fails its checks) are rescued by the
-    continuation ladder of :func:`solve_with_continuation`, from the
-    contraction height down to epsilon; a failed rescue re-raises its error
-    type with x and the rung height added.  Returns the list of
-    SolveReports in x order.  Raises :class:`InvalidInput` unless ``c``
-    lies in (0, 1] and ``quad`` is the quadrature on [c, 1].
+    continuation ladder from the contraction height down to epsilon by
+    ``LADDER_FACTOR``; a failed rescue re-raises its error type with x and
+    the rung height added.  Returns the list of SolveReports in x order.
+    Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
+    is the quadrature on [c, 1].
     """
     epsilon = positive_height(epsilon, "epsilon")
     points = [upper_half_plane(complex(x, epsilon))
@@ -510,6 +488,6 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None, *, factor=0.7)
     state = None
     for z in points:
         report, state = _solve_or_climb(z, stepper, opts, state, stepper.height,
-                                        factor, f"rescue at x={z.real!r}")
+                                        LADDER_FACTOR, f"rescue at x={z.real!r}")
         reports.append(report)
     return reports

@@ -13,6 +13,8 @@ All types are immutable after construction and all operations are pure, so
 instances can be shared freely across threads.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInput, check_ratio
@@ -310,6 +312,23 @@ def empirical_H_from_diagonal(lambda_diag, size=None):
     return JointLimitMeasure(u, lam ** 2, np.full(n, 1.0 / n))
 
 
+def offset_law(h_lambda):
+    """The float lists ``(lam, probs)`` of a nonempty list of ``(lambda^2, p)``
+    pairs: each lambda^2 finite and >= 0, the probabilities finite, > 0 and
+    summing to 1 within ``_MASS_TOL`` (on Python floats, cheaper than arrays)."""
+    pairs = list(h_lambda)
+    lam, probs = [float(p[0]) for p in pairs], [float(p[1]) for p in pairs]
+    if not pairs:
+        raise InvalidInput("h_lambda must be nonempty")
+    if not all(0.0 <= v < math.inf for v in lam):
+        raise InvalidInput("lambda values must be finite and >= 0")
+    if not all(0.0 < v < math.inf for v in probs):
+        raise InvalidInput("h_lambda weights must be finite and > 0")
+    if abs(math.fsum(probs) - 1.0) > _MASS_TOL:
+        raise InvalidInput(f"h_lambda weights must sum to 1, got {math.fsum(probs)!r}")
+    return lam, probs
+
+
 def product_H(h_lambda, count):
     """Discretize du (x) H_lambda into `count` atoms at positions i/count.
 
@@ -317,20 +336,10 @@ def product_H(h_lambda, count):
     rule, so each value's total weight stays within 1/count of its target
     and the u-marginal is independent of lambda in the large-count limit.
     """
-    pairs = list(h_lambda)
-    if not pairs:
-        raise InvalidInput("h_lambda must be nonempty")
-    lam_vals = np.asarray([p[0] for p in pairs], dtype=float)
-    probs = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.any(lam_vals < 0) or not np.all(np.isfinite(lam_vals)):
-        raise InvalidInput("lambda values must be finite and >= 0")
-    if np.any(probs <= 0):
-        raise InvalidInput("h_lambda weights must be > 0")
-    if abs(probs.sum() - 1.0) > _MASS_TOL:
-        raise InvalidInput(f"h_lambda weights must sum to 1, got {probs.sum()!r}")
-    if count < len(pairs):
+    lam_vals, probs = offset_law(h_lambda)
+    if count < len(probs):
         raise InvalidInput("count must be >= number of lambda values")
-    assigned = np.zeros(len(pairs))
+    probs, assigned = np.asarray(probs), np.zeros(len(probs))
     lam = np.empty(count)
     for i in range(1, count + 1):
         k = int(np.argmax(i * probs - assigned))

@@ -14,15 +14,13 @@ place and reads diag((G - zI)^{-1}) off the inverted triangular factors,
 so the N x N resolvent is never formed.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidInput, NumericalFailure, upper_half_plane
+from .errors import InvalidInput, NumericalFailure, check_stieltjes, upper_half_plane
 from .measures import ComplexKernel
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform", "complex-gaussian")
@@ -229,7 +227,9 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     and f_n = (1/N) Tr (Sigma Sigma* - z)^{-1}.  The diagonal comes from
     one dense LU factorization of Sigma Sigma* - zI and the inverses of its
     two triangular factors; the N x N resolvent is never formed, and no
-    general inverse routine (inv, getri) is called.
+    general inverse routine (inv, getri) is called.  Every q_ii must pass
+    :func:`~gramspec.errors.check_stieltjes` with numerator 1, as the
+    solver's weights do, or :class:`NumericalFailure` is raised.
     """
     z = upper_half_plane(z)
     sigma = np.asarray(sigma)
@@ -238,8 +238,7 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     if lam.shape != (n_rows,):
         raise InvalidInput("lambda_diag must match the row count")
     q_diag = _inverse_diagonal(_shifted_gram(sigma, z))
-    if np.max(np.abs(q_diag)) > (1.0 + 1e-9) / z.imag:
-        raise NumericalFailure("diagonal resolvent entries exceed 1/Im(z)")
+    check_stieltjes(z, q_diag, 1.0)
     points_u = np.arange(1, n_rows + 1) / n_rows
     kernel = ComplexKernel(points_u, lam ** 2, q_diag / n_rows)
     return kernel, complex(q_diag.mean())
@@ -309,26 +308,24 @@ def ks_compare(sample, cdf):
     return float(np.max(np.abs(ecdf - ref)))
 
 
-def export_csv(sample, path, metadata=None):
-    """One eigenvalue per line with seed/dims/rng header comments."""
+def write_csv(path, header_meta, columns, rows):
+    """A table as ``# key: value`` lines, the column names and the rows,
+    each line ended by ``\\n``; a (Python, not numpy) float is written by
+    ``repr``, which reads back to the same double."""
+    lines = [f"# {k}: {v}" for k, v in header_meta.items()]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(sample, metadata))
+        fh.write("\n".join(lines) + "\n")
 
 
-def _csv_text(sample, metadata=None):
-    buf = io.StringIO()
-    buf.write(f"# seed: {sample.seed}\n")
-    buf.write(f"# N: {sample.dims[0]}\n")
-    buf.write(f"# n: {sample.dims[1]}\n")
-    buf.write(f"# rng: {RNG_NAME}\n")
-    for key, value in (metadata or {}).items():
-        if key not in ("seed", "N", "n", "rng"):
-            buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["eigenvalue"])
-    for val in sample.eigenvalues:
-        writer.writerow([repr(float(val))])
-    return buf.getvalue()
+def export_csv(sample, path, metadata=None):
+    """One eigenvalue per line with seed/dims/rng header comments, then
+    the entries of ``metadata`` under other keys."""
+    header = {"seed": sample.seed, "N": sample.dims[0], "n": sample.dims[1], "rng": RNG_NAME}
+    header.update((k, v) for k, v in (metadata or {}).items() if k not in header)
+    write_csv(path, header, ["eigenvalue"], ([v] for v in sample.eigenvalues.tolist()))
 
 
 def load_csv(path):

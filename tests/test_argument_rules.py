@@ -5,13 +5,17 @@ half plane, and a height that is not finite and positive, with
 :class:`InvalidInput` before it does any work.  Every other argument is a
 stand-in that fails the test on first use, so no map application,
 profile evaluation or factorization can happen before the check.
+
+The contraction bounds take one input rule, and the offset laws of
+``product_H`` and ``iid_noncentered_f`` pass one rule too, as does the
+oracle's variance.
 """
 
 import math
 
 import pytest
 
-from gramspec import closed_forms, master_solver, simulator, spectra
+from gramspec import closed_forms, master_solver, measures, simulator, spectra
 from gramspec.errors import InvalidInput, check_ratio, positive_height, upper_half_plane
 
 NAN, INF = math.nan, math.inf
@@ -56,6 +60,8 @@ Z_ENTRIES = {
 HEIGHT_ENTRIES = {
     "theta_bound": lambda y: master_solver.theta_bound(1.0, 0.5, 1.0, y),
     "sweep_line": lambda y: master_solver.sweep_line([0.5], y, 0.5, X, X, X, X),
+    "solve_with_continuation":
+        lambda y: master_solver.solve_with_continuation([2j], 0.5, X, X, X, X, y_start=y),
     "density_from_stieltjes": lambda y: spectra.density_from_stieltjes(X, [0.5], y),
     "mass_check": lambda y: spectra.mass_check(X, [1.0, y]),
     "DensityCurve": lambda y: spectra.DensityCurve([0.0, 1.0], [0.0, 0.0], y),
@@ -89,3 +95,61 @@ def test_rules_return_the_value_they_checked():
 def test_ratio_rule(c):
     with pytest.raises(InvalidInput, match=r"c must lie in \(0, 1\]"):
         check_ratio(c)
+
+
+BOUND_ENTRIES = {
+    "contraction_start_height": master_solver.contraction_start_height,
+    "theta_bound": lambda s2, c, m1: master_solver.theta_bound(s2, c, m1, 1.0),
+}
+
+
+@pytest.mark.parametrize("s2, m1", [(NAN, 1.0), (INF, 1.0), (-1.0, 1.0),
+                                    (1.0, NAN), (1.0, INF), (1.0, -3.0)],
+                         ids=["s2-nan", "s2-inf", "s2-negative",
+                              "m1-nan", "m1-inf", "m1-negative"])
+@pytest.mark.parametrize("entry", BOUND_ENTRIES)
+def test_contraction_bounds_need_finite_nonnegative_inputs(entry, s2, m1):
+    with pytest.raises(InvalidInput, match="must be finite and >= 0"):
+        BOUND_ENTRIES[entry](s2, 0.5, m1)
+
+
+@pytest.mark.parametrize("c", [NAN, 0.0, 2.0])
+@pytest.mark.parametrize("entry", BOUND_ENTRIES)
+def test_contraction_bounds_take_the_ratio_rule(entry, c):
+    with pytest.raises(InvalidInput, match=r"c must lie in \(0, 1\]"):
+        BOUND_ENTRIES[entry](1.0, c, 1.0)
+
+
+BAD_LAWS = {
+    "empty": [],
+    "lambda-nan": [(NAN, 1.0)],
+    "lambda-inf": [(INF, 1.0)],
+    "lambda-negative": [(-4.0, 1.0)],
+    "prob-nan": [(0.0, NAN), (1.0, 1.0)],
+    "prob-inf": [(0.0, INF), (1.0, 1.0)],
+    "prob-zero": [(0.0, 0.0), (1.0, 1.0)],
+    "sum-not-1": [(0.0, 0.5), (1.0, 0.4)],
+}
+LAW_ENTRIES = {
+    "product_H": lambda law: measures.product_H(law, 4),
+    "iid_noncentered_f": lambda law: closed_forms.iid_noncentered_f(1j, 0.5, 1.0, law, X),
+}
+
+
+@pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+@pytest.mark.parametrize("entry", LAW_ENTRIES)
+def test_offset_law_rule(entry, law):
+    with pytest.raises(InvalidInput, match="h_lambda|lambda values"):
+        LAW_ENTRIES[entry](law)
+
+
+@pytest.mark.parametrize("sigma_sq", [NAN, INF, -1.0])
+def test_oracle_variance_rule(sigma_sq):
+    with pytest.raises(InvalidInput, match="sigma_sq must be finite and >= 0"):
+        closed_forms.iid_noncentered_f(1j, 0.5, sigma_sq, X, X)
+
+
+def test_oracle_accepts_pure_offsets():
+    # sigma_sq = 0 leaves f = sum_k w_k / (lambda_k - z)
+    f = closed_forms.iid_noncentered_f(1j, 0.5, 0.0, [(0.0, 0.5), (1.0, 0.5)])
+    assert abs(f - (0.5 / -1j + 0.5 / (1.0 - 1j))) <= 1e-13

@@ -221,6 +221,17 @@ class TestSimulateCommand:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_every_table_ends_its_lines_with_newline(self, tmp_path):
+        cfg = write_config(tmp_path, SIM_BASE)
+        sim_out, out = tmp_path / "sims", tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        tables = sorted(sim_out.glob("*.csv")) + sorted(out.glob("*.csv"))
+        assert len(tables) == 4
+        for path in tables:
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, SIM_BASE)
         out = tmp_path / "out"

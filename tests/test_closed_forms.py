@@ -126,10 +126,11 @@ class TestIidNoncentered:
             assert abs(iid_noncentered_f(z, 0.5, 1.0, h) - array_f(z, 0.5, 1.0, h)) <= 1e-13
 
     def test_vanishing_denominator_raises(self):
-        # at z = i, c = s2 = 1 the first denominator is -z(1 + f) + lambda/(1 + f)
-        # with f = -1/z, which is exactly zero for lambda = -2
+        # with no noise the denominator is lambda - z, of magnitude 1e-20 at
+        # z = lambda + 1e-20 i (an offset lambda = -2, which made it exactly
+        # zero at z = i, is no longer a valid law)
         with pytest.raises(DegenerateDenominator, match="resolvent denominator vanished"):
-            iid_noncentered_f(1j, 1.0, 1.0, [(-2.0, 1.0)])
+            iid_noncentered_f(2.0 + 1e-20j, 1.0, 0.0, [(2.0, 1.0)])
 
 
 class TestCenteredProfileK:

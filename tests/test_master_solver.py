@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from gramspec import master_solver
 from gramspec.closed_forms import mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
-                             NumericalFailure)
-from gramspec.master_solver import (SolverOptions, _Stepper, _check_solution,
-                                    _check_weights, _rungs,
+                             NumericalFailure, check_stieltjes, stieltjes_limits)
+from gramspec.master_solver import (LADDER_FACTOR, SolverOptions, _Stepper, _rungs,
                                     contraction_start_height,
                                     init_kernels, picard_step, solve_master,
                                     solve_with_continuation, sweep_line,
@@ -394,16 +393,15 @@ class TestContinuation:
         eps = 0.05
         target = complex(1.0, eps)
         opts = SolverOptions(tol=1e-11, max_iters=50000)
-        check = master_solver._check_solution
         forced = []
 
-        def fail_first_at_target(z, f, f_tilde):
+        def fail_first_at_target(z, s, num):
             if z == target and not forced:
                 forced.append(z)
                 raise NumericalFailure(f"forced failure at z={z}")
-            check(z, f, f_tilde)
+            check_stieltjes(z, s, num)
 
-        monkeypatch.setattr(master_solver, "_check_solution", fail_first_at_target)
+        monkeypatch.setattr(master_solver, "check_stieltjes", fail_first_at_target)
         reports = sweep_line([0.5, 1.0, 1.5], eps, 1.0, H, prof, quad, opts)
         assert forced == [target]
         assert reports[1].rescued
@@ -492,10 +490,10 @@ class TestAndersonBelowHeight:
 
 def ladder_reference(z, c, H, prof, quad, opts):
     """The continuation ladder spelled out: warm-started solve_master calls
-    from the contraction height down to Im z by the default factor 0.7."""
+    from the contraction height down to Im z by ``LADDER_FACTOR``."""
     height = contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H))
     reports, state = [], None
-    for y in _rungs(height, z.imag, 0.7):
+    for y in _rungs(height, z.imag, LADDER_FACTOR):
         reports.append(solve_master(complex(z.real, y), c, H, prof, quad, opts, state))
         state = (reports[-1].pi, reports[-1].pi_tilde)
     return reports
@@ -535,9 +533,13 @@ class TestColdStartAtTarget:
         ref_opts = SolverOptions(tol=1e-14 * max(1.0, 1.0 / z.imag), max_iters=60000)
         ref = ladder_reference(z, c, H, prof, quad, ref_opts)[-1]
         assert abs(rep.f - ref.f) <= 10 * opts.tol
-        _check_solution(z, rep.f, rep.f_tilde)
-        _check_weights(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
-                       _Stepper(H, prof, quad, c).num)
+        # the three rules on the masses, with no slack
+        for mass in (rep.f, rep.f_tilde):
+            assert mass.imag >= 0
+            assert (z * mass).imag >= 0
+            assert abs(mass) <= 1.0 / z.imag
+        check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
+                        _Stepper(H, prof, quad, c).num)
 
     @pytest.mark.parametrize("entry", ["solve_with_continuation", "sweep_line"])
     def test_forced_rescue_returns_ladder_answer(self, monkeypatch, entry):
@@ -548,16 +550,15 @@ class TestColdStartAtTarget:
         opts = SolverOptions(tol=1e-11)
         direct = solve_master(z, 1.0, H, prof, quad, opts)
         rungs = ladder_reference(z, 1.0, H, prof, quad, opts)
-        check = master_solver._check_solution
         forced = []
 
-        def fail_first_at_target(zz, f, f_tilde):
+        def fail_first_at_target(zz, s, num):
             if zz == z and not forced:
                 forced.append(zz)
                 raise NumericalFailure(f"forced failure at z={zz}")
-            check(zz, f, f_tilde)
+            check_stieltjes(zz, s, num)
 
-        monkeypatch.setattr(master_solver, "_check_solution", fail_first_at_target)
+        monkeypatch.setattr(master_solver, "check_stieltjes", fail_first_at_target)
         if entry == "sweep_line":
             rep = sweep_line([z.real], z.imag, 1.0, H, prof, quad, opts)[0]
         else:
@@ -599,33 +600,77 @@ class TestColdStartAtTarget:
         z = 0.3 + 0.5j
         num = np.array([0.5, 0.5, 0.25])
         s = -num / z
-        _check_weights(z, s, num)
+        check_stieltjes(z, s, num)
         s[1] = s[1].real - 1e-6j
         with pytest.raises(NumericalFailure, match=r"weight 1 breaks Im s_k >= 0"):
-            _check_weights(z, s, num)
+            check_stieltjes(z, s, num)
 
     def test_weight_above_bound_raises(self):
         z = 1.0 + 0.5j
         num = np.array([0.5, 0.5])
         s = np.array([0.1j, 1.01j * 0.5 / z.imag])
         with pytest.raises(NumericalFailure, match=r"weight 1 breaks \|s_k\|"):
-            _check_weights(z, s, num)
+            check_stieltjes(z, s, num)
 
-    @pytest.mark.parametrize("name", ["f", "f_tilde"])
-    @pytest.mark.parametrize("value, rule", [
-        (2.1j, r"\|s_k\| <= num_k/Im\(z\)"),
-        (0.1 - 1e-6j, r"Im s_k >= 0"),
-        (-1.0 + 0.01j, r"Im\(z\*s_k\) >= 0"),
-    ], ids=["above-bound", "negative-im", "negative-im-z-times"])
-    def test_mass_outside_class_raises(self, name, value, rule):
-        # at z = 1 + 0.5i the bound is 1/Im z = 2; each value breaks one rule
+    @pytest.mark.parametrize("value, by", [(0.5 * (-1.0 + 0.01j), "2.450e-01"),
+                                           (complex(np.nan, 0.1), "nan")],
+                             ids=["negative-im-z-times", "nan"])
+    def test_weight_breaking_im_z_rule_raises(self, value, by):
+        # Im s_1 > 0 and |s_1| < num_1 / Im z, but Im(z s_1) < 0 or is NaN
         z = 1.0 + 0.5j
-        valid = -1.0 / z
-        _check_solution(z, valid, valid)
-        pair = dict(f=valid, f_tilde=valid)
-        pair[name] = value
-        with pytest.raises(NumericalFailure, match=rf"^{name} breaks {rule} by "):
-            _check_solution(z, pair["f"], pair["f_tilde"])
+        s = np.array([-0.5 / z, value])
+        with pytest.raises(NumericalFailure, match=rf"weight 1 breaks Im\(z\*s_k\) >= 0 by {by}"):
+            check_stieltjes(z, s, np.array([0.5, 0.5]))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(law=_offset_laws, count=st.integers(3, 40), nodes=st.integers(1, 40),
+           c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           x=st.floats(-20.0, 20.0), log_y=st.floats(np.log(1e-4), np.log(3.0)),
+           corner=st.one_of(st.none(), st.tuples(*3 * [st.sampled_from([0.0, 1.0])])),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_weights_in_class_imply_masses_in_class(self, law, count, nodes, c, x,
+                                                    log_y, corner, seed):
+        """The masses need no check of their own: weights that pass the rule
+        with their numerators give masses that pass it with numerator 1, up
+        to a margin of (sum(num) - 1) times the unit slack or bound, and the
+        rounding of the sum, gamma = (n + 2) eps times sum|s_k| (times |z|
+        for Im(z f)), which also covers the product by z."""
+        total = sum(w for _, w in law)
+        H = product_H([(lam2, w / total) for lam2, w in law], count)
+        num = master_solver._System(H, QuadratureRule.midpoint(c, nodes), c).num
+        z = complex(x, np.exp(log_y))
+        slack, bound = stieltjes_limits(z)
+        # the rule's region per unit numerator is the cone of directions
+        # [0, pi - arg z] moved to its vertex v, where both sign rules are at
+        # -slack, and cut at |g| = bound.  A point is (t, a, rho): t v plus
+        # the share rho of the reach along the direction at the share a of
+        # the cone.  Each coordinate is drawn in [0, 1] or on an edge, or
+        # every weight takes the same corner; edges are pulled inside by
+        # 1e-9 (1e-6 in angle) against the rounding of the draw.
+        rng = np.random.default_rng(seed)
+        if corner is None:
+            points = rng.random((num.size, 3))
+            on_edge = rng.random(points.shape) < 0.5
+            points[on_edge] = rng.integers(0, 2, on_edge.sum())
+        else:
+            points = np.tile(corner, (num.size, 1))
+        t, a, rho = points.T
+        v = complex(slack * (z.real - 1.0) / z.imag, -slack)
+        shift = (1.0 - 1e-9) * t * v
+        direction = np.exp(1j * (1.0 - 1e-6) * a * (np.pi - np.angle(z)))
+        b = (shift * direction.conj()).real
+        reach = -b + np.sqrt(b * b + bound ** 2 - np.abs(shift) ** 2)
+        s = num * (shift + (1.0 - 1e-9) * rho * reach * direction)
+        check_stieltjes(z, s, num)
+        m = H.u.size
+        for part, part_num in ((s[:m], num[:m]), (s[m:], num[m:])):
+            excess_num = max(float(part_num.sum()) - 1.0, 0.0)
+            assert excess_num <= 2e-12
+            rounding = (part.size + 2) * np.finfo(float).eps * float(np.abs(part).sum())
+            mass = part.sum()
+            assert mass.imag >= -slack * (1.0 + excess_num) - rounding
+            assert (z * mass).imag >= -slack * (1.0 + excess_num) - abs(z) * rounding
+            assert abs(mass) <= bound * (1.0 + excess_num) + rounding
 
     def test_zgrid_step_count(self):
         # the separable profile, offset law and tolerance of the zgrid

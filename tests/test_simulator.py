@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gramspec import simulator
 from gramspec.closed_forms import mp_cdf
 from gramspec.errors import InvalidInput, NumericalFailure
 from gramspec.measures import VarianceProfile
@@ -194,6 +195,16 @@ class TestEmpiricalStieltjes:
         kern, _ = empirical_stieltjes(sigma, np.zeros(16), 1j)
         assert np.max(np.abs(kern.weights * 16)) <= 1.0 + 1e-9
 
+    def test_entries_outside_the_stieltjes_class_raise(self, monkeypatch):
+        # the conjugate keeps every |q_ii| within 1/Im z but makes Im q_ii < 0
+        inverse_diagonal = simulator._inverse_diagonal
+        monkeypatch.setattr(simulator, "_inverse_diagonal",
+                            lambda a: inverse_diagonal(a).conj())
+        spec = EnsembleSpec("gaussian", 7, 16, 24)
+        sigma = sample_sigma_matrix(spec, UNIT, np.zeros(16))
+        with pytest.raises(NumericalFailure, match=r"breaks Im s_k >= 0"):
+            empirical_stieltjes(sigma, np.zeros(16), 1j)
+
     def test_f_tilde_duality_at_finite_n(self):
         spec = EnsembleSpec("gaussian", 3, 8, 16)
         lam = np.linspace(0, 1, 8)
@@ -324,6 +335,17 @@ class TestCsvRoundTrip:
         assert loaded.dims == (5, 8)
         assert meta["config_hash"] == "abc123"
         assert meta["rng"] == "philox4x64"
+        assert b"\r" not in path.read_bytes()
+
+    def test_loads_files_with_crlf_rows(self, tmp_path):
+        # files written before every table ended its lines with \n alone
+        sample = sample_spectrum(EnsembleSpec("gaussian", 3, 5, 8), UNIT, np.zeros(5))
+        path = tmp_path / "eig.csv"
+        export_csv(sample, path)
+        head, _, rows = path.read_bytes().partition(b"eigenvalue\n")
+        path.write_bytes(head + b"eigenvalue\r\n" + rows.replace(b"\n", b"\r\n"))
+        loaded, _ = load_csv(path)
+        np.testing.assert_array_equal(loaded.eigenvalues, sample.eigenvalues)
 
     @pytest.mark.parametrize("old,new,where", [
         ("# N: 5\n", "", "no '# N:' header line"),
