@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, check_ratio
+from .errors import InvalidInput, NumericalFailure, check_range, check_ratio
 from .spectra import MASS_WINDOW
 
 
@@ -22,8 +22,7 @@ class NoiseLevel:
     s_sq: float
 
     def __post_init__(self):
-        if not self.s_sq > 0:
-            raise InvalidInput("s_sq must be > 0")
+        self.s_sq = check_range(self.s_sq, "s_sq", open_low=True)
 
 
 def capacity_from_spectrum(sample, noise, bits=False):

@@ -39,8 +39,9 @@ import numpy as np
 
 from . import capacity as cap
 from . import master_solver, measures, simulator, spectra
-from .errors import (ConfigError, DegenerateDenominator, InvalidInput,
-                     NoConvergence, NumericalFailure)
+from .errors import (ConfigError, DegenerateDenominator, InvalidInput, NoConvergence,
+                     NumericalFailure, check_count, check_range, positive_height,
+                     upper_half_plane)
 
 DEFAULT_QUAD_NODES = 256
 DEFAULT_EPSILON = 1e-3
@@ -160,9 +161,8 @@ def resolve_ratio(cfg, dims):
             raise ConfigError("c", "missing (give c or an ensemble)")
         c = dims[0] / dims[1]
         return 1.0 / c if c > 1.0 else c
-    if not c > 0:
-        raise ConfigError("c", "must be > 0")
-    c = float(c)
+    with _field("c"):
+        c = check_range(c, "c", open_low=True)
     if c > 1.0 and not transpose:
         raise ConfigError("c", f"c={c} > 1; set \"transpose\": true to relabel "
                                "the two Gram sides")
@@ -192,25 +192,26 @@ def build_solver_opts(cfg):
 
 
 def build_z_grid(cfg):
-    zs = [complex(re, im) for re, im in _rows(cfg, "z_grid", 2)]
-    if not zs:
+    rows = _rows(cfg, "z_grid", 2)
+    if not rows:
         raise ConfigError("z_grid", "must be nonempty")
-    if any(z.imag <= 0 for z in zs):
-        raise ConfigError("z_grid", "all points need Im(z) > 0")
-    return zs
+    with _field("z_grid"):
+        return [upper_half_plane(complex(re, im), "z_grid point") for re, im in rows]
 
 
 def build_x_grid(cfg, profile, H, c):
     spec = _require(cfg, "x_grid", "list of numbers or object", {})
     if isinstance(spec, list):
-        if len(spec) < 2 or np.any(np.diff(spec) <= 0):
-            raise ConfigError("x_grid", "explicit grid must be increasing, length >= 2")
+        if len(spec) < 2:
+            raise ConfigError("x_grid", "explicit grid needs length >= 2")
+        with _field("x_grid"):
+            check_range(np.diff(spec), "strictly increasing x_grid: each step", open_low=True)
         return np.asarray(spec, dtype=float)
     points = _require(cfg, "x_grid.points", "integer", DEFAULT_X_POINTS)
     lower = _require(cfg, "x_grid.min", "number", 0.0)
     upper = _require(cfg, "x_grid.max", "number", None)
-    if points < 2:
-        raise ConfigError("x_grid.points", "must be >= 2")
+    with _field("x_grid.points"):
+        check_count(points, "points", 2)
     if upper is None:
         return spectra.default_x_grid(profile, H, c, points=points)
     return np.linspace(float(lower), float(upper), points)
@@ -274,8 +275,8 @@ def build_model(cfg):
     dims = None
     if _require(cfg, "ensemble", "object", None) is not None:
         dims = _require(cfg, "ensemble.N", "integer"), _require(cfg, "ensemble.n", "integer")
-        if min(dims) < 1:
-            raise ConfigError("ensemble", "dimensions must be >= 1")
+        with _field("ensemble"):
+            check_count(dims, "dimensions (N, n)", 1)
     c = resolve_ratio(cfg, dims)
     return Model(cfg, profile, H, c, build_quad(cfg, c), build_solver_opts(cfg),
                  _meta(cfg), dims, offsets)
@@ -318,9 +319,9 @@ class CurveGrid:
 
 
 def build_curve_grid(model):
-    epsilon = float(_require(model.cfg, "epsilon", "number", DEFAULT_EPSILON))
-    if not epsilon > 0:
-        raise ConfigError("epsilon", "must be > 0")
+    with _field("epsilon"):
+        epsilon = positive_height(_require(model.cfg, "epsilon", "number", DEFAULT_EPSILON),
+                                  "epsilon")
     return CurveGrid(build_x_grid(model.cfg, model.profile, model.H, model.c), epsilon,
                      _require(model.cfg, "transpose_curve", "flag", False))
 
@@ -451,8 +452,8 @@ def build_parser():
 def run(argv=None):
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config)
-    if args.threads < 1:
-        raise ConfigError("--threads", "must be >= 1")
+    with _field("--threads"):
+        check_count(args.threads, "threads", 1)
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     model = build_model(cfg)
     command = _bind_command(args, model, seeds)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, check_ratio,
-                     upper_half_plane)
+from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, check_count,
+                     check_range, check_ratio, upper_half_plane)
 from .measures import offset_law
 
 __all__ = ["ScalarFixedPointOptions", "mp_stieltjes", "mp_density", "mp_cdf",
@@ -33,10 +33,8 @@ class ScalarFixedPointOptions:
     max_iters: int = 100000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidInput("tol must be > 0")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be >= 1")
+        check_range(self.tol, "tol", open_low=True)
+        check_count(self.max_iters, "max_iters", 1)
 
 
 def mp_stieltjes(z, c, sigma_sq):
@@ -46,9 +44,8 @@ def mp_stieltjes(z, c, sigma_sq):
     c and scale sigma_sq, i.e. the constant-profile, zero-offset limit.
     """
     z = upper_half_plane(z)
-    check_ratio(c)
-    if not sigma_sq > 0:
-        raise InvalidInput("sigma_sq must be > 0")
+    c = check_ratio(c)
+    sigma_sq = check_range(sigma_sq, "sigma_sq", open_low=True)
     a = z * c * sigma_sq
     b = z - (1.0 - c) * sigma_sq
     sq = np.sqrt(complex(b * b - 4.0 * a))
@@ -64,9 +61,8 @@ def mp_density(x, c, sigma_sq):
     Support is [s2 (1 - sqrt(c))^2, s2 (1 + sqrt(c))^2]; inside, the value
     is sqrt((x+ - x)(x - x-)) / (2 pi s2 c x).
     """
-    check_ratio(c)
-    if not sigma_sq > 0:
-        raise InvalidInput("sigma_sq must be > 0")
+    c = check_ratio(c)
+    sigma_sq = check_range(sigma_sq, "sigma_sq", open_low=True)
     x = np.asarray(x, dtype=float)
     lo = sigma_sq * (1.0 - np.sqrt(c)) ** 2
     hi = sigma_sq * (1.0 + np.sqrt(c)) ** 2
@@ -117,9 +113,8 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
     array arithmetic to pay for its per-call overhead.
     """
     z = upper_half_plane(z)
-    check_ratio(c)
-    if not 0.0 <= sigma_sq < np.inf:
-        raise InvalidInput(f"sigma_sq must be finite and >= 0, got {sigma_sq!r}")
+    c = check_ratio(c)
+    sigma_sq = check_range(sigma_sq, "sigma_sq")
     opts = opts or ScalarFixedPointOptions()
     atoms = list(zip(*offset_law(h_lambda)))
     cs2 = c * sigma_sq
@@ -165,8 +160,9 @@ def centered_profile_k(z, c, profile, u_grid, opts=None, quad_count=None):
     check_ratio(c)
     opts = opts or ScalarFixedPointOptions()
     u = np.asarray(u_grid, dtype=float)
-    if u.ndim != 1 or u.size == 0 or np.any(u < 0) or np.any(u > 1):
-        raise InvalidInput("u_grid must be a nonempty 1-d array in [0, 1]")
+    if u.ndim != 1 or u.size == 0:
+        raise InvalidInput("u_grid must be a nonempty 1-d array")
+    check_range(u, "u_grid", 0.0, 1.0)
     m = u.size
     if c == 1.0:
         t = u

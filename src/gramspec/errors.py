@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the argument rules and
-the one Stieltjes-class rule that every module applies the same way."""
+"""Exception types shared across the package, the one Stieltjes-class rule,
+and the argument rules: every real argument with a range passes
+:func:`check_range` (finite and inside its interval, so NaN fails), every
+count :func:`check_count`, and every point z :func:`upper_half_plane`."""
 
 import cmath
 import math
@@ -40,20 +42,55 @@ def upper_half_plane(z, name="z"):
     return z
 
 
+# an array up to this size is tested entry by entry, which costs less than
+# the two numpy reductions that test a longer one
+_SHORT = 16
+
+
+def check_range(values, name, low=0.0, high=math.inf, *, open_low=False):
+    """``float(values)`` for a number, else ``np.asarray(values, dtype=float)``;
+    raises :class:`InvalidInput` unless every entry is finite and lies in
+    ``[low, high]``, or in ``(low, high]`` with ``open_low`` (``low`` finite).
+    A long array is tested at its min and max, which carry any NaN."""
+    if isinstance(values, (float, int, np.floating, np.integer)):
+        values = float(values)
+        entries = (values,)
+    else:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 0:
+            return check_range(float(values), name, low, high, open_low=open_low)
+        entries = (values.ravel().tolist() if values.size <= _SHORT
+                   else (values.min(), values.max()))
+    for v in entries:
+        # the test each entry must pass, so a NaN fails it
+        if not ((low < v if open_low else low <= v) and v <= high and v < math.inf):
+            rule = (f"be finite and {'>' if open_low else '>='} {low:.12g}" if high == math.inf
+                    else f"lie in {'(' if open_low else '['}{low:.12g}, {high:.12g}]")
+            raise InvalidInput(f"{name} must {rule}, got {float(v)!r}")
+    return values
+
+
 def positive_height(y, name):
-    """``float(y)``; raises :class:`InvalidInput` unless y is finite and > 0,
-    the height rule of :func:`upper_half_plane`."""
-    y = float(y)
-    if not (math.isfinite(y) and y > 0):
-        raise InvalidInput(f"{name} must be finite and > 0, got {y!r}")
-    return y
+    """``float(y)``; raises :class:`InvalidInput` unless y is finite and > 0."""
+    return check_range(y, name, open_low=True)
 
 
 def check_ratio(c, name="c"):
     """``float(c)``; raises :class:`InvalidInput` unless c lies in (0, 1]."""
-    if not 0 < c <= 1:
-        raise InvalidInput(f"{name} must lie in (0, 1]")
-    return float(c)
+    return check_range(c, name, 0.0, 1.0, open_low=True)
+
+
+def check_count(value, name, floor=0, bits=None):
+    """``value``; raises :class:`InvalidInput` unless it is a Python or numpy
+    integer, not a bool, at or above ``floor`` (and below ``2**bits`` when
+    ``bits`` is given).  A tuple passes when each of its entries does."""
+    for v in value if isinstance(value, tuple) else (value,):
+        if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                and floor <= v and (bits is None or v < 2 ** bits)):
+            kind = "integers" if isinstance(value, tuple) else "an integer"
+            span = f">= {floor}" if bits is None else f"in [{floor}, 2**{bits})"
+            raise InvalidInput(f"{name} must be {kind} {span}, got {value!r}")
+    return value
 
 
 def stieltjes_limits(z):

@@ -70,7 +70,8 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
-                     check_ratio, check_stieltjes, positive_height, upper_half_plane)
+                     check_count, check_range, check_ratio, check_stieltjes, positive_height,
+                     upper_half_plane)
 from .measures import ComplexKernel, lambda_moment
 
 __all__ = [
@@ -103,10 +104,8 @@ class SolverOptions:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidInput("tol must be > 0")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be >= 1")
+        check_range(self.tol, "tol", open_low=True)
+        check_count(self.max_iters, "max_iters", 1)
 
 
 @dataclass
@@ -143,10 +142,8 @@ def _contraction_bounds(sigma_max_sq, c, lambda_m1):
     """The contraction bounds 2 c s2 m1 / y^2, sqrt(2) s2 / y, 3 s2 / y and
     2 s2 m1 / y^2 as ``(a, p)`` pairs, a bound being ``a / y**p``; s2 =
     sigma_max_sq and m1, the first lambda moment, are finite and >= 0."""
-    s2, m1 = float(sigma_max_sq), float(lambda_m1)
-    if not (math.isfinite(s2) and s2 >= 0 and math.isfinite(m1) and m1 >= 0):
-        raise InvalidInput(f"sigma_max_sq and lambda_m1 must be finite and >= 0, "
-                           f"got {s2!r} and {m1!r}")
+    s2 = check_range(sigma_max_sq, "sigma_max_sq")
+    m1 = check_range(lambda_m1, "lambda_m1")
     c = check_ratio(c)
     return ((2.0 * c * s2 * m1, 2), (math.sqrt(2.0) * s2, 1), (3.0 * s2, 1),
             (2.0 * s2 * m1, 2))

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput, check_ratio
+from .errors import InvalidInput, check_count, check_range, check_ratio
 
 _MASS_TOL = 1e-12
 
@@ -44,9 +44,7 @@ class VarianceProfile:
     @classmethod
     def constant(cls, value):
         """sigma2(x, y) = value."""
-        value = float(value)
-        if not np.isfinite(value) or value < 0:
-            raise InvalidInput("constant profile needs a finite value >= 0")
+        value = check_range(float(value), "constant profile value")
         return cls("constant", value, (value,))
 
     @classmethod
@@ -61,8 +59,7 @@ class VarianceProfile:
         for name, arr in (("g_values", g), ("h_values", h)):
             if arr.ndim != 1 or arr.size < 2:
                 raise InvalidInput(f"{name} must be a 1-d sequence, length >= 2")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise InvalidInput(f"{name} must be finite and >= 0")
+            check_range(arr, name)
         gx = np.linspace(0.0, 1.0, g.size)
         hx = np.linspace(0.0, 1.0, h.size)
         smax = float(g.max() * h.max())
@@ -83,8 +80,7 @@ class VarianceProfile:
         v = np.asarray(values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
             raise InvalidInput("bilinear grid must be square, at least 2x2")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InvalidInput("bilinear grid values must be finite and >= 0")
+        check_range(v, "bilinear grid values")
         return cls("bilinear-grid", float(v.max()), (v,))
 
     @classmethod
@@ -93,8 +89,7 @@ class VarianceProfile:
         v = np.asarray(values, dtype=float)
         if v.ndim != 2 or v.size == 0:
             raise InvalidInput("block values must form a 2-d array")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InvalidInput("block values must be finite and >= 0")
+        check_range(v, "block values")
         return cls("piecewise-constant-blocks", float(v.max()), (v,))
 
     def evaluate(self, x, y):
@@ -203,16 +198,9 @@ class JointLimitMeasure:
             raise InvalidInput("u, lam, w must be 1-d sequences of equal length")
         if u.size == 0:
             raise InvalidInput("measure needs at least one atom")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(w))):
-            raise InvalidInput("atoms must be finite")
-        if np.any(u < 0) or np.any(u > 1):
-            raise InvalidInput("positions u must lie in [0, 1]")
-        if np.any(lam < 0):
-            raise InvalidInput("lambda values must be >= 0")
-        if np.any(w <= 0):
-            raise InvalidInput("weights must be > 0")
-        if abs(w.sum() - 1.0) > _MASS_TOL:
-            raise InvalidInput(f"weights must sum to 1, got {w.sum()!r}")
+        check_range(u, "positions u", 0.0, 1.0)
+        check_range(lam, "lambda values")
+        _check_mass(w, 1.0, "weights")
         self.u = u
         self.lam = lam
         self.w = w
@@ -264,33 +252,26 @@ class QuadratureRule:
     """
 
     def __init__(self, lower, nodes, weights):
-        lower = check_ratio(float(lower), "lower endpoint")
+        lower = check_ratio(lower, "lower endpoint")
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise InvalidInput("nodes and weights must be 1-d of equal length")
-        if nodes.size:
-            # nodes may repeat: on an interval a few ulps wide, distinct
-            # midpoints round to the same double
-            if np.any(np.diff(nodes) < 0):
-                raise InvalidInput("nodes must be nondecreasing")
-            if nodes[0] < lower or nodes[-1] > 1:
-                raise InvalidInput("nodes must lie in [lower, 1]")
-            if np.any(weights <= 0):
-                raise InvalidInput("weights must be > 0")
-        if abs(weights.sum() - (1.0 - lower)) > _MASS_TOL:
-            raise InvalidInput("weights must sum to 1 - lower")
+        # nodes may repeat: on an interval a few ulps wide, distinct
+        # midpoints round to the same double
+        check_range(np.diff(nodes), "nondecreasing nodes: each step")
+        check_range(nodes, "nodes", lower, 1.0)
+        _check_mass(weights, 1.0 - lower, "weights")
         self.lower = lower
         self.nodes = nodes
         self.weights = weights
 
     @classmethod
     def midpoint(cls, lower, count=256):
-        lower = check_ratio(float(lower), "lower endpoint")
+        lower = check_ratio(lower, "lower endpoint")
+        check_count(count, "count", 1)
         if lower == 1.0:
             return cls(1.0, np.empty(0), np.empty(0))
-        if count < 1:
-            raise InvalidInput("count must be >= 1")
         width = 1.0 - lower
         nodes = lower + width * (np.arange(count) + 0.5) / count
         weights = np.full(count, width / count)
@@ -312,20 +293,26 @@ def empirical_H_from_diagonal(lambda_diag, size=None):
     return JointLimitMeasure(u, lam ** 2, np.full(n, 1.0 / n))
 
 
+def _check_mass(weights, total, name):
+    """Raise :class:`InvalidInput` unless the ``weights`` (an array, or a list
+    of Python floats, which ``math.fsum`` adds faster) are finite, > 0 and
+    sum to ``total`` within ``_MASS_TOL``."""
+    w = check_range(weights, name, open_low=True)
+    mass = math.fsum(weights) if isinstance(weights, list) else float(w.sum())
+    if not abs(mass - total) <= _MASS_TOL:
+        raise InvalidInput(f"{name} must sum to {total:.12g}, got {mass!r}")
+
+
 def offset_law(h_lambda):
     """The float lists ``(lam, probs)`` of a nonempty list of ``(lambda^2, p)``
     pairs: each lambda^2 finite and >= 0, the probabilities finite, > 0 and
-    summing to 1 within ``_MASS_TOL`` (on Python floats, cheaper than arrays)."""
+    summing to 1 within ``_MASS_TOL``."""
     pairs = list(h_lambda)
     lam, probs = [float(p[0]) for p in pairs], [float(p[1]) for p in pairs]
     if not pairs:
         raise InvalidInput("h_lambda must be nonempty")
-    if not all(0.0 <= v < math.inf for v in lam):
-        raise InvalidInput("lambda values must be finite and >= 0")
-    if not all(0.0 < v < math.inf for v in probs):
-        raise InvalidInput("h_lambda weights must be finite and > 0")
-    if abs(math.fsum(probs) - 1.0) > _MASS_TOL:
-        raise InvalidInput(f"h_lambda weights must sum to 1, got {math.fsum(probs)!r}")
+    check_range(lam, "lambda values")
+    _check_mass(probs, 1.0, "h_lambda weights")
     return lam, probs
 
 
@@ -337,8 +324,7 @@ def product_H(h_lambda, count):
     and the u-marginal is independent of lambda in the large-count limit.
     """
     lam_vals, probs = offset_law(h_lambda)
-    if count < len(probs):
-        raise InvalidInput("count must be >= number of lambda values")
+    check_count(count, f"count for {len(probs)} lambda values", len(probs))
     probs, assigned = np.asarray(probs), np.zeros(len(probs))
     lam = np.empty(count)
     for i in range(1, count + 1):
@@ -351,10 +337,7 @@ def product_H(h_lambda, count):
 
 def uniform_H(count, lam=0.0):
     """Midpoint discretization of du (x) delta_lam with `count` atoms."""
-    if count < 1:
-        raise InvalidInput("count must be >= 1")
-    if lam < 0:
-        raise InvalidInput("lam must be >= 0")
+    check_count(count, "count", 1)
     u = (np.arange(count) + 0.5) / count
     return JointLimitMeasure(u, np.full(count, float(lam)), np.full(count, 1.0 / count))
 

@@ -20,26 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidInput, NumericalFailure, check_stieltjes, upper_half_plane
+from .errors import (InvalidInput, NumericalFailure, check_count, check_range, check_stieltjes,
+                     upper_half_plane)
 from .measures import ComplexKernel
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform", "complex-gaussian")
 RNG_NAME = "philox4x64"
-SEED_BOUND = 2 ** 128  # Philox keys are 128-bit
+SEED_BITS = 128  # Philox keys are 128-bit
 
 _EIG_CLAMP = -1e-10
-
-
-def _is_integer(value):
-    """Whether ``value`` is a Python or numpy integer and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_seed(seed):
     """Raise :class:`InvalidInput` unless ``seed`` is an integer, not a
     bool, in [0, 2**128), the key range of Philox."""
-    if not (_is_integer(seed) and 0 <= seed < SEED_BOUND):
-        raise InvalidInput(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    check_count(seed, "seed", 0, SEED_BITS)
 
 
 @dataclass
@@ -61,11 +56,7 @@ class EnsembleSpec:
             raise InvalidInput(f"unknown entry law {self.entry_law!r}")
         if self.seed is not None:
             check_seed(self.seed)
-        if not (_is_integer(self.N) and _is_integer(self.n)):
-            raise InvalidInput(f"dimensions must be integers, got N={self.N!r}, "
-                               f"n={self.n!r}")
-        if self.N < 1 or self.n < 1:
-            raise InvalidInput("dimensions must be >= 1")
+        check_count((self.N, self.n), "dimensions (N, n)", 1)
         if self.N > self.n:
             raise InvalidInput("N must not exceed n (transpose the model first)")
 
@@ -82,10 +73,8 @@ class SpectrumSample:
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size == 0:
             raise InvalidInput("eigenvalues must be a nonempty 1-d array")
-        if np.any(np.diff(ev) < 0):
-            raise InvalidInput("eigenvalues must be sorted ascending")
-        if ev[0] < _EIG_CLAMP:
-            raise InvalidInput(f"negative eigenvalue {ev[0]:.3e} beyond round-off")
+        check_range(ev, "eigenvalues", _EIG_CLAMP)
+        check_range(np.diff(ev), "ascending eigenvalues: each step")
         self.eigenvalues = np.clip(ev, 0.0, None)
         self.dims = tuple(self.dims)
 
@@ -110,6 +99,7 @@ def sample_sigma_matrix(spec, profile, lambda_diag):
     lam = np.asarray(lambda_diag, dtype=float)
     if lam.shape != (spec.N,):
         raise InvalidInput(f"lambda_diag must have length N={spec.N}")
+    check_range(np.abs(lam), "offsets |lambda_diag|")
     rows = np.arange(1, spec.N + 1) / spec.N
     cols = np.arange(1, spec.n + 1) / spec.n
     sig = np.sqrt(np.asarray(profile.evaluate(rows[:, None], cols[None, :])))
@@ -288,8 +278,7 @@ def truncate_diagonal(lambda_diag, bound_sq):
     entry perturbs the empirical distribution function by at most 1/N in
     sup norm, being a rank-one change.
     """
-    if bound_sq < 0:
-        raise InvalidInput("bound_sq must be >= 0")
+    bound_sq = check_range(bound_sq, "bound_sq")
     lam = np.asarray(lambda_diag, dtype=float)
     keep = lam ** 2 <= bound_sq
     return np.where(keep, lam, 0.0), int(np.count_nonzero(~keep))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, positive_height, upper_half_plane
+from .errors import (InvalidInput, NumericalFailure, check_count, check_range, positive_height,
+                     upper_half_plane)
 from . import master_solver
 
 __all__ = ["DensityCurve", "stieltjes_pair", "density_from_stieltjes",
@@ -37,15 +38,12 @@ class DensityCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.x_grid.ndim != 1 or self.x_grid.size < 2:
             raise InvalidInput("x_grid must hold at least two points")
-        if np.any(np.diff(self.x_grid) <= 0):
-            raise InvalidInput("x_grid must be strictly increasing")
+        check_range(np.diff(self.x_grid), "strictly increasing x_grid: each step", open_low=True)
         if self.x_grid.shape != self.values.shape:
             raise InvalidInput("values must match x_grid in length")
-        if np.any(self.values < 0):
-            raise InvalidInput("density values must be >= 0")
+        check_range(self.values, "density values")
         self.epsilon = positive_height(self.epsilon, "epsilon")
-        if not 0 <= self.atom_at_zero <= 1:
-            raise InvalidInput("atom_at_zero must lie in [0, 1]")
+        self.atom_at_zero = check_range(self.atom_at_zero, "atom_at_zero", 0.0, 1.0)
 
     def mass(self):
         """Atom plus trapezoid integral of the sampled density."""
@@ -54,10 +52,10 @@ class DensityCurve:
 
 def _clamped_density(f_values, where):
     vals = np.asarray([fz.imag / np.pi for fz in f_values])
-    if np.any(vals < -_NEG_CLAMP):
-        worst = float(vals.min())
-        raise NumericalFailure(
-            f"negative density {worst:.3e} from inversion ({where})")
+    ok = np.isfinite(vals) & (vals >= -_NEG_CLAMP)
+    if not ok.all():
+        raise NumericalFailure(f"density {vals[np.argmin(ok)]:.3e} from inversion is not "
+                               f"finite and >= -{_NEG_CLAMP:g} ({where})")
     return np.clip(vals, 0.0, None)
 
 
@@ -150,6 +148,5 @@ def support_bound(profile, H, c):
 
 def default_x_grid(profile, H, c, points=2000, pad=1.2):
     """Uniform grid from 0 to pad times the support bound."""
-    if points < 2:
-        raise InvalidInput("points must be >= 2")
+    check_count(points, "points", 2)
     return np.linspace(0.0, pad * support_bound(profile, H, c), points)

@@ -9,14 +9,21 @@ profile evaluation or factorization can happen before the check.
 The contraction bounds take one input rule, and the offset laws of
 ``product_H`` and ``iid_noncentered_f`` pass one rule too, as does the
 oracle's variance.
+
+Every other real argument with a range passes ``check_range`` and every
+count ``check_count``: the tables below give each site a NaN, an infinity
+and a value outside its interval, or a float, a bool and a value below its
+floor.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from gramspec import closed_forms, master_solver, measures, simulator, spectra
-from gramspec.errors import InvalidInput, check_ratio, positive_height, upper_half_plane
+from gramspec import capacity, closed_forms, master_solver, measures, simulator, spectra
+from gramspec.errors import (InvalidInput, check_count, check_range, check_ratio,
+                             positive_height, upper_half_plane)
 
 NAN, INF = math.nan, math.inf
 
@@ -153,3 +160,172 @@ def test_oracle_accepts_pure_offsets():
     # sigma_sq = 0 leaves f = sum_k w_k / (lambda_k - z)
     f = closed_forms.iid_noncentered_f(1j, 0.5, 0.0, [(0.0, 0.5), (1.0, 0.5)])
     assert abs(f - (0.5 / -1j + 0.5 / (1.0 - 1j))) <= 1e-13
+
+
+# site: (call on the probed value, the rule's message, the probed values)
+RANGE_SITES = {
+    "positive_height": (lambda v: positive_height(v, "y"), "y must be finite and > 0",
+                        [0.0]),
+    "check_ratio": (check_ratio, r"c must lie in \(0, 1\]", [1.5]),
+    "SolverOptions.tol": (lambda v: master_solver.SolverOptions(tol=v),
+                          "tol must be finite and > 0", [0.0]),
+    "ScalarFixedPointOptions.tol": (lambda v: closed_forms.ScalarFixedPointOptions(tol=v),
+                                    "tol must be finite and > 0", [-1.0]),
+    "contraction_start_height.sigma_max_sq":
+        (lambda v: master_solver.contraction_start_height(v, 0.5, 1.0),
+         "sigma_max_sq must be finite and >= 0", [-1.0]),
+    "theta_bound.lambda_m1": (lambda v: master_solver.theta_bound(1.0, 0.5, v, 1.0),
+                              "lambda_m1 must be finite and >= 0", [-1.0]),
+    "mp_stieltjes.sigma_sq": (lambda v: closed_forms.mp_stieltjes(1j, 0.5, v),
+                              "sigma_sq must be finite and > 0", [0.0]),
+    "mp_density.sigma_sq": (lambda v: closed_forms.mp_density(X, 0.5, v),
+                            "sigma_sq must be finite and > 0", [-1.0]),
+    "mp_density.c": (lambda v: closed_forms.mp_density(X, v, 1.0), r"c must lie in \(0, 1\]",
+                     [0.0]),
+    "iid_noncentered_f.sigma_sq": (lambda v: closed_forms.iid_noncentered_f(1j, 0.5, v, X, X),
+                                   "sigma_sq must be finite and >= 0", [-1.0]),
+    "centered_profile_k.u_grid":
+        (lambda v: closed_forms.centered_profile_k(1j, 0.5, X, [0.5, v], X),
+         r"u_grid must lie in \[0, 1\]", [1.5]),
+    "VarianceProfile.constant": (measures.VarianceProfile.constant,
+                                 "constant profile value must be finite and >= 0", [-1.0]),
+    "VarianceProfile.separable.g_values":
+        (lambda v: measures.VarianceProfile.separable([1.0, v], [1.0, 1.0]),
+         "g_values must be finite and >= 0", [-1.0]),
+    "VarianceProfile.separable.h_values":
+        (lambda v: measures.VarianceProfile.separable([1.0, 1.0], [v, 1.0]),
+         "h_values must be finite and >= 0", [-1.0]),
+    "VarianceProfile.bilinear": (lambda v: measures.VarianceProfile.bilinear([[1, 1], [1, v]]),
+                                 "bilinear grid values must be finite and >= 0", [-1.0]),
+    "VarianceProfile.blocks": (lambda v: measures.VarianceProfile.blocks([[1.0, v]]),
+                               "block values must be finite and >= 0", [-1.0]),
+    "JointLimitMeasure.u": (lambda v: measures.JointLimitMeasure([v], [0.0], [1.0]),
+                            r"positions u must lie in \[0, 1\]", [1.5]),
+    "JointLimitMeasure.lam": (lambda v: measures.JointLimitMeasure([0.5], [v], [1.0]),
+                              "lambda values must be finite and >= 0", [-1.0]),
+    "JointLimitMeasure.w": (lambda v: measures.JointLimitMeasure([0.2, 0.8], [0, 0], [v, 1.0]),
+                            "weights must be finite and > 0", [0.0]),
+    "QuadratureRule.lower": (lambda v: measures.QuadratureRule(v, [], []),
+                             r"lower endpoint must lie in \(0, 1\]", [0.0]),
+    "QuadratureRule.midpoint.lower": (lambda v: measures.QuadratureRule.midpoint(v, 4),
+                                      r"lower endpoint must lie in \(0, 1\]", [1.5]),
+    "QuadratureRule.nodes": (lambda v: measures.QuadratureRule(0.5, [v], [0.5]),
+                             r"nodes must lie in \[0.5, 1\]", [0.25]),
+    "QuadratureRule.weights": (lambda v: measures.QuadratureRule(0.5, [0.75], [v]),
+                               "weights must be finite and > 0", [-0.5]),
+    "product_H.lambda": (lambda v: measures.product_H([(v, 1.0)], 4),
+                         "lambda values must be finite and >= 0", [-4.0]),
+    "product_H.weights": (lambda v: measures.product_H([(0.0, v), (1.0, 1.0)], 4),
+                          "h_lambda weights must be finite and > 0", [0.0]),
+    "uniform_H.lam": (lambda v: measures.uniform_H(4, v),
+                      "lambda values must be finite and >= 0", [-1.0]),
+    "DensityCurve.x_grid": (lambda v: spectra.DensityCurve([0.0, v], [0.0, 0.0], 1e-3),
+                            "strictly increasing x_grid: each step must be finite and > 0",
+                            [0.0]),
+    "DensityCurve.values": (lambda v: spectra.DensityCurve([0.0, 1.0], [v, 0.0], 1e-3),
+                            "density values must be finite and >= 0", [-1.0]),
+    "DensityCurve.atom_at_zero":
+        (lambda v: spectra.DensityCurve([0.0, 1.0], [0.0, 0.0], 1e-3, atom_at_zero=v),
+         r"atom_at_zero must lie in \[0, 1\]", [1.5]),
+    "NoiseLevel": (capacity.NoiseLevel, "s_sq must be finite and > 0", [0.0]),
+    "SpectrumSample": (lambda v: simulator.SpectrumSample([0.1, v], 1, (2, 3)),
+                       "eigenvalues must be finite and >= -1e-10", [-1e-9]),
+    "sample_sigma_matrix.lambda_diag":
+        (lambda v: simulator.sample_sigma_matrix(simulator.EnsembleSpec("gaussian", 0, 2, 3),
+                                                 X, [0.0, v]),
+         r"offsets \|lambda_diag\| must be finite and >= 0", [-math.inf]),
+    "truncate_diagonal.bound_sq": (lambda v: simulator.truncate_diagonal(X, v),
+                                   "bound_sq must be finite and >= 0", [-1.0]),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site, (_, _, bad) in RANGE_SITES.items() for value in [NAN, INF, *bad]])
+def test_range_rule_at_every_site(site, value):
+    call, message, _ = RANGE_SITES[site]
+    with pytest.raises(InvalidInput, match=message):
+        call(value)
+
+
+# the steps of an ordered sequence pass the rule too, which a NaN entry fails
+@pytest.mark.parametrize("call, message", [
+    (lambda: measures.QuadratureRule(0.5, [0.75, 0.5], [0.25, 0.25]),
+     "nondecreasing nodes: each step must be finite and >= 0, got -0.25"),
+    (lambda: simulator.SpectrumSample([0.5, 0.25], 1, (2, 3)),
+     "ascending eigenvalues: each step must be finite and >= 0, got -0.25"),
+    (lambda: spectra.DensityCurve([0.0, 1.0, 1.0], [0.0] * 3, 1e-3),
+     "strictly increasing x_grid: each step must be finite and > 0, got 0.0"),
+], ids=["QuadratureRule.nodes", "SpectrumSample", "DensityCurve.x_grid"])
+def test_order_rule(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+def test_mass_rule_rejects_a_weight_sum_off_its_total():
+    with pytest.raises(InvalidInput, match="weights must sum to 0.5, got 0.6"):
+        measures.QuadratureRule(0.5, [0.6, 0.7], [0.3, 0.3])
+    with pytest.raises(InvalidInput, match="weights must sum to 1, got 0.9"):
+        measures.JointLimitMeasure([0.2, 0.8], [0.0, 0.0], [0.5, 0.4])
+
+
+@pytest.mark.parametrize("size", [2, 16, 17, 200])
+@pytest.mark.parametrize("bad", [NAN, INF, -INF, -1.0, 2.0])
+def test_every_entry_of_short_and_long_arrays_is_tested(size, bad):
+    # up to 16 entries the rule tests each one, above it the min and max
+    for k in range(size):
+        values = np.linspace(0.0, 1.0, size)
+        values[k] = bad
+        with pytest.raises(InvalidInput, match=rf"x must lie in \[0, 1\], got {bad!r}"):
+            check_range(values, "x", 0.0, 1.0)
+    assert check_range(np.linspace(0.0, 1.0, size), "x", 0.0, 1.0).shape == (size,)
+
+
+def test_range_rule_returns_a_float_for_a_number_and_an_array_otherwise():
+    for number in (2, np.float32(2.0), np.int64(2), np.array(2.0)):
+        value = check_range(number, "x")
+        assert type(value) is float and value == 2.0
+    assert check_range(0.0, "x") == 0.0
+    arr = check_range([[0.0, 1.0], [2.0, 3.0]], "x")
+    assert arr.dtype == float and arr.shape == (2, 2)
+    assert check_range([], "x").shape == (0,)
+    with pytest.raises(InvalidInput, match="x must be finite and > 0, got 0.0"):
+        check_range(0.0, "x", open_low=True)
+
+
+# site: (call on the probed count, the rule's message, a count below its floor)
+COUNT_SITES = {
+    "SolverOptions.max_iters": (lambda n: master_solver.SolverOptions(max_iters=n),
+                                "max_iters must be an integer >= 1", 0),
+    "ScalarFixedPointOptions.max_iters":
+        (lambda n: closed_forms.ScalarFixedPointOptions(max_iters=n),
+         "max_iters must be an integer >= 1", 0),
+    "QuadratureRule.midpoint": (lambda n: measures.QuadratureRule.midpoint(0.5, n),
+                                "count must be an integer >= 1", 0),
+    "product_H": (lambda n: measures.product_H([(0.0, 0.5), (1.0, 0.5)], n),
+                  "count for 2 lambda values must be an integer >= 2", 1),
+    "uniform_H": (measures.uniform_H, "count must be an integer >= 1", 0),
+    "default_x_grid": (lambda n: spectra.default_x_grid(X, X, 0.5, points=n),
+                       "points must be an integer >= 2", 1),
+    "EnsembleSpec.N": (lambda n: simulator.EnsembleSpec("gaussian", 0, n, 5),
+                       r"dimensions \(N, n\) must be integers >= 1", 0),
+    "EnsembleSpec.n": (lambda n: simulator.EnsembleSpec("gaussian", 0, 1, n),
+                       r"dimensions \(N, n\) must be integers >= 1", 0),
+    "check_seed": (simulator.check_seed, r"seed must be an integer in \[0, 2\*\*128\)", -1),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site, (_, _, low) in COUNT_SITES.items()
+    for value in [2.5, True, np.float64(3.0), low]])
+def test_count_rule_at_every_site(site, value):
+    call, message, _ = COUNT_SITES[site]
+    with pytest.raises(InvalidInput, match=message):
+        call(value)
+
+
+def test_count_rule_accepts_numpy_integers_and_checks_its_ceiling():
+    assert check_count(np.int32(3), "n", 1) == 3
+    assert check_count((np.int64(2), 5), "dims", 1) == (2, 5)
+    assert check_count(2 ** 128 - 1, "seed", 0, 128) == 2 ** 128 - 1
+    with pytest.raises(InvalidInput, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+        check_count(2 ** 128, "seed", 0, 128)

@@ -313,6 +313,24 @@ class TestCompareCommand:
         assert not out.exists()
         assert "eigenvalues_seed1.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eigenvalue_not_finite_exits_2_before_creating_out(self, tmp_path, capsys, value):
+        # the last line holds the largest eigenvalue, so an inf there keeps
+        # the file sorted
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[1]))
+        sim_out = tmp_path / "sims"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        path = sim_out / "eigenvalues_seed1.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = value
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                         "--sim-dir", str(sim_out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "eigenvalues_seed1.csv" in err and f"got {value}" in err
+
     def test_transposed_side_comparison(self, tmp_path):
         cfg = write_config(tmp_path, dict(SIM_BASE, transpose_curve=True))
         out = tmp_path / "out"

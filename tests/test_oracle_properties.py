@@ -11,7 +11,10 @@ iterate layout.  Both reduced cases discretize exactly:
   ``uniform_H(m)`` with ``quad_count = m`` uses the solver's own nodes
   (c u_i, then the midpoints of [c, 1]) and weights.
 
-So the two answers differ only by the two stopping rules:
+The Marchenko-Pastur case (a constant profile with zero offsets) has the
+closed form ``mp_stieltjes``, which carries rounding only.
+
+So the iterated answers differ only by the two stopping rules:
 
 * the solver stops once ``|G(s) - s|_1 <= TOL`` and returns ``G(s)``.
   Above the contraction height that bounds the error of f by ``TOL``;
@@ -25,7 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramspec.closed_forms import centered_profile_k, iid_noncentered_f
+from gramspec.closed_forms import centered_profile_k, iid_noncentered_f, mp_stieltjes
 from gramspec.master_solver import SolverOptions, solve_with_continuation
 from gramspec.measures import JointLimitMeasure, QuadratureRule, VarianceProfile, uniform_H
 
@@ -41,6 +44,15 @@ _entries = st.floats(0.2, 2.0)
 
 def _assert_close(f, oracle):
     assert abs(f - oracle) <= BOUND
+
+
+@settings(max_examples=40)
+@given(s2=_entries, c=_ratios, x=st.floats(-2.0, 8.0), log_y=_log_heights)
+def test_marchenko_pastur_matches_mp_stieltjes(s2, c, x, log_y):
+    z = complex(x, np.exp(log_y))
+    rep = solve_with_continuation([z], c, uniform_H(4), VarianceProfile.constant(s2),
+                                  QuadratureRule.midpoint(c, 8), OPTS)[z]
+    assert abs(rep.f - mp_stieltjes(z, c, s2)) <= 10 * TOL
 
 
 @settings(max_examples=40)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,13 @@ class TestDensityFromStieltjes:
     def test_large_negative_imag_raises(self):
         with pytest.raises(NumericalFailure):
             density_from_stieltjes(lambda z: complex(0, -1e-3), [0.0, 1.0], 1e-2)
+
+    @pytest.mark.parametrize("f", [complex("nan+nanj"), complex(0.0, math.inf)])
+    def test_transform_not_finite_is_a_numerical_failure(self, f):
+        # a computed value, not an argument: NaN fails the test each
+        # density value must pass, and is not blamed on the caller
+        with pytest.raises(NumericalFailure, match="not finite and >= -1e-12"):
+            density_from_stieltjes(lambda z: f, [0.0, 1.0], 1e-3)
 
 
 class TestMassCheck:
