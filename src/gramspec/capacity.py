@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, check_range, check_ratio
-from .spectra import MASS_WINDOW
+from .errors import InvalidInput, check_range, check_ratio
+from .spectra import check_curve_mass
 
 
 @dataclass
@@ -43,9 +43,7 @@ def capacity_from_limit(curve, c, noise, bits=False):
         raise InvalidInput("capacity is defined on the Gram-side curve "
                            "(atom at zero must be 0)")
     check_ratio(c)
-    mass = curve.mass()
-    if not MASS_WINDOW[0] <= mass <= MASS_WINDOW[1]:
-        raise NumericalFailure(f"curve mass {mass:.4f} outside {MASS_WINDOW}")
+    mass = check_curve_mass(curve.mass())
     integrand = np.log1p(curve.x_grid / noise.s_sq) * curve.values
     val = c * float(np.trapezoid(integrand, curve.x_grid)) / mass
     return val / math.log(2.0) if bits else val

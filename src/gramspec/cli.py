@@ -44,6 +44,7 @@ from .errors import (ConfigError, DegenerateDenominator, InvalidInput, NoConverg
                      upper_half_plane)
 
 DEFAULT_QUAD_NODES = 256
+DEFAULT_H_ATOMS = 256
 DEFAULT_EPSILON = 1e-3
 DEFAULT_X_POINTS = 2000
 
@@ -118,13 +119,13 @@ def build_profile(cfg):
     with _field("profile"):
         if kind == "constant":
             return measures.VarianceProfile.constant(_require(cfg, "profile.value", "number"))
-        if kind in ("separable", "separable-product"):
+        if kind == "separable":
             return measures.VarianceProfile.separable(
                 _require(cfg, "profile.g_values", "list of numbers"),
                 _require(cfg, "profile.h_values", "list of numbers"))
-        if kind in ("bilinear", "bilinear-grid"):
+        if kind == "bilinear":
             return measures.VarianceProfile.bilinear(_rows(cfg, "profile.values"))
-        if kind in ("blocks", "piecewise-constant-blocks"):
+        if kind == "blocks":
             return measures.VarianceProfile.blocks(_rows(cfg, "profile.values"))
     raise ConfigError("profile.kind", f"unknown kind {kind!r}")
 
@@ -139,11 +140,11 @@ def build_H(cfg):
             return measures.empirical_H_from_diagonal(lam), lambda n_rows: lam
         if kind == "product":
             pairs = _rows(cfg, "H.h_lambda", 2)
-            return (measures.product_H(pairs, _require(cfg, "H.M", "integer", 256)),
+            return (measures.product_H(pairs, _require(cfg, "H.M", "integer", DEFAULT_H_ATOMS)),
                     lambda n_rows: np.sqrt(measures.product_H(pairs, n_rows).lam))
         if kind == "uniform":
             lam = float(_require(cfg, "H.lambda", "number", 0.0))
-            return (measures.uniform_H(_require(cfg, "H.M", "integer", 256), lam),
+            return (measures.uniform_H(_require(cfg, "H.M", "integer", DEFAULT_H_ATOMS), lam),
                     lambda n_rows: np.full(n_rows, np.sqrt(lam)))
         if kind == "atoms":
             u, lam, w = np.array(_rows(cfg, "H.atoms", 3), dtype=float).reshape(-1, 3).T.copy()
@@ -185,10 +186,10 @@ def build_solver_opts(cfg):
     if unknown:
         raise ConfigError("solver." + unknown[0],
                           "unknown key; solver accepts only tol and max_iters")
+    options = master_solver.SolverOptions   # an absent key takes its default
     with _field("solver"):
-        return master_solver.SolverOptions(
-            tol=float(_require(cfg, "solver.tol", "number", 1e-12)),
-            max_iters=_require(cfg, "solver.max_iters", "integer", 10000))
+        return options(tol=float(_require(cfg, "solver.tol", "number", options.tol)),
+                       max_iters=_require(cfg, "solver.max_iters", "integer", options.max_iters))
 
 
 def build_z_grid(cfg):
@@ -208,13 +209,17 @@ def build_x_grid(cfg, profile, H, c):
             check_range(np.diff(spec), "strictly increasing x_grid: each step", open_low=True)
         return np.asarray(spec, dtype=float)
     points = _require(cfg, "x_grid.points", "integer", DEFAULT_X_POINTS)
-    lower = _require(cfg, "x_grid.min", "number", 0.0)
+    lower = float(_require(cfg, "x_grid.min", "number", 0.0))
     upper = _require(cfg, "x_grid.max", "number", None)
     with _field("x_grid.points"):
         check_count(points, "points", 2)
     if upper is None:
-        return spectra.default_x_grid(profile, H, c, points=points)
-    return np.linspace(float(lower), float(upper), points)
+        if "min" in spec:
+            raise ConfigError("x_grid.min", "needs x_grid.max")
+        return spectra.default_x_grid(profile, H, c, points)
+    if not upper > lower:
+        raise ConfigError("x_grid.max", "must exceed x_grid.min")
+    return np.linspace(lower, float(upper), points)
 
 
 def _checked_seeds(seeds, field):
@@ -440,10 +445,9 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seeds", default=None, help="comma-separated seed list")
+        p.add_argument("--seeds", help="comma-separated seed list")
         if name == "compare":
-            p.add_argument("--sim-dir", default=None,
-                           help="reuse eigenvalue CSVs from a previous simulate run")
+            p.add_argument("--sim-dir", help="reuse eigenvalue CSVs from a previous simulate run")
         if name == "capacity":
             p.add_argument("--bits", action="store_true", help="report log2 capacity")
     return parser

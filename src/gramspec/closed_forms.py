@@ -76,16 +76,18 @@ def mp_density(x, c, sigma_sq):
     return out if x.shape else float(out[0])
 
 
-def mp_cdf(c, sigma_sq, points=8001):
+def mp_cdf(c, sigma_sq):
     """Distribution function of the Marchenko-Pastur law as a callable.
 
     Integrates the density under the substitution x = lo + (hi-lo) sin^2(t),
     which removes the square-root edge factors, then interpolates the
-    cumulative table.  Accurate to ~1e-8 at the default resolution.
+    cumulative table of 8001 points.  Accurate to ~1e-8.
     """
+    c = check_ratio(c)
+    sigma_sq = check_range(sigma_sq, "sigma_sq", open_low=True)
     lo = sigma_sq * (1.0 - np.sqrt(c)) ** 2
     hi = sigma_sq * (1.0 + np.sqrt(c)) ** 2
-    theta = np.linspace(0.0, np.pi / 2.0, points)
+    theta = np.linspace(0.0, np.pi / 2.0, 8001)
     xs = lo + (hi - lo) * np.sin(theta) ** 2
     integrand = mp_density(xs, c, sigma_sq) * (hi - lo) * np.sin(2.0 * theta)
     cum = np.concatenate([[0.0], np.cumsum(
@@ -139,7 +141,7 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
     raise NoConvergence(f"scalar fixed point stalled at z={z}, |delta|={delta:.3e}")
 
 
-def centered_profile_k(z, c, profile, u_grid, opts=None, quad_count=None):
+def centered_profile_k(z, c, profile, u_grid, opts=None):
     """Position density k(u, z) of the limiting kernel for zero offsets.
 
     Solves, on the given u grid (treated as midpoints of equal cells),
@@ -149,9 +151,9 @@ def centered_profile_k(z, c, profile, u_grid, opts=None, quad_count=None):
 
     by damped iteration from k = -1/z.  The t integral uses midpoint nodes
     on [0, c] at the u-grid positions scaled by c, joined with midpoint
-    nodes on [c, 1] (`quad_count` of them, default the u-grid size), which
-    mirrors the node layout the kernel solver induces and keeps the two
-    routes comparable down to iteration tolerance.
+    nodes on [c, 1], as many as the u grid has points.  That mirrors the
+    node layout the kernel solver induces and keeps the two routes
+    comparable down to iteration tolerance.
 
     Returns the array of k values; integrate against the grid (mean value)
     for the Stieltjes transform.
@@ -168,10 +170,8 @@ def centered_profile_k(z, c, profile, u_grid, opts=None, quad_count=None):
         t = u
         tw = np.full(m, 1.0 / m)
     else:
-        q = quad_count or m
-        t_hi = c + (1.0 - c) * (np.arange(q) + 0.5) / q
-        t = np.concatenate([c * u, t_hi])
-        tw = np.concatenate([np.full(m, c / m), np.full(q, (1.0 - c) / q)])
+        t = np.concatenate([c * u, c + (1.0 - c) * (np.arange(m) + 0.5) / m])
+        tw = np.concatenate([np.full(m, c / m), np.full(m, (1.0 - c) / m)])
     sig = np.asarray(profile.evaluate(u[:, None], t[None, :]))  # (m, T)
     w_u = 1.0 / m
     k = np.full(m, -1.0 / z, dtype=complex)

@@ -21,31 +21,30 @@ from .errors import InvalidInput, check_count, check_range, check_ratio
 
 _MASS_TOL = 1e-12
 
-PROFILE_KINDS = ("constant", "separable-product", "bilinear-grid",
-                 "piecewise-constant-blocks")
-
 
 class VarianceProfile:
     """Evaluable variance profile on the unit square.
 
-    Four closed-form kinds are supported, built through the classmethods
-    below.  Every kind guarantees ``0 <= sigma2(x, y) <= sigma_max_sq`` and
-    bit-reproducible evaluation.  All kinds except the block profile are
-    continuous.
+    Four closed-form kinds are supported, each built only by the classmethod
+    of its ``kind`` name.  Every kind guarantees ``0 <= sigma2(x, y) <=
+    sigma_max_sq`` and bit-reproducible evaluation.  All kinds except the
+    block profile are continuous.
     """
 
-    def __init__(self, kind, sigma_max_sq, params):
-        if kind not in PROFILE_KINDS:
-            raise InvalidInput(f"unknown profile kind {kind!r}")
-        self.kind = kind
-        self.sigma_max_sq = float(sigma_max_sq)
-        self._params = params
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a profile with constant, separable, bilinear or blocks")
+
+    @classmethod
+    def _build(cls, kind, sigma_max_sq, params):
+        profile = object.__new__(cls)
+        profile.kind, profile.sigma_max_sq, profile._params = kind, sigma_max_sq, params
+        return profile
 
     @classmethod
     def constant(cls, value):
         """sigma2(x, y) = value."""
         value = check_range(float(value), "constant profile value")
-        return cls("constant", value, (value,))
+        return cls._build("constant", value, (value,))
 
     @classmethod
     def separable(cls, g_values, h_values):
@@ -63,7 +62,7 @@ class VarianceProfile:
         gx = np.linspace(0.0, 1.0, g.size)
         hx = np.linspace(0.0, 1.0, h.size)
         smax = float(g.max() * h.max())
-        return cls("separable-product", smax, (g, gx, h, hx))
+        return cls._build("separable", smax, (g, gx, h, hx))
 
     @classmethod
     def bilinear(cls, values):
@@ -81,7 +80,7 @@ class VarianceProfile:
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
             raise InvalidInput("bilinear grid must be square, at least 2x2")
         check_range(v, "bilinear grid values")
-        return cls("bilinear-grid", float(v.max()), (v,))
+        return cls._build("bilinear", float(v.max()), (v,))
 
     @classmethod
     def blocks(cls, values):
@@ -90,36 +89,27 @@ class VarianceProfile:
         if v.ndim != 2 or v.size == 0:
             raise InvalidInput("block values must form a 2-d array")
         check_range(v, "block values")
-        return cls("piecewise-constant-blocks", float(v.max()), (v,))
+        return cls._build("blocks", float(v.max()), (v,))
 
     def evaluate(self, x, y):
         """Vectorized sigma2(x, y); x and y broadcast together."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         if self.kind == "constant":
-            (value,) = self._params
-            out = np.broadcast_arrays(x, y)[0]
-            return np.full(out.shape, value) if out.shape else float(value)
-        if self.kind == "separable-product":
+            out = np.full(x.shape, self._params[0])
+        elif self.kind == "separable":
             g, gx, h, hx = self._params
-            xb, yb = np.broadcast_arrays(x, y)
-            gv = np.interp(xb.ravel(), gx, g).reshape(xb.shape)
-            hv = np.interp(yb.ravel(), hx, h).reshape(yb.shape)
-            out = gv * hv
-            return out if out.shape else float(out)
-        if self.kind == "bilinear-grid":
+            out = (np.interp(x.ravel(), gx, g).reshape(x.shape)
+                   * np.interp(y.ravel(), hx, h).reshape(y.shape))
+        elif self.kind == "bilinear":
             (v,) = self._params
             r = v.shape[0] - 1
-            xb, yb = np.broadcast_arrays(x, y)
-            i, s = _cell(xb, r)
-            j, t = _cell(yb, r)
+            i, s = _cell(x, r)
+            j, t = _cell(y, r)
             out = ((1 - s) * (1 - t) * v[i, j] + s * (1 - t) * v[i + 1, j]
                    + (1 - s) * t * v[i, j + 1] + s * t * v[i + 1, j + 1])
-            return out if out.shape else float(out)
-        (v,) = self._params
-        bx, by = v.shape
-        xb, yb = np.broadcast_arrays(x, y)
-        out = v[_cell(xb, bx)[0], _cell(yb, by)[0]]
+        else:
+            (v,) = self._params
+            out = v[_cell(x, v.shape[0])[0], _cell(y, v.shape[1])[0]]
         return out if out.shape else float(out)
 
     def factors(self, x, y):
@@ -144,12 +134,12 @@ class VarianceProfile:
         if self.kind == "constant":
             (value,) = self._params
             return np.ones((x.size, 1)), np.array([[value]]), np.ones((y.size, 1))
-        if self.kind == "separable-product":
+        if self.kind == "separable":
             g, gx, h, hx = self._params
             return (np.interp(x, gx, g)[:, None], np.ones((1, 1)),
                     np.interp(y, hx, h)[:, None])
         v = self._params[0].copy()
-        if self.kind == "bilinear-grid":
+        if self.kind == "bilinear":
             r = v.shape[0] - 1
             return _hat_basis(x, r), v, _hat_basis(y, r)
         bx, by = v.shape
@@ -281,13 +271,11 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def empirical_H_from_diagonal(lambda_diag, size=None):
+def empirical_H_from_diagonal(lambda_diag):
     """Atoms (i/N, Lambda_ii^2, 1/N) from a length-N diagonal of offsets."""
     lam = np.asarray(lambda_diag, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise InvalidInput("diagonal must be a nonempty 1-d sequence")
-    if size is not None and size != lam.size:
-        raise InvalidInput(f"size {size} does not match diagonal length {lam.size}")
     n = lam.size
     u = np.arange(1, n + 1) / n
     return JointLimitMeasure(u, lam ** 2, np.full(n, 1.0 / n))

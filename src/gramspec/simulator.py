@@ -94,12 +94,19 @@ def _draw_entries(spec):
     return (re + 1j * im) / math.sqrt(2.0)
 
 
+def _offsets(lambda_diag, n_rows):
+    """``lambda_diag`` as a float array; raises :class:`InvalidInput` unless
+    it holds ``n_rows`` finite offsets, one per row."""
+    lam = np.asarray(lambda_diag, dtype=float)
+    if lam.shape != (n_rows,):
+        raise InvalidInput(f"lambda_diag must have length N={n_rows}")
+    check_range(np.abs(lam), "offsets |lambda_diag|")
+    return lam
+
+
 def sample_sigma_matrix(spec, profile, lambda_diag):
     """One realization Sigma_ij = sigma(i/N, j/n)/sqrt(n) X_ij + Lambda_ii 1{i=j}."""
-    lam = np.asarray(lambda_diag, dtype=float)
-    if lam.shape != (spec.N,):
-        raise InvalidInput(f"lambda_diag must have length N={spec.N}")
-    check_range(np.abs(lam), "offsets |lambda_diag|")
+    lam = _offsets(lambda_diag, spec.N)
     rows = np.arange(1, spec.N + 1) / spec.N
     cols = np.arange(1, spec.n + 1) / spec.n
     sig = np.sqrt(np.asarray(profile.evaluate(rows[:, None], cols[None, :])))
@@ -224,9 +231,7 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     z = upper_half_plane(z)
     sigma = np.asarray(sigma)
     n_rows = sigma.shape[0]
-    lam = np.asarray(lambda_diag, dtype=float)
-    if lam.shape != (n_rows,):
-        raise InvalidInput("lambda_diag must match the row count")
+    lam = _offsets(lambda_diag, n_rows)
     q_diag = _inverse_diagonal(_shifted_gram(sigma, z))
     check_stieltjes(z, q_diag, 1.0)
     points_u = np.arange(1, n_rows + 1) / n_rows
@@ -272,14 +277,14 @@ def schur_identity_check(sigma, z, i):
 
 
 def truncate_diagonal(lambda_diag, bound_sq):
-    """Zero out offsets with squared value above bound_sq.
+    """Zero out offsets with squared value above bound_sq, all offsets finite.
 
     Returns (truncated diagonal, number of entries zeroed).  Each zeroed
     entry perturbs the empirical distribution function by at most 1/N in
     sup norm, being a rank-one change.
     """
     bound_sq = check_range(bound_sq, "bound_sq")
-    lam = np.asarray(lambda_diag, dtype=float)
+    lam = _offsets(lambda_diag, np.size(lambda_diag))
     keep = lam ** 2 <= bound_sq
     return np.where(keep, lam, 0.0), int(np.count_nonzero(~keep))
 

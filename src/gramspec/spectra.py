@@ -17,8 +17,8 @@ from .errors import (InvalidInput, NumericalFailure, check_count, check_range, p
 from . import master_solver
 
 __all__ = ["DensityCurve", "stieltjes_pair", "density_from_stieltjes",
-           "limit_density", "mass_check", "cdf_with_atom", "support_bound",
-           "default_x_grid"]
+           "limit_density", "mass_check", "check_curve_mass", "cdf_with_atom",
+           "support_bound", "default_x_grid"]
 
 _NEG_CLAMP = 1e-12
 MASS_WINDOW = (0.95, 1.05)
@@ -73,7 +73,7 @@ def stieltjes_pair(report, c, z):
     return f, f_tilde, residual
 
 
-def density_from_stieltjes(f_at, x_grid, epsilon, atom_at_zero=0.0):
+def density_from_stieltjes(f_at, x_grid, epsilon):
     """Invert an evaluator z -> f(z) into a density curve on x_grid.
 
     Negative inversion values are clamped to zero when they stay above
@@ -85,7 +85,7 @@ def density_from_stieltjes(f_at, x_grid, epsilon, atom_at_zero=0.0):
     zs = [upper_half_plane(complex(xi, epsilon)) for xi in x]
     f_values = [complex(f_at(z)) for z in zs]
     values = _clamped_density(f_values, f"epsilon={epsilon}")
-    return DensityCurve(x, values, epsilon, atom_at_zero)
+    return DensityCurve(x, values, epsilon)
 
 
 def limit_density(H, profile, quad, c, x_grid, epsilon, opts=None, transpose=False):
@@ -114,6 +114,14 @@ def mass_check(f_at, y_sequence):
     return [float((-1j * y * complex(f_at(complex(0.0, y)))).real) for y in ys]
 
 
+def check_curve_mass(total):
+    """``total``, the sampled mass of a density curve; raises
+    :class:`NumericalFailure` unless it lies in ``MASS_WINDOW``."""
+    if not MASS_WINDOW[0] <= total <= MASS_WINDOW[1]:
+        raise NumericalFailure(f"curve mass {total:.4f} outside {MASS_WINDOW}; refine the grid")
+    return total
+
+
 def cdf_with_atom(curve):
     """Distribution function of a density curve, renormalized to end at 1.
 
@@ -124,10 +132,7 @@ def cdf_with_atom(curve):
     x = curve.x_grid
     v = curve.values
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(x))])
-    total = curve.atom_at_zero + cum[-1]
-    if not MASS_WINDOW[0] <= total <= MASS_WINDOW[1]:
-        raise NumericalFailure(
-            f"curve mass {total:.4f} outside {MASS_WINDOW}; refine the grid")
+    total = check_curve_mass(curve.atom_at_zero + cum[-1])
     scale = 1.0 / total
     atom = curve.atom_at_zero * scale
     cum = cum * scale
@@ -146,7 +151,7 @@ def support_bound(profile, H, c):
     return (np.sqrt(c * s2) + np.sqrt(s2)) ** 2 + float(H.lam.max())
 
 
-def default_x_grid(profile, H, c, points=2000, pad=1.2):
-    """Uniform grid from 0 to pad times the support bound."""
+def default_x_grid(profile, H, c, points):
+    """Uniform grid of ``points`` points from 0 to 1.2 times the support bound."""
     check_count(points, "points", 2)
-    return np.linspace(0.0, pad * support_bound(profile, H, c), points)
+    return np.linspace(0.0, 1.2 * support_bound(profile, H, c), points)

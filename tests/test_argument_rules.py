@@ -182,6 +182,9 @@ RANGE_SITES = {
                             "sigma_sq must be finite and > 0", [-1.0]),
     "mp_density.c": (lambda v: closed_forms.mp_density(X, v, 1.0), r"c must lie in \(0, 1\]",
                      [0.0]),
+    "mp_cdf.c": (lambda v: closed_forms.mp_cdf(v, 1.0), r"c must lie in \(0, 1\]", [-1.0]),
+    "mp_cdf.sigma_sq": (lambda v: closed_forms.mp_cdf(0.5, v),
+                        "sigma_sq must be finite and > 0", [-1.0]),
     "iid_noncentered_f.sigma_sq": (lambda v: closed_forms.iid_noncentered_f(1j, 0.5, v, X, X),
                                    "sigma_sq must be finite and >= 0", [-1.0]),
     "centered_profile_k.u_grid":
@@ -234,8 +237,14 @@ RANGE_SITES = {
         (lambda v: simulator.sample_sigma_matrix(simulator.EnsembleSpec("gaussian", 0, 2, 3),
                                                  X, [0.0, v]),
          r"offsets \|lambda_diag\| must be finite and >= 0", [-math.inf]),
+    "empirical_stieltjes.lambda_diag":
+        (lambda v: simulator.empirical_stieltjes(np.eye(2), [0.0, v], 1j),
+         r"offsets \|lambda_diag\| must be finite and >= 0", [-math.inf]),
     "truncate_diagonal.bound_sq": (lambda v: simulator.truncate_diagonal(X, v),
                                    "bound_sq must be finite and >= 0", [-1.0]),
+    "truncate_diagonal.lambda_diag": (lambda v: simulator.truncate_diagonal([1.0, v], 4.0),
+                                      r"offsets \|lambda_diag\| must be finite and >= 0",
+                                      [-math.inf]),
 }
 
 

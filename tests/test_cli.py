@@ -124,6 +124,13 @@ class TestSolveCommand:
             ("density", dict(SIM_BASE, x_grid={"points": "x"}), [], "x_grid.points"),
             ("density", dict(SIM_BASE, x_grid={"points": 2.7}), [], "x_grid.points"),
             ("density", dict(SIM_BASE, x_grid=["a", "b"]), [], "x_grid"),
+            # an x_grid bound is used or rejected, never ignored
+            ("density", dict(SIM_BASE, x_grid={"points": 50, "min": 1.0}), [], "x_grid.min"),
+            ("density", dict(SIM_BASE, x_grid={"min": 2, "max": 1}), [], "x_grid.max"),
+            # a profile kind has one name, the README's
+            ("solve", dict(MP_SOLVE, profile={"kind": "bilinear-grid",
+                                              "values": [[1.0, 1.0], [1.0, 2.0]]}), [],
+             "profile.kind"),
             ("density", dict(SIM_BASE, transpose_curve="no"), [], "transpose_curve"),
             ("capacity", dict(SIM_BASE, noise=5), [], "noise"),
             ("capacity", dict(SIM_BASE, noise={"s_sq": "x"}), [], "noise.s_sq"),
@@ -406,3 +413,11 @@ class TestReadmeExample:
         assert (sampling.spec.N, sampling.spec.n) == (200, 400)
         assert sampling.lambda_diag.shape == (200,)
         assert sampling.seeds == [0, 1, 2, 3, 4]
+
+    def test_library_quick_start_runs(self, capsys):
+        # the quick start must call only names and parameters that exist
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Library quick start", 1)[1]
+        exec(compile(example.split("```python\n", 1)[1].split("```", 1)[0], "README.md",
+                     "exec"), {})
+        assert capsys.readouterr().out.strip()

@@ -71,6 +71,13 @@ class TestVarianceProfile:
         with pytest.raises(InvalidInput):
             VarianceProfile.bilinear([[1.0, -0.1], [0.0, 0.0]])
 
+    def test_raw_constructor_rejected(self):
+        # only the classmethods build a profile, so none escapes their checks
+        with pytest.raises(TypeError):
+            VarianceProfile("constant", 1.0, (-5.0,))
+        with pytest.raises(TypeError):
+            VarianceProfile()
+
 
 _FACTOR_RNG = np.random.default_rng(11)
 # each profile with the shape of its V
@@ -96,6 +103,11 @@ def factor_points(shape):
 
 class TestProfileFactors:
     @pytest.mark.parametrize("name", sorted(FACTOR_PROFILES))
+    def test_kind_is_its_classmethod_name(self, name):
+        prof, _ = FACTOR_PROFILES[name]
+        assert prof.kind == name.split()[0]
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_PROFILES))
     def test_factors_reproduce_evaluate(self, name):
         prof, shape = FACTOR_PROFILES[name]
         x, y = factor_points(shape)
@@ -105,7 +117,7 @@ class TestProfileFactors:
         assert psi.shape == (y.size, shape[1])
         got = phi @ V @ psi.T
         want = prof.evaluate(x[:, None], y[None, :])
-        if prof.kind == "bilinear-grid":
+        if prof.kind == "bilinear":
             assert np.max(np.abs(got - want)) <= 1e-15
         else:
             np.testing.assert_array_equal(got, want)
@@ -116,7 +128,7 @@ class TestProfileFactors:
         prof, shape = FACTOR_PROFILES[name]
         for basis in prof.factors(*factor_points(shape))[::2]:
             nonzeros = (basis != 0).sum(axis=1)
-            if prof.kind == "bilinear-grid":
+            if prof.kind == "bilinear":
                 assert np.all(nonzeros <= 2)
                 np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-15)
             else:
@@ -134,7 +146,7 @@ class TestJointLimitMeasure:
             JointLimitMeasure([0.5], [-1.0], [1.0])  # negative lambda
 
     def test_empirical_single_zero_atom(self):
-        H = empirical_H_from_diagonal([0.0], size=1)
+        H = empirical_H_from_diagonal([0.0])
         assert H.atoms == [(1.0, 0.0, 1.0)]
 
     def test_empirical_sign_killed(self):
@@ -142,7 +154,7 @@ class TestJointLimitMeasure:
         assert H.atoms == [(0.5, 1.0, 0.5), (1.0, 1.0, 0.5)]
 
     def test_empirical_alternating(self):
-        H = empirical_H_from_diagonal([0.0, 2.0, 0.0, 2.0], size=4)
+        H = empirical_H_from_diagonal([0.0, 2.0, 0.0, 2.0])
         np.testing.assert_allclose(H.w, 0.25)
         np.testing.assert_allclose(H.lam, [0.0, 4.0, 0.0, 4.0])
 
@@ -154,10 +166,6 @@ class TestJointLimitMeasure:
     def test_empty_diagonal_rejected(self):
         with pytest.raises(InvalidInput):
             empirical_H_from_diagonal([])
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            empirical_H_from_diagonal([1.0, 2.0], size=3)
 
 
 class TestProductH:

@@ -8,8 +8,8 @@ iterate layout.  Both reduced cases discretize exactly:
   total mass, so the atoms of H need not approximate anything, and the
   oracle ``iid_noncentered_f`` solves the same scalar system;
 * with zero offsets, ``centered_profile_k`` on the u grid of
-  ``uniform_H(m)`` with ``quad_count = m`` uses the solver's own nodes
-  (c u_i, then the midpoints of [c, 1]) and weights.
+  ``uniform_H(m)`` uses the solver's own nodes (c u_i, then the m
+  midpoints of [c, 1]) and weights.
 
 The Marchenko-Pastur case (a constant profile with zero offsets) has the
 closed form ``mp_stieltjes``, which carries rounding only.
@@ -81,5 +81,5 @@ def test_zero_offsets_match_centered_profile_k(prof, c, x, log_y):
     H = uniform_H(m)
     z = complex(x, np.exp(log_y))
     rep = solve_with_continuation([z], c, H, prof, QuadratureRule.midpoint(c, m), OPTS)[z]
-    k = centered_profile_k(z, c, prof, H.u, quad_count=m)
+    k = centered_profile_k(z, c, prof, H.u)
     _assert_close(rep.f, complex(k.mean()))
