@@ -1,5 +1,5 @@
-"""Fixed-point solver for the coupled kernel system: Picard iteration,
-Anderson-mixed below the contraction height.
+"""Fixed-point solver for the coupled kernel system: Picard iteration at or
+above the contraction height, Newton on the reduced unknowns below it.
 
 For a ratio ``c = lim N/n`` in (0, 1], a variance profile ``sigma2`` and a
 discrete limit measure ``H`` with atoms ``(u_i, lambda_i, w_i)``, the
@@ -36,15 +36,20 @@ The map G is iterated from the cold start ``s = -num / z``: each weight
 is its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both
 kernels have mass ``-1/z`` and the start lies in the iterate layout.
 Above the contraction height (see :func:`contraction_start_height`) plain
-Picard contracts geometrically in total variation.  Below it the solver
-mixes the iterates with type-II Anderson acceleration (window
-``ANDERSON_WINDOW``, factor ``ANDERSON_BETA``) on the real view of ``s``.
-A mixed iterate with a negative imaginary part in any weight has left the
+Picard contracts geometrically in total variation.  Below it the weights
+depend only on the ``2k`` reduced unknowns ``x = [alpha | beta]``, with
+``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``, and the solver runs
+Newton's method on ``x``: the map is holomorphic in ``x``, and its ``2k x
+2k`` Jacobian has a closed form (:meth:`_Stepper.jacobian`).  A Newton
+solve that fails, most often by converging to a root outside the
+Stieltjes class, hands the budget it left to Picard mixed with type-II
+Anderson acceleration (window ``ANDERSON_WINDOW``, factor
+``ANDERSON_BETA``) on the real view of ``s``, from the same start.  A
+mixed iterate with a negative imaginary part in any weight has left the
 Stieltjes class, so the mixer then drops its history and takes the plain
 step ``s + beta (G(s) - s)``: the damped Picard step, which is also what it
-does with an empty history.  The system has one solution in the Stieltjes
-class, so this is the only iteration policy.  At every height the solve
-stops once the undamped residual ``|G(s) - s|_1`` is at most ``tol`` and
+does with an empty history.  At every height the solve stops once the
+undamped residual ``|G(s) - s|_1`` of weights ``s`` is at most ``tol`` and
 returns ``G(s)``.  A denominator of the map below ``MIN_DENOMINATOR`` in
 magnitude raises :class:`DegenerateDenominator`.
 
@@ -67,7 +72,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, zgesv
 
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
                      check_count, check_range, check_ratio, check_stieltjes, positive_height,
@@ -97,7 +102,9 @@ class SolverOptions:
     A solve stops once the undamped residual ``|G(s) - s|_1`` is at most
     ``tol``; ``max_iters`` bounds the applications of the map in one solve.
     The iteration itself is fixed: undamped Picard when Im(z) is at or
-    above the contraction height, safeguarded Anderson mixing below it.
+    above the contraction height; below it Newton on the reduced unknowns,
+    and safeguarded Anderson mixing, with the budget Newton left, where
+    Newton fails.
     """
 
     tol: float = 1e-12
@@ -112,19 +119,22 @@ class SolverOptions:
 class SolveReport:
     """Converged kernels, their total masses, and the residual history.
 
-    ``iterations``, ``residuals`` and ``restarts`` describe the solve that
-    produced the answer, at the answer's z.  ``iterations`` counts every
-    application of the fixed-point map in it, the cold start and mixed
-    steps included; ``residuals`` has one entry per application after the
-    first iterate.  ``restarts`` counts the times the Anderson mixer
-    cleared its history because a mixed iterate left the Stieltjes class or
-    could not be formed (0 when no mixing ran).
+    ``iterations``, ``residuals``, ``restarts`` and ``newton_steps``
+    describe the iteration that produced the answer, at the answer's z.
+    ``iterations`` counts every application of the fixed-point map in it,
+    the cold start, Newton and mixed steps included; ``residuals`` has one
+    entry per application after the first iterate: the change of the
+    weights, whose last entry is the undamped residual.  ``restarts``
+    counts the times the Anderson mixer cleared its history because a mixed
+    iterate left the Stieltjes class or could not be formed (0 when no
+    mixing ran).  ``newton_steps`` counts the Newton steps (0 when Newton
+    did not produce the answer).
 
     ``total_iterations`` counts every map application behind the answer:
-    the same as ``iterations`` for a direct solve, and for a rescued one
-    also the failed first attempt and every rung of the continuation
-    ladder.  ``rescued`` is True when the first attempt failed and the
-    answer came from the ladder.
+    the same as ``iterations`` for a direct solve, and otherwise also a
+    failed Newton attempt before Anderson, the failed first attempt and
+    every rung of the continuation ladder.  ``rescued`` is True when the
+    first attempt failed and the answer came from the ladder.
     """
 
     pi: ComplexKernel
@@ -136,6 +146,7 @@ class SolveReport:
     restarts: int = 0
     total_iterations: int = 0
     rescued: bool = False
+    newton_steps: int = 0
 
 
 def _contraction_bounds(sigma_max_sq, c, lambda_m1):
@@ -211,9 +222,9 @@ def _weights_from_integrals(z, c, lam, num, A, BC):
     """One application of the fixed-point map given the integrals ``A`` and
     ``BC = [B; C]``; ``num = [w | c w | omega]`` holds the numerators.
 
-    Returns the new weights stacked as ``[p | pa | r]``.  The floor
-    ``MIN_DENOMINATOR`` applies to ``1 + A``, ``1 + c B`` and every
-    denominator, which share one buffer.
+    Returns the new weights stacked as ``[p | pa | r]``, and ``[1 + A | 1 +
+    c B]``.  The floor ``MIN_DENOMINATOR`` applies to ``1 + A``, ``1 + c B``
+    and every denominator, which share one buffer.
     """
     m = lam.size
     buf = np.empty(2 * m + num.size, complex)
@@ -231,18 +242,19 @@ def _weights_from_integrals(z, c, lam, num, A, BC):
     if floor < MIN_DENOMINATOR:
         raise DegenerateDenominator(
             f"denominator magnitude {floor:.3e} below floor {MIN_DENOMINATOR:.3e} at z={z}")
-    return num / den
+    return num / den, one
 
 
-def _real_lowrank(left, right, v):
-    """``left @ (right.T @ v)`` for real thin matrices and a contiguous
-    complex vector, computed on the ``(re, im)`` pairs so nothing is upcast."""
-    return (left @ (right.T @ v.view(np.float64).reshape(-1, 2))).view(complex).ravel()
+def _real_matvec(matrix, v):
+    """``matrix @ v`` for a real matrix and a contiguous complex vector,
+    computed on the ``(re, im)`` pairs so nothing is upcast."""
+    return (matrix @ v.view(np.float64).reshape(-1, 2)).view(complex).ravel()
 
 
 class _Stepper(_System):
-    """The fixed-point map on the stacked iterate of a :class:`_System`,
-    and the system's contraction ``height``.
+    """The fixed-point map on the stacked iterate of a :class:`_System`, its
+    Jacobian in the reduced unknowns, and the system's contraction
+    ``height``.
 
     Holds the profile as the thin factors ``Phi`` (m x k) and ``Psi``
     ((m + q) x k) of the module docstring, so no array it keeps grows like
@@ -260,10 +272,43 @@ class _Stepper(_System):
         return self.step(z, -self.num / z)
 
     def step(self, z, s):
+        return self.weights(z, self.reduce(s))[0]
+
+    def reduce(self, s):
+        """The reduced unknowns ``x = [alpha | beta]`` of the stacked weights
+        ``s``: ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``."""
         m = self.m
-        return _weights_from_integrals(
-            z, self.c, self.H.lam, self.num,
-            _real_lowrank(self.Phi, self.Psi, s[m:]), _real_lowrank(self.Psi, self.Phi, s[:m]))
+        return np.concatenate([_real_matvec(self.Psi.T, s[m:]), _real_matvec(self.Phi.T, s[:m])])
+
+    def weights(self, z, x):
+        """The map at the reduced unknowns ``x``: the weights from ``A = Phi
+        alpha`` and ``[B; C] = Psi beta``, and ``[1 + A | 1 + c B]``."""
+        k = self.Phi.shape[1]
+        return _weights_from_integrals(z, self.c, self.H.lam, self.num,
+                                       _real_matvec(self.Phi, x[:k]),
+                                       _real_matvec(self.Psi, x[k:]))
+
+    def jacobian(self, z, g, one):
+        """The ``2k x 2k`` Jacobian of ``F(x) = reduce(weights(x))`` at the
+        point where :meth:`weights` returned ``(g, one)``.
+
+        Each weight is ``num / den``, so ``dg = -(g^2 / num) dden``, and
+        ``dden`` is diagonal in ``(A, B, C)``.  ``E = dg/dx`` is formed once,
+        (2m + q) x 2k, and reduced by the factors: ``J = [Psi^T E[m:];
+        Phi^T E[:m]]``, O((m + q) k^2) in all.
+        """
+        m, c, lam = self.m, self.c, self.H.lam
+        k = self.Phi.shape[1]
+        h = g * g / self.num
+        E = np.zeros((g.size, 2 * k), complex)
+        # dp/dA = z p^2/w and dp/dB = c lam p^2 / (w (1 + c B)^2)
+        np.multiply((z * h[:m])[:, None], self.Phi, out=E[:m, :k])
+        np.multiply((c * lam * h[:m] / one[m:] ** 2)[:, None], self.Psi[:m], out=E[:m, k:])
+        # dpa/dA = lam pa^2 / (c w (1 + A)^2), dpa/dB = z pa^2/w, dr/dC = z c r^2/omega
+        np.multiply((lam * h[m:2 * m] / one[:m] ** 2)[:, None], self.Phi, out=E[m:2 * m, :k])
+        np.multiply((z * c * h[m:])[:, None], self.Psi, out=E[m:, k:])
+        return np.concatenate([self.Psi.T @ E[m:].view(np.float64),
+                               self.Phi.T @ E[:m].view(np.float64)]).view(complex)
 
 
 def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
@@ -280,7 +325,7 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
     m = system.m
     sig = np.asarray(profile.evaluate(H.u[:, None], system.tilde_t[None, :]))
     return system.pack(_weights_from_integrals(z, system.c, H.lam, system.num,
-                                               sig @ s[m:], sig.T @ s[:m]))
+                                               sig @ s[m:], sig.T @ s[:m])[0])
 
 
 class _Anderson:
@@ -342,15 +387,29 @@ class _Anderson:
 _SOLVE_FAILURES = (NoConvergence, DegenerateDenominator, NumericalFailure)
 
 
-def _solve(z, stepper, opts, start):
-    """One solve at ``z`` from the stacked iterate ``start``, or from the
-    cold start when it is None.  Returns the report and the converged
-    stacked iterate.  A failure carries the map applications it spent as
-    ``exc.iterations``."""
-    z = complex(z)
-    mixer = (_Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA)
-             if z.imag < stepper.height else None)
+def _no_convergence(z, iterations, residuals, opts):
+    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
+    return NoConvergence(f"no convergence at z={z} after {iterations} iterations, "
+                         f"last residual {last}, tol {opts.tol:.1e}")
+
+
+def _answer(z, stepper, g, residuals, iterations, **counts):
+    """The report of a converged solve whose last map application gave the
+    weights ``g``, once they pass the Stieltjes-class rule."""
+    check_stieltjes(z, g, stepper.num)
     m = stepper.m
+    pi, pi_tilde = stepper.pack(g)
+    return SolveReport(pi, pi_tilde, complex(g[:m].sum()), complex(g[m:].sum()), residuals,
+                       iterations, **counts), g
+
+
+def _iterate(z, stepper, opts, start, mixer, spent=0):
+    """Picard iteration from the stacked iterate ``start`` (the cold start
+    when None), Anderson-mixed by ``mixer`` unless it is None, within the
+    budget ``opts.max_iters`` less the ``spent`` map applications of a
+    failed attempt before it.  Returns the report and the converged stacked
+    iterate.  A failure carries ``spent`` plus the map applications it
+    spent as ``exc.iterations``."""
     residuals = []
     iterations = 0
     try:
@@ -359,26 +418,96 @@ def _solve(z, stepper, opts, start):
             s = stepper.cold(z)
         else:
             s = start
-        while iterations < opts.max_iters:
+        while spent + iterations < opts.max_iters:
             iterations += 1
             g = stepper.step(z, s)
             r = g - s
             res = float(np.abs(r).sum())
             residuals.append(res)
             if res <= opts.tol:
-                check_stieltjes(z, g, stepper.num)
-                pi, pi_tilde = stepper.pack(g)
-                restarts = 0 if mixer is None else mixer.restarts
-                return SolveReport(pi, pi_tilde, complex(g[:m].sum()), complex(g[m:].sum()),
-                                   residuals, iterations, restarts, total_iterations=iterations), g
+                return _answer(z, stepper, g, residuals, iterations,
+                               restarts=0 if mixer is None else mixer.restarts,
+                               total_iterations=spent + iterations)
             s = g if mixer is None else mixer.next(s, r)
-        last = f"{residuals[-1]:.3e}" if residuals else "n/a"
-        raise NoConvergence(
-            f"no convergence at z={z} after {iterations} iterations, "
-            f"last residual {last}, tol {opts.tol:.1e}")
+        raise _no_convergence(z, spent + iterations, residuals, opts)
+    except _SOLVE_FAILURES as exc:
+        exc.iterations = spent + iterations
+        raise
+
+
+def _newton(z, stepper, opts, start):
+    """Newton's method on the reduced unknowns ``x = [alpha | beta]`` from
+    the stacked iterate ``start`` (the cold start when None).
+
+    Each map application at ``x`` gives the weights ``g`` and ``F(x)``, the
+    reduced unknowns of ``g``; the next ``x`` solves ``(J - I) (x_new - x)
+    = F(x) - x``.  The change of the weights from one application to the
+    next is the residual history.  Once the last two Newton steps predict,
+    at quadratic convergence, a next change of at most ``tol``, the next
+    application is the plain step ``x = F(x)``: its change is the undamped
+    residual ``|G(s) - s|_1`` of the weights ``s``, and at most ``tol`` it
+    ends the solve; otherwise Newton goes on from there.
+
+    A singular system or weights that are not finite fail the solve with
+    :class:`NumericalFailure`; so does a converged answer outside the
+    Stieltjes class.  Returns the report and the converged stacked iterate;
+    a failure carries its map applications as ``exc.iterations``."""
+    prev = start
+    x = stepper.reduce(-stepper.num / z if start is None else start)
+    eye = np.eye(x.size)
+    residuals = []
+    iterations = steps = 0
+    plain = True                   # x = F(prev): this change is prev's residual
+    moved = last = math.inf        # weight changes of the last two Newton steps
+    try:
+        while iterations < opts.max_iters:
+            g, one = stepper.weights(z, x)
+            iterations += 1
+            if prev is not None:
+                change = float(np.abs(g - prev).sum())
+                residuals.append(change)
+                if plain and change <= opts.tol:
+                    return _answer(z, stepper, g, residuals, iterations, newton_steps=steps,
+                                   total_iterations=iterations)
+                if not change < math.inf:
+                    raise NumericalFailure(f"Newton weights not finite at z={z}")
+                if not plain:
+                    last, moved = moved, change
+            y = stepper.reduce(g)
+            plain = not plain and moved < last < math.inf and moved ** 3 <= opts.tol * last ** 2
+            if plain:
+                x = y
+            else:
+                delta, info = zgesv(stepper.jacobian(z, g, one) - eye, x - y)[2:]
+                if info != 0:
+                    raise NumericalFailure(f"singular Newton system at z={z}")
+                x = x + delta
+                steps += 1
+            prev = g
+        raise _no_convergence(z, iterations, residuals, opts)
     except _SOLVE_FAILURES as exc:
         exc.iterations = iterations
         raise
+
+
+def _solve(z, stepper, opts, start):
+    """One solve at ``z`` from the stacked iterate ``start``, or from the
+    cold start when it is None: plain Picard at or above the contraction
+    height; below it Newton, and where Newton fails, Anderson-mixed Picard
+    from the same start with the budget Newton left.  Returns the report
+    and the converged stacked iterate.  A failure carries the map
+    applications it spent as ``exc.iterations``."""
+    z = complex(z)
+    if z.imag >= stepper.height:
+        return _iterate(z, stepper, opts, start, None)
+    try:
+        return _newton(z, stepper, opts, start)
+    except _SOLVE_FAILURES as exc:
+        if exc.iterations >= opts.max_iters:
+            raise
+        spent = exc.iterations
+    return _iterate(z, stepper, opts, start,
+                    _Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA), spent)
 
 
 def solve_master(z, c, H, profile, quad, opts=None, initial=None):
@@ -430,7 +559,7 @@ def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
             report, s = _solve(complex(z.real, y), stepper, opts, s)
         except _SOLVE_FAILURES as exc:
             raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
-        spent += report.iterations
+        spent += report.total_iterations
     report.total_iterations = spent
     report.rescued = True
     return report, s

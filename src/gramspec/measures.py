@@ -257,7 +257,7 @@ class QuadratureRule:
         self.weights = weights
 
     @classmethod
-    def midpoint(cls, lower, count=256):
+    def midpoint(cls, lower, count):
         lower = check_ratio(lower, "lower endpoint")
         check_count(count, "count", 1)
         if lower == 1.0:

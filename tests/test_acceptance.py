@@ -109,7 +109,7 @@ def test_criterion_03_centered_profile_oracle_equivalence(profile_solves):
 def test_criterion_04_degenerate_profile_exactness():
     H = uniform_H(128, lam=1.0)
     prof = VarianceProfile.constant(0.0)
-    quad = QuadratureRule.midpoint(1.0)
+    quad = QuadratureRule.midpoint(1.0, 256)
     worst = 0.0
     for z in Z_GRID:
         rep = solve_master(z, 1.0, H, prof, quad)

@@ -228,7 +228,7 @@ class TestQuadratureRule:
         assert quad.nodes[0] > c and quad.nodes[-1] < 1
 
     def test_degenerate_at_c_equal_one(self):
-        quad = QuadratureRule.midpoint(1.0)
+        quad = QuadratureRule.midpoint(1.0, 256)
         assert len(quad) == 0
         assert quad.weights.sum() == 0.0
 

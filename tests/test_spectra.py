@@ -29,7 +29,7 @@ class TestStieltjesPair:
     def test_degenerate_profile_residual_zero(self):
         H = uniform_H(32, lam=1.0)
         prof = VarianceProfile.constant(0.0)
-        quad = QuadratureRule.midpoint(1.0)
+        quad = QuadratureRule.midpoint(1.0, 256)
         rep = solve_with_continuation([1j], 1.0, H, prof, quad)[1j]
         f, ft, resid = stieltjes_pair(rep, 1.0, 1j)
         assert f == pytest.approx(0.5 + 0.5j, abs=1e-13)
@@ -65,7 +65,7 @@ class TestDensityFromStieltjes:
     def test_values_nonnegative_from_solver(self):
         H = uniform_H(32)
         prof = VarianceProfile.constant(1.0)
-        quad = QuadratureRule.midpoint(1.0)
+        quad = QuadratureRule.midpoint(1.0, 256)
         opts = SolverOptions(tol=1e-9, max_iters=40000)
         curve = limit_density(H, prof, quad, 1.0, np.linspace(0, 4.8, 40),
                               5e-3, opts)
