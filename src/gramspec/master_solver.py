@@ -40,18 +40,11 @@ Picard contracts geometrically in total variation.  Below it the weights
 depend only on the ``2k`` reduced unknowns ``x = [alpha | beta]``, with
 ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``, and the solver runs
 Newton's method on ``x``: the map is holomorphic in ``x``, and its ``2k x
-2k`` Jacobian has a closed form (:meth:`_Stepper.jacobian`).  A Newton
-solve that fails, most often by converging to a root outside the
-Stieltjes class, hands the budget it left to Picard mixed with type-II
-Anderson acceleration (window ``ANDERSON_WINDOW``, factor
-``ANDERSON_BETA``) on the real view of ``s``, from the same start.  A
-mixed iterate with a negative imaginary part in any weight has left the
-Stieltjes class, so the mixer then drops its history and takes the plain
-step ``s + beta (G(s) - s)``: the damped Picard step, which is also what it
-does with an empty history.  At every height the solve stops once the
-undamped residual ``|G(s) - s|_1`` of weights ``s`` is at most ``tol`` and
-returns ``G(s)``.  A denominator of the map below ``MIN_DENOMINATOR`` in
-magnitude raises :class:`DegenerateDenominator`.
+2k`` Jacobian has a closed form (:meth:`_Stepper.jacobian`).  At every
+height the solve stops once the undamped residual ``|G(s) - s|_1`` of
+weights ``s`` is at most ``tol`` and returns ``G(s)``.  A denominator of
+the map below ``MIN_DENOMINATOR`` in magnitude raises
+:class:`DegenerateDenominator`.
 
 A converged ``G(s)`` must lie in the Stieltjes class weight by weight
 (:func:`~gramspec.errors.check_stieltjes`): each weight ``s_k`` with
@@ -62,17 +55,22 @@ each kernel's numerators sum to 1, so the weights' rules imply the same
 rules on the masses with numerator 1, up to rounding.
 
 Each target is solved once, straight from the cold start at the target (or
-from a neighbour's iterate along a line).  Only when that solve fails does
-the imaginary-axis continuation ladder run: down from the contraction
-height by a constant factor, each rung warm-started from the one above,
-solved to full ``tol``.  The contraction argument makes its top rung safe.
+from a neighbour's or a caller's iterate).  Only when that solve fails,
+most often because Newton converged to a root outside the Stieltjes
+class, does the rescue run: a ladder down the imaginary axis whose top
+rung is a cold solve at the contraction height, where the contraction
+argument makes plain Picard safe.  From each solved rung the ladder tries
+the target itself, warm-started; a failed attempt is retried halfway (in
+log height) back to the last solved rung, and the rescue gives up once a
+failed attempt was within the factor ``LADDER_FACTOR`` of that rung.
+Every rung is one solve to full ``tol``.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv, zgesv
+from scipy.linalg.lapack import zgesv
 
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
                      check_count, check_range, check_ratio, check_stieltjes, positive_height,
@@ -87,11 +85,8 @@ __all__ = [
 
 # smallest magnitude a denominator of the map may take
 MIN_DENOMINATOR = 1e-14
-# Anderson mixing below the contraction height: differences kept, and the
-# factor on the residual in the mixed step
-ANDERSON_WINDOW = 6
-ANDERSON_BETA = 0.5
-# factor by which the continuation ladder lowers Im z from rung to rung
+# finest step of the rescue ladder: it gives up once a failed attempt was at
+# least this fraction of the last solved height
 LADDER_FACTOR = 0.7
 
 
@@ -102,9 +97,9 @@ class SolverOptions:
     A solve stops once the undamped residual ``|G(s) - s|_1`` is at most
     ``tol``; ``max_iters`` bounds the applications of the map in one solve.
     The iteration itself is fixed: undamped Picard when Im(z) is at or
-    above the contraction height; below it Newton on the reduced unknowns,
-    and safeguarded Anderson mixing, with the budget Newton left, where
-    Newton fails.
+    above the contraction height, Newton on the reduced unknowns below it.
+    A failed solve is rescued by a ladder of such solves down the imaginary
+    axis, each with its own budget (see :func:`solve_with_continuation`).
     """
 
     tol: float = 1e-12
@@ -119,22 +114,19 @@ class SolverOptions:
 class SolveReport:
     """Converged kernels, their total masses, and the residual history.
 
-    ``iterations``, ``residuals``, ``restarts`` and ``newton_steps``
-    describe the iteration that produced the answer, at the answer's z.
-    ``iterations`` counts every application of the fixed-point map in it,
-    the cold start, Newton and mixed steps included; ``residuals`` has one
-    entry per application after the first iterate: the change of the
-    weights, whose last entry is the undamped residual.  ``restarts``
-    counts the times the Anderson mixer cleared its history because a mixed
-    iterate left the Stieltjes class or could not be formed (0 when no
-    mixing ran).  ``newton_steps`` counts the Newton steps (0 when Newton
-    did not produce the answer).
+    ``iterations``, ``residuals`` and ``newton_steps`` describe the
+    iteration that produced the answer, at the answer's z.  ``iterations``
+    counts every application of the fixed-point map in it, the cold start
+    and Newton steps included; ``residuals`` has one entry per application
+    after the first iterate: the change of the weights, whose last entry is
+    the undamped residual.  ``newton_steps`` counts the Newton steps (0
+    above the contraction height, where Picard produced the answer).
 
     ``total_iterations`` counts every map application behind the answer:
-    the same as ``iterations`` for a direct solve, and otherwise also a
-    failed Newton attempt before Anderson, the failed first attempt and
-    every rung of the continuation ladder.  ``rescued`` is True when the
-    first attempt failed and the answer came from the ladder.
+    the same as ``iterations`` for a direct solve, and otherwise also the
+    failed first attempt and every attempt of the rescue ladder, failed
+    ones included.  ``rescued`` is True when the first attempt failed and
+    the answer came from the ladder.
     """
 
     pi: ComplexKernel
@@ -143,7 +135,6 @@ class SolveReport:
     f_tilde: complex
     residuals: list = field(default_factory=list)
     iterations: int = 0
-    restarts: int = 0
     total_iterations: int = 0
     rescued: bool = False
     newton_steps: int = 0
@@ -328,62 +319,6 @@ def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
                                                sig @ s[m:], sig.T @ s[:m])[0])
 
 
-class _Anderson:
-    """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
-    on the float64 view of the stacked iterate.
-
-    Given an iterate ``x`` and its residual ``f = G(x) - x``, :meth:`next`
-    returns ``x + beta f - (dX + beta dF)^T gamma``.  The rows of ``dX`` and
-    ``dF`` are the last ``window`` differences of iterates and residuals,
-    and ``gamma`` minimizes ``|f - dF^T gamma|_2``, solved through the
-    ``j x j`` Gram matrix ``dF dF^T``.  ``dF`` and ``dX + beta dF`` live in
-    two preallocated ``(window, 2 len(x))`` ring buffers.
-
-    A mixed iterate with a negative imaginary part in any weight has left
-    the Stieltjes class.  It is rejected: the history is cleared, the
-    restart counted, and the plain step ``x + beta f`` taken instead.  A
-    Gram matrix that is not numerically positive definite restarts the same
-    way.  With an empty history the plain step is the damped Picard step.
-    """
-
-    def __init__(self, size, window, beta):
-        self.beta = beta
-        self.df = np.empty((window, 2 * size))
-        self.dg = np.empty((window, 2 * size))     # dX + beta dF
-        self.gram = np.empty((window, window))
-        self.prev = None     # the last (x, f), kept by reference
-        self.count = 0       # stored differences, in ring slots [0, count)
-        self.slot = 0        # ring slot of the next difference
-        self.restarts = 0
-
-    def next(self, s, f):
-        x = s.view(np.float64)
-        f = f.view(np.float64)
-        if self.prev is not None:
-            window = len(self.df)
-            k = self.slot
-            np.subtract(f, self.prev[1], out=self.df[k])
-            np.subtract(x, self.prev[0], out=self.dg[k])
-            self.dg[k] += self.beta * self.df[k]
-            self.count = min(self.count + 1, window)
-            self.slot = (k + 1) % window
-            row = self.df[:self.count] @ self.df[k]
-            self.gram[k, :self.count] = row
-            self.gram[:self.count, k] = row
-        self.prev = (x, f)
-        plain = x + self.beta * f
-        j = self.count
-        if j:
-            _, gamma, info = dposv(self.gram[:j, :j], self.df[:j] @ f)
-            if info == 0:
-                mixed = plain - gamma @ self.dg[:j]
-                if mixed[1::2].min() >= 0.0:
-                    return mixed.view(complex)
-            self.count = self.slot = 0
-            self.restarts += 1
-        return plain.view(complex)
-
-
 _SOLVE_FAILURES = (NoConvergence, DegenerateDenominator, NumericalFailure)
 
 
@@ -403,13 +338,10 @@ def _answer(z, stepper, g, residuals, iterations, **counts):
                        iterations, **counts), g
 
 
-def _iterate(z, stepper, opts, start, mixer, spent=0):
+def _iterate(z, stepper, opts, start):
     """Picard iteration from the stacked iterate ``start`` (the cold start
-    when None), Anderson-mixed by ``mixer`` unless it is None, within the
-    budget ``opts.max_iters`` less the ``spent`` map applications of a
-    failed attempt before it.  Returns the report and the converged stacked
-    iterate.  A failure carries ``spent`` plus the map applications it
-    spent as ``exc.iterations``."""
+    when None).  Returns the report and the converged stacked iterate.  A
+    failure carries the map applications it spent as ``exc.iterations``."""
     residuals = []
     iterations = 0
     try:
@@ -418,20 +350,18 @@ def _iterate(z, stepper, opts, start, mixer, spent=0):
             s = stepper.cold(z)
         else:
             s = start
-        while spent + iterations < opts.max_iters:
+        while iterations < opts.max_iters:
             iterations += 1
             g = stepper.step(z, s)
-            r = g - s
-            res = float(np.abs(r).sum())
+            res = float(np.abs(g - s).sum())
             residuals.append(res)
             if res <= opts.tol:
                 return _answer(z, stepper, g, residuals, iterations,
-                               restarts=0 if mixer is None else mixer.restarts,
-                               total_iterations=spent + iterations)
-            s = g if mixer is None else mixer.next(s, r)
-        raise _no_convergence(z, spent + iterations, residuals, opts)
+                               total_iterations=iterations)
+            s = g
+        raise _no_convergence(z, iterations, residuals, opts)
     except _SOLVE_FAILURES as exc:
-        exc.iterations = spent + iterations
+        exc.iterations = iterations
         raise
 
 
@@ -493,76 +423,75 @@ def _newton(z, stepper, opts, start):
 def _solve(z, stepper, opts, start):
     """One solve at ``z`` from the stacked iterate ``start``, or from the
     cold start when it is None: plain Picard at or above the contraction
-    height; below it Newton, and where Newton fails, Anderson-mixed Picard
-    from the same start with the budget Newton left.  Returns the report
-    and the converged stacked iterate.  A failure carries the map
-    applications it spent as ``exc.iterations``."""
+    height, Newton below it.  Returns the report and the converged stacked
+    iterate.  A failure carries the map applications it spent as
+    ``exc.iterations``."""
     z = complex(z)
     if z.imag >= stepper.height:
-        return _iterate(z, stepper, opts, start, None)
+        return _iterate(z, stepper, opts, start)
+    return _newton(z, stepper, opts, start)
+
+
+def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
+    """Solve at ``z`` once from ``start`` (the cold start when None); if that
+    fails, rescue it with a step-controlled ladder down the imaginary axis.
+
+    The top rung, at ``max(y_from, Im z)``, starts cold.  From each solved
+    rung the next attempt goes straight to ``Im z``, warm-started from that
+    rung; a failed attempt is retried at the geometric mean of its height
+    and the last solved one.  Returns the report and its stacked iterate,
+    whose ``total_iterations`` counts every attempt, failed ones included.
+    Once a failed attempt was at least ``factor`` times the last solved
+    height (or was the top rung), the rescue re-raises its error type with
+    ``where`` and the attempt's height added.
+    """
     try:
-        return _newton(z, stepper, opts, start)
+        return _solve(z, stepper, opts, start)
     except _SOLVE_FAILURES as exc:
-        if exc.iterations >= opts.max_iters:
-            raise
         spent = exc.iterations
-    return _iterate(z, stepper, opts, start,
-                    _Anderson(stepper.num.size, ANDERSON_WINDOW, ANDERSON_BETA), spent)
+        y = max(y_from, z.imag)
+        if start is None and y == z.imag:
+            # the top rung would repeat this very solve
+            raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
+    solved = start = None        # the last solved height, and its iterate
+    while True:
+        try:
+            report, s = _solve(complex(z.real, y), stepper, opts, start)
+        except _SOLVE_FAILURES as exc:
+            if solved is None or y >= factor * solved:
+                raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
+            spent += exc.iterations
+            y = math.sqrt(y * solved)
+            continue
+        spent += report.total_iterations
+        if y == z.imag:
+            break
+        solved, start, y = y, s, z.imag
+    report.total_iterations = spent
+    report.rescued = True
+    return report, s
 
 
 def solve_master(z, c, H, profile, quad, opts=None, initial=None):
     """Solve the coupled system at one z in the upper half plane.
 
     ``initial`` optionally warm-starts the iteration from a (pi, pi_tilde)
-    pair in the iterate layout, e.g. the kernels of a neighbouring solve.
-    Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
-    is the quadrature on [c, 1], :class:`NoConvergence` when the iteration
-    budget runs out, :class:`DegenerateDenominator` on numerical breakdown
-    and :class:`NumericalFailure` when the answer leaves the Stieltjes class.
+    pair in the iterate layout, e.g. the kernels of a neighbouring solve;
+    without it the solve starts cold at z.  If that solve fails, the rescue
+    ladder of :func:`solve_with_continuation` runs from the contraction
+    height, and its report has ``rescued`` set.  Raises
+    :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad`` is the
+    quadrature on [c, 1].  A failed rescue raises :class:`NoConvergence`
+    when the iteration budget runs out, :class:`DegenerateDenominator` on
+    numerical breakdown and :class:`NumericalFailure` when the answer
+    leaves the Stieltjes class, each with z and the rung height added.
     """
     z = upper_half_plane(z)
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     start = None if initial is None else stepper.unpack(*initial)
-    return _solve(z, stepper, opts, start)[0]
-
-
-def _rungs(y_from, y_to, factor):
-    """Heights from max(y_from, y_to) down to y_to, shrinking by ``factor``."""
-    rungs = [max(y_from, y_to)]
-    while rungs[-1] > y_to * (1 + 1e-12):
-        rungs.append(max(y_to, factor * rungs[-1]))
-    return rungs
-
-
-def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
-    """Solve at ``z`` once from ``start`` (the cold start when None); if that
-    fails, rescue it with the continuation ladder ``_rungs(y_from, Im z,
-    factor)``, the top rung cold and each further rung warm-started from
-    the one above.
-
-    Returns the report and its stacked iterate.  A failed rung re-raises its
-    own error type with ``where`` and the rung height added.
-    """
-    try:
-        return _solve(z, stepper, opts, start)
-    except _SOLVE_FAILURES as exc:
-        spent = exc.iterations
-        rungs = _rungs(y_from, z.imag, factor)
-        if start is None and len(rungs) == 1:
-            # the ladder would repeat this very solve
-            raise type(exc)(
-                f"{where}: rung Im={rungs[0]:.6g} failed: {exc}") from exc
-    s = None
-    for y in rungs:
-        try:
-            report, s = _solve(complex(z.real, y), stepper, opts, s)
-        except _SOLVE_FAILURES as exc:
-            raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
-        spent += report.total_iterations
-    report.total_iterations = spent
-    report.rescued = True
-    return report, s
+    return _solve_or_climb(z, stepper, opts, start, stepper.height, LADDER_FACTOR,
+                           f"target z={z}")[0]
 
 
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
@@ -571,15 +500,18 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     where a direct solve fails.
 
     Each target is first solved from the cold start at the target.  If that
-    fails, it is solved at Im(z) = max(y_start, Im z), ``y_start`` (finite
-    and > 0) being the contraction height by default, and the height is
-    then reduced geometrically by ``factor``, warm-starting every rung from
-    the previous one, until the target is reached; its report has
-    ``rescued`` set.
-    Returns a dict mapping each target z to its SolveReport.  A failed rung
-    re-raises its error type with the target and the rung height added.
-    Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
-    is the quadrature on [c, 1].
+    fails, the rescue ladder solves it cold at Im(z) = max(y_start, Im z),
+    ``y_start`` (finite and > 0) being the contraction height by default,
+    then tries the target warm-started from there.  A failed attempt is
+    retried at the geometric mean of its height and the last solved one,
+    and every solved rung is the warm start of a new attempt at the target;
+    the report of a rescued target has ``rescued`` set.  ``factor`` in
+    (0, 1) is the finest step the rescue tries: once a failed attempt was
+    at least ``factor`` times the last solved height, the rescue gives up.
+    Returns a dict mapping each target z to its SolveReport.  A failed
+    rescue re-raises its error type with the target and the rung height
+    added.  Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and
+    ``quad`` is the quadrature on [c, 1].
     """
     targets = [upper_half_plane(zt, "target") for zt in z_targets]
     if not 0 < factor < 1:
@@ -599,9 +531,9 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
 
     Points where the warm-started solve fails (no convergence, a degenerate
     denominator, or an answer that fails its checks) are rescued by the
-    continuation ladder from the contraction height down to epsilon by
-    ``LADDER_FACTOR``; a failed rescue re-raises its error type with x and
-    the rung height added.  Returns the list of SolveReports in x order.
+    ladder of :func:`solve_with_continuation` from the contraction height,
+    with the finest step ``LADDER_FACTOR``; a failed rescue re-raises its
+    error type with x and the rung height added.  Returns the list of SolveReports in x order.
     Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
     is the quadrature on [c, 1].
     """

@@ -83,6 +83,26 @@ class TestSolveCommand:
             assert int(row["total_iters"]) == int(row["iters"]) > 0
             assert row["rescued"] == "0"
 
+    def test_rescued_row_counts_every_attempt(self, tmp_path):
+        # the zgrid benchmark's system: from the cold start at 2.37+0.021i
+        # Newton converges outside the Stieltjes class, and the ladder serves it
+        cfg = write_config(tmp_path, {
+            "c": 0.5,
+            "profile": {"kind": "separable", "g_values": [0.5, 1.0, 1.5],
+                        "h_values": [1.5, 1.0, 0.5]},
+            "H": {"type": "product", "h_lambda": [[0.0, 0.5], [0.5, 0.3], [2.0, 0.2]],
+                  "M": 64},
+            "quadrature_nodes": 64,
+            "z_grid": [[2.37, 0.021], [1.9, 0.06]],
+            "solver": {"tol": 1e-10, "max_iters": 60000},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        direct, rescued = read_rows(out / "solve.csv")
+        assert direct["rescued"] == "0" and rescued["rescued"] == "1"
+        assert int(direct["total_iters"]) == int(direct["iters"]) > 0
+        assert int(rescued["total_iters"]) > int(rescued["iters"]) > 0
+
     def test_zero_threads_exits_2_before_creating_out(self, tmp_path, capsys):
         no_profile = {k: v for k, v in MP_SOLVE.items() if k != "profile"}
         ensemble = SIM_BASE["ensemble"]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gramspec import master_solver
 from gramspec.closed_forms import mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
                              NumericalFailure, check_stieltjes, stieltjes_limits)
-from gramspec.master_solver import (LADDER_FACTOR, SolverOptions, _Stepper, _rungs,
+from gramspec.master_solver import (LADDER_FACTOR, SolverOptions, _Stepper,
                                     contraction_start_height,
                                     init_kernels, picard_step, solve_master,
                                     solve_with_continuation, sweep_line,
@@ -393,20 +393,14 @@ class TestContinuation:
         eps = 0.05
         target = complex(1.0, eps)
         opts = SolverOptions(tol=1e-11, max_iters=50000)
-        forced = []
-
-        def fail_first_attempt_at_target(z, s, num):
-            # the first attempt checks Newton's answer, then its Anderson rescue's
-            if z == target and len(forced) < 2:
-                forced.append(z)
-                raise NumericalFailure(f"forced failure at z={z}")
-            check_stieltjes(z, s, num)
-
-        monkeypatch.setattr(master_solver, "check_stieltjes", fail_first_attempt_at_target)
+        # the first check at the target rejects the answer warm-started from
+        # the left neighbour, the second the rescue's first attempt at the
+        # target, warm-started from the top rung
+        forced = fail_first_checks(monkeypatch, target, 2)
         reports = sweep_line([0.5, 1.0, 1.5], eps, 1.0, H, prof, quad, opts)
         assert forced == [target, target]
         assert reports[1].rescued
-        # the rescue is the continuation ladder from the contraction height
+        # the rescue climbs down from the contraction height
         ladder = ladder_reference(target, 1.0, H, prof, quad, opts)[-1]
         assert abs(reports[1].f - ladder.f) <= 1e-12
         ref = solve_with_continuation([target], 1.0, H, prof, quad,
@@ -414,103 +408,69 @@ class TestContinuation:
         assert abs(reports[1].f - ref.f) <= 10 * opts.tol
 
 
-def density_system():
-    """The small ``density`` benchmark system: the 1 + xy profile, offsets
-    lambda^2 in {0, 1} at weight 1/2 each, 32 atoms and nodes, c = 1/2, and
-    24 x points at Im z = 1e-3, far below the contraction height."""
-    prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
-    H = product_H([(0.0, 0.5), (1.0, 0.5)], 32)
-    quad = QuadratureRule.midpoint(0.5, 32)
-    xs = default_x_grid(prof, H, 0.5, points=24)
-    return H, prof, quad, xs, 1e-3
+def zgrid_system(m):
+    """The separable profile, offset law and quadrature of the zgrid
+    benchmark, with m atoms and m nodes at c = 1/2."""
+    prof = VarianceProfile.separable([0.5, 1.0, 1.5], [1.5, 1.0, 0.5])
+    H = product_H([(0.0, 0.5), (0.5, 0.3), (2.0, 0.2)], m)
+    return prof, H, QuadratureRule.midpoint(0.5, m)
 
 
-@pytest.fixture(scope="module")
-def density_reference():
-    """Damped Picard, ``s <- G(s)/2 + s/2``, along the small density sweep,
-    each x warm-started from the last and stopped once the damped step is
-    at most 1e-14: a reference that shares the map but not the Anderson
-    mixing with the solver."""
-    H, prof, quad, xs, eps = density_system()
-    stepper = _Stepper(H, prof, quad, 0.5)
-    damping = 0.5
-    f, s = [], None
-    for x in xs:
-        z = complex(x, eps)
-        s = stepper.cold(z) if s is None else s
-        for _ in range(60000):
-            g = damping * stepper.step(z, s) + (1.0 - damping) * s
-            step = float(np.abs(g - s).sum())
-            s = g
-            if step <= 1e-14:
-                break
-        else:
-            raise AssertionError(f"damped reference did not converge at z={z}")
-        f.append(complex(s[:stepper.m].sum()))
-    return np.array(f)
+# targets spread like the zgrid benchmark's grid, all solved by cold Newton,
+# and a target where cold Newton converges outside the Stieltjes class
+ZGRID_TARGETS = [complex(x, y) for y in (0.06, 0.6) for x in (0.3, 1.9, 3.6, 5.2)]
+ZGRID_OUTSIDE = 2.37 + 0.021j
 
 
-def fail_newton(monkeypatch):
-    """Make Newton fail at once below the contraction height, so every solve
-    there is served by its Anderson rescue from the same start."""
-    def fail(z, stepper, opts, start):
-        exc = NumericalFailure(f"forced Newton failure at z={z}")
-        exc.iterations = 0
-        raise exc
-
-    monkeypatch.setattr(master_solver, "_newton", fail)
-
-
-@pytest.fixture
-def newton_fails(monkeypatch):
-    fail_newton(monkeypatch)
+def solve_alone(entry, z, c, H, prof, quad, opts=None):
+    """The report at ``z`` from the entry point named ``entry``, called with
+    z as its only target."""
+    if entry == "solve_master":
+        return solve_master(z, c, H, prof, quad, opts)
+    if entry == "sweep_line":
+        return sweep_line([z.real], z.imag, c, H, prof, quad, opts)[0]
+    return solve_with_continuation([z], c, H, prof, quad, opts)[z]
 
 
-@pytest.mark.usefixtures("newton_fails")
-class TestAndersonBelowHeight:
-    """Anderson mixing, driven as the rescue of a failed Newton solve."""
+def fail_first_checks(patch, target, count):
+    """Make the first ``count`` Stieltjes checks of answers at ``target``
+    fail, so each of those solves fails after all its map applications.
+    Returns the list of forced failures."""
+    forced = []
 
-    @pytest.mark.parametrize("window", range(3, 9))
-    def test_window_stays_in_stieltjes_class(self, monkeypatch, window,
-                                             density_reference):
-        # chained warm starts without sweep_line, so no rescue can hide a
-        # solve that left the Stieltjes class
-        monkeypatch.setattr(master_solver, "ANDERSON_WINDOW", window)
-        H, prof, quad, xs, eps = density_system()
-        opts = SolverOptions(tol=1e-9, max_iters=60000)
-        state = None
-        for x, ref in zip(xs, density_reference):
-            rep = solve_master(complex(x, eps), 0.5, H, prof, quad, opts, state)
-            assert rep.f.imag >= 0
-            assert min(rep.pi.weights.imag.min(), rep.pi_tilde.weights.imag.min()) >= 0
-            assert abs(rep.f - ref) <= 10 * opts.tol
-            state = (rep.pi, rep.pi_tilde)
+    def check(z, s, num):
+        if z == target and len(forced) < count:
+            forced.append(z)
+            raise NumericalFailure(f"forced failure at z={z}")
+        check_stieltjes(z, s, num)
 
-    def test_error_within_ten_tolerances(self, density_reference):
-        H, prof, quad, xs, eps = density_system()
-        assert eps < contraction_start_height(prof.sigma_max_sq, 0.5, lambda_moment(H))
-        opts = SolverOptions(tol=1e-9, max_iters=60000)
-        reports = sweep_line(xs, eps, 0.5, H, prof, quad, opts)
-        f = np.array([rep.f for rep in reports])
-        assert np.max(np.abs(f - density_reference)) <= 10 * opts.tol
-        # the safeguard fires on this sweep, and its restarts are reported
-        assert sum(rep.restarts for rep in reports) > 0
+    patch.setattr(master_solver, "check_stieltjes", check)
+    return forced
 
-    def test_iterations_count_every_map_application(self):
-        H = uniform_H(16)
-        prof = VarianceProfile.constant(1.0)
-        quad = QuadratureRule.midpoint(1.0, 16)
-        z = 0.5 + 0.5j       # below the contraction height 6
-        rep = solve_master(z, 1.0, H, prof, quad)
-        assert rep.iterations == len(rep.residuals) + 1   # + the cold start
-        for budget in (3, 7):
-            with pytest.raises(NoConvergence, match=f"after {budget} iterations"):
-                solve_master(z, 1.0, H, prof, quad, SolverOptions(max_iters=budget))
+
+def record_attempts(patch):
+    """Wrap ``_solve`` so that every solve attempt is recorded as ``(Im z,
+    map applications spent, converged)``.  Returns the list of attempts."""
+    solve = master_solver._solve
+    attempts = []
+
+    def recorded(z, stepper, opts, start):
+        try:
+            report, s = solve(z, stepper, opts, start)
+        except master_solver._SOLVE_FAILURES as exc:
+            attempts.append((z.imag, exc.iterations, False))
+            raise
+        attempts.append((z.imag, report.total_iterations, True))
+        return report, s
+
+    patch.setattr(master_solver, "_solve", recorded)
+    return attempts
 
 
 class TestNewtonBelowHeight:
     """Newton on the reduced unknowns (alpha, beta) below the contraction
-    height, with Anderson from the same start as its rescue."""
+    height, the only iteration there; a failed Newton solve is rescued by
+    the ladder of Newton solves."""
 
     @pytest.mark.parametrize("kind", ["constant", "separable", "bilinear 4x4", "blocks"])
     @pytest.mark.parametrize("c", [0.5, 1.0])
@@ -550,10 +510,10 @@ class TestNewtonBelowHeight:
         ref = sweep_line(xs, 1e-3, 0.5, H, prof, quad, SolverOptions(tol=1e-13, max_iters=60000))
         f = np.array([rep.f for rep in reports])
         assert np.max(np.abs(f - [rep.f for rep in ref])) <= opts.tol
-        # Newton serves every point, with no Anderson or ladder rescue; only
-        # the first starts cold, so its first map application has no residual
+        # Newton serves every point, with no rescue; only the first starts
+        # cold, so its first map application has no residual
         for k, rep in enumerate(reports):
-            assert rep.newton_steps > 0 and rep.restarts == 0
+            assert rep.newton_steps > 0
             assert rep.total_iterations == rep.iterations == len(rep.residuals) + (k == 0)
             assert not rep.rescued
 
@@ -562,17 +522,28 @@ class TestNewtonBelowHeight:
         prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         below = solve_master(0.5 + 0.1j, 1.0, H, prof, quad)
-        assert below.newton_steps > 0 and below.restarts == 0
+        assert below.newton_steps > 0
         assert below.total_iterations == below.iterations == len(below.residuals) + 1
         assert solve_master(8j, 1.0, H, prof, quad).newton_steps == 0   # above the height
 
+    def test_iterations_count_every_map_application(self):
+        H = uniform_H(16)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0, 16)
+        z = 0.5 + 0.5j       # below the contraction height 6
+        rep = solve_master(z, 1.0, H, prof, quad)
+        assert rep.iterations == len(rep.residuals) + 1   # + the cold start
+        # one application short of Newton's count fails the solve, and the
+        # same budget fails the rescue's top rung
+        for budget in (3, rep.iterations - 1):
+            with pytest.raises(NoConvergence, match=f"rung Im=6 failed: .* after {budget} iterations"):
+                solve_master(z, 1.0, H, prof, quad, SolverOptions(max_iters=budget))
+
     def test_cold_newton_outside_class_is_rescued(self, monkeypatch):
-        # the system of the zgrid benchmark at m = q = 256: from the cold
-        # start at this target Newton converges to a root outside the class
-        prof = VarianceProfile.separable([0.5, 1.0, 1.5], [1.5, 1.0, 0.5])
-        H = product_H([(0.0, 0.5), (0.5, 0.3), (2.0, 0.2)], 256)
-        quad = QuadratureRule.midpoint(0.5, 256)
-        z = 2.37 + 0.021j
+        # from the cold start at this target Newton converges to a root
+        # outside the class
+        prof, H, quad = zgrid_system(256)
+        z = ZGRID_OUTSIDE
         opts = SolverOptions(tol=1e-10, max_iters=60000)
         ref = ladder_reference(z, 0.5, H, prof, quad, opts)[-1]
         newton = master_solver._newton
@@ -586,74 +557,44 @@ class TestNewtonBelowHeight:
                 raise
 
         monkeypatch.setattr(master_solver, "_newton", spy)
+        attempts = record_attempts(monkeypatch)
         rep = solve_with_continuation([z], 0.5, H, prof, quad, opts)[z]
-        assert len(failures) == 1 and "breaks Im s_k >= 0" in str(failures[0])
+        assert "breaks Im s_k >= 0" in str(failures[0])
+        assert attempts[0] == (z.imag, failures[0].iterations, False)
         check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
                         _Stepper(H, prof, quad, 0.5).num)
         assert abs(rep.f - ref.f) <= 10 * opts.tol
-        # Anderson from the cold start served it; the failed Newton attempt counts
-        assert rep.newton_steps == 0 and not rep.rescued
+        # a Newton solve down the ladder served it; the failed attempt counts
+        assert rep.rescued and rep.newton_steps > 0
         assert failures[0].iterations > 0
-        assert rep.total_iterations == failures[0].iterations + rep.iterations
-        assert rep.iterations == len(rep.residuals) + 1
+        assert rep.total_iterations == sum(spent for _, spent, _ in attempts)
+        assert rep.iterations == len(rep.residuals)        # warm-started
 
-    def test_singular_newton_system_falls_back_to_anderson(self, monkeypatch):
+    def test_singular_newton_system_names_the_rung(self, monkeypatch):
         H = uniform_H(32)
         prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 0.5 + 0.1j
-        with monkeypatch.context() as patch:
-            fail_newton(patch)
-            anderson = solve_master(z, 1.0, H, prof, quad)
-        # LAPACK reports an exactly singular factor through info > 0
+        # LAPACK reports an exactly singular factor through info > 0, so
+        # every Newton solve fails and the ladder gives up below the height
         monkeypatch.setattr(master_solver, "zgesv", lambda a, b: (None, None, None, 1))
-        rep = solve_master(z, 1.0, H, prof, quad)
-        assert rep.f == anderson.f and rep.newton_steps == 0
-        # the cold application before the first Newton system counts
-        assert rep.total_iterations == rep.iterations + 1
-
-    def test_failed_newton_returns_anderson_answer(self, monkeypatch):
-        H = uniform_H(32)
-        prof = VarianceProfile.constant(1.0)
-        quad = QuadratureRule.midpoint(1.0, 256)
-        z = 0.5 + 0.1j      # below the contraction height 6
-        opts = SolverOptions(tol=1e-11)
-        with monkeypatch.context() as patch:
-            fail_newton(patch)
-            anderson = solve_master(z, 1.0, H, prof, quad, opts)
-        newton = master_solver._newton
-        spent = []
-
-        def rejected(z, stepper, opts, start):
-            # Newton runs to its answer, which is then rejected
-            iterations = newton(z, stepper, opts, start)[0].iterations
-            spent.append(iterations)
-            exc = NumericalFailure(f"rejected Newton answer at z={z}")
-            exc.iterations = iterations
-            raise exc
-
-        monkeypatch.setattr(master_solver, "_newton", rejected)
-        rep = solve_master(z, 1.0, H, prof, quad, opts)
-        np.testing.assert_array_equal(rep.pi.weights, anderson.pi.weights)
-        np.testing.assert_array_equal(rep.pi_tilde.weights, anderson.pi_tilde.weights)
-        assert rep.newton_steps == 0 and rep.restarts == anderson.restarts
-        assert rep.iterations == anderson.iterations == len(rep.residuals) + 1
-        assert rep.total_iterations == spent[0] + rep.iterations
-        # Anderson gets the budget Newton left
-        budget = spent[0] + 2
-        with pytest.raises(NoConvergence, match=f"after {budget} iterations"):
-            solve_master(z, 1.0, H, prof, quad, SolverOptions(tol=1e-11, max_iters=budget))
+        with pytest.raises(NumericalFailure, match=r"target z=\(0\.5\+0\.1j\): rung Im=[0-9.]+ "
+                           r"failed: singular Newton system at z=\(0\.5\+[0-9.]+j\)"):
+            solve_master(z, 1.0, H, prof, quad)
 
 
 def ladder_reference(z, c, H, prof, quad, opts):
-    """The continuation ladder spelled out: warm-started solve_master calls
-    from the contraction height down to Im z by ``LADDER_FACTOR``."""
-    height = contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H))
+    """A fixed continuation ladder: warm-started solve_master calls from the
+    contraction height down to Im z, each rung ``LADDER_FACTOR`` times the
+    one above and the last at Im z."""
+    y = max(contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H)), z.imag)
     reports, state = [], None
-    for y in _rungs(height, z.imag, LADDER_FACTOR):
+    while True:
         reports.append(solve_master(complex(z.real, y), c, H, prof, quad, opts, state))
         state = (reports[-1].pi, reports[-1].pi_tilde)
-    return reports
+        if y <= z.imag * (1 + 1e-12):
+            return reports
+        y = max(z.imag, LADDER_FACTOR * y)
 
 
 _entries = st.floats(0.2, 2.0)
@@ -706,31 +647,20 @@ class TestColdStartAtTarget:
         z = 0.5 + 0.1j      # below the contraction height 6
         opts = SolverOptions(tol=1e-11)
         direct = solve_master(z, 1.0, H, prof, quad, opts)
-        rungs = ladder_reference(z, 1.0, H, prof, quad, opts)
-        with monkeypatch.context() as patch:
-            fail_newton(patch)
-            anderson = solve_master(z, 1.0, H, prof, quad, opts)
-        forced = []
-
-        def fail_first_attempt_at_target(zz, s, num):
-            # the first attempt checks Newton's answer, then its Anderson rescue's
-            if zz == z and len(forced) < 2:
-                forced.append(zz)
-                raise NumericalFailure(f"forced failure at z={zz}")
-            check_stieltjes(zz, s, num)
-
-        monkeypatch.setattr(master_solver, "check_stieltjes", fail_first_attempt_at_target)
-        if entry == "sweep_line":
-            rep = sweep_line([z.real], z.imag, 1.0, H, prof, quad, opts)[0]
-        else:
-            rep = solve_with_continuation([z], 1.0, H, prof, quad, opts)[z]
-        assert forced == [z, z]
+        # the rescue as it runs: a cold solve at the height, then the target
+        # warm-started from it
+        top = solve_master(6j + z.real, 1.0, H, prof, quad, opts)
+        warm = solve_master(z, 1.0, H, prof, quad, opts, (top.pi, top.pi_tilde))
+        ladder = ladder_reference(z, 1.0, H, prof, quad, opts)[-1]
+        forced = fail_first_checks(monkeypatch, z, 1)
+        rep = solve_alone(entry, z, 1.0, H, prof, quad, opts)
+        assert forced == [z]
         assert rep.rescued
-        assert abs(rep.f - rungs[-1].f) <= 1e-12
-        assert rep.iterations == rungs[-1].iterations
-        # the failed cold attempt, Newton's and Anderson's, and every rung
-        assert rep.total_iterations == (direct.iterations + anderson.iterations
-                                        + sum(r.total_iterations for r in rungs))
+        np.testing.assert_array_equal(rep.pi.weights, warm.pi.weights)
+        assert rep.iterations == warm.iterations
+        assert abs(rep.f - ladder.f) <= 10 * opts.tol
+        # the failed cold attempt, the top rung and the attempt at the target
+        assert rep.total_iterations == direct.iterations + top.iterations + warm.iterations
 
     def test_direct_solve_is_not_rescued(self):
         H = uniform_H(32)
@@ -835,15 +765,115 @@ class TestColdStartAtTarget:
             assert abs(mass) <= bound * (1.0 + excess_num) + rounding
 
     def test_zgrid_step_count(self):
-        # the separable profile, offset law and tolerance of the zgrid
-        # benchmark at m = q = 64, with targets spread like its grid.  The
-        # cold Newton solves take 60 map applications, cold Anderson solves
-        # took 154 and a ladder per target 1181.  The ceiling is about twice
-        # the cold Anderson count.
-        prof = VarianceProfile.separable([0.5, 1.0, 1.5], [1.5, 1.0, 0.5])
-        H = product_H([(0.0, 0.5), (0.5, 0.3), (2.0, 0.2)], 64)
-        quad = QuadratureRule.midpoint(0.5, 64)
-        targets = [complex(x, y) for y in (0.06, 0.6) for x in (0.3, 1.9, 3.6, 5.2)]
+        # the zgrid benchmark's system and tolerance at m = q = 64, with
+        # targets spread like its grid.  The cold Newton solves take 60 map
+        # applications, and a fixed ladder per target 1181: the ceiling
+        # catches a rescue taken where none is needed.
+        prof, H, quad = zgrid_system(64)
+        targets = ZGRID_TARGETS
         opts = SolverOptions(tol=1e-10, max_iters=60000)
         reports = solve_with_continuation(targets, 0.5, H, prof, quad, opts)
         assert sum(rep.total_iterations for rep in reports.values()) <= 300
+
+
+class TestRescueLadder:
+    """The one rescue of a failed solve, shared by the three entry points:
+    a cold top rung, then the target warm-started from each solved rung,
+    a failed attempt retried at the geometric mean of its height and the
+    last solved one."""
+
+    @staticmethod
+    def constant_system():
+        # contraction height 6
+        return uniform_H(32), VarianceProfile.constant(1.0), QuadratureRule.midpoint(1.0, 256)
+
+    @pytest.mark.parametrize("entry", ["solve_master", "solve_with_continuation", "sweep_line"])
+    def test_failed_attempt_is_retried_at_geometric_mean(self, monkeypatch, entry):
+        H, prof, quad = self.constant_system()
+        z = 0.5 + 0.1j
+        opts = SolverOptions(tol=1e-11)
+        # the cold attempt fails, then the first warm attempt at the target
+        forced = fail_first_checks(monkeypatch, z, 2)
+        attempts = record_attempts(monkeypatch)
+        rep = solve_alone(entry, z, 1.0, H, prof, quad, opts)
+        assert forced == [z, z]
+        assert [y for y, _, _ in attempts] == [z.imag, 6.0, z.imag, np.sqrt(z.imag * 6.0), z.imag]
+        assert [ok for _, _, ok in attempts] == [False, True, False, True, True]
+        assert rep.rescued
+        assert rep.iterations == attempts[-1][1]
+        assert rep.total_iterations == sum(spent for _, spent, _ in attempts)
+        ladder = ladder_reference(z, 1.0, H, prof, quad, opts)[-1]
+        assert abs(rep.f - ladder.f) <= 10 * opts.tol
+
+    @pytest.mark.parametrize("entry, where", [
+        ("solve_master", r"target z=\(0\.5\+0\.1j\)"),
+        ("solve_with_continuation", r"target z=\(0\.5\+0\.1j\)"),
+        ("sweep_line", r"rescue at x=0\.5"),
+    ])
+    def test_rescue_gives_up_at_ladder_factor(self, monkeypatch, entry, where):
+        H, prof, quad = self.constant_system()
+        z = 0.5 + 0.1j
+        height = 6.0
+
+        def fail_below_height(zz, s, num):
+            if zz.imag < height:
+                raise NumericalFailure(f"forced failure at z={zz}")
+            check_stieltjes(zz, s, num)
+
+        monkeypatch.setattr(master_solver, "check_stieltjes", fail_below_height)
+        attempts = record_attempts(monkeypatch)
+        # the cold attempt, the top rung, the target, then halfway back in
+        # log height until the step is at most LADDER_FACTOR
+        expected = [z.imag, height, z.imag]
+        while expected[-1] < LADDER_FACTOR * height:
+            expected.append(np.sqrt(expected[-1] * height))
+        with pytest.raises(NumericalFailure,
+                           match=rf"{where}: rung Im={expected[-1]:.6g} failed: forced"):
+            solve_alone(entry, z, 1.0, H, prof, quad)
+        assert [y for y, _, _ in attempts] == expected
+        assert len(expected) > 4
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(prof=_profiles, law=_offset_laws,
+           c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           x=st.one_of(st.floats(-0.1, 0.1), st.floats(-2.0, 20.0)),
+           log_y=st.floats(np.log(1e-3), np.log(3.0)))
+    def test_forced_rescue_matches_ladder_reference(self, prof, law, c, x, log_y):
+        total = sum(w for _, w in law)
+        H = product_H([(lam2, w / total) for lam2, w in law], 16)
+        quad = QuadratureRule.midpoint(c, 16)
+        z = complex(x, np.exp(log_y))
+        assume(z.imag < contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H)))
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        with pytest.MonkeyPatch.context() as patch:
+            forced = fail_first_checks(patch, z, 1)
+            rep = solve_with_continuation([z], c, H, prof, quad, opts)[z]
+        assert forced == [z] and rep.rescued
+        check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
+                        _Stepper(H, prof, quad, c).num)
+        ref_opts = SolverOptions(tol=1e-14 * max(1.0, 1.0 / z.imag), max_iters=60000)
+        ref = ladder_reference(z, c, H, prof, quad, ref_opts)[-1]
+        assert abs(rep.f - ref.f) <= 10 * opts.tol
+
+    def test_solve_master_rescues_zgrid_target(self):
+        prof, H, quad = zgrid_system(256)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        rep = solve_master(ZGRID_OUTSIDE, 0.5, H, prof, quad, opts)
+        assert rep.rescued and rep.newton_steps > 0
+        check_stieltjes(ZGRID_OUTSIDE, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
+                        _Stepper(H, prof, quad, 0.5).num)
+        ref = ladder_reference(ZGRID_OUTSIDE, 0.5, H, prof, quad, opts)[-1]
+        assert abs(rep.f - ref.f) <= 10 * opts.tol
+
+    def test_answers_below_height_within_one_tolerance(self):
+        # every answer below the height is a Newton answer, rescued or not
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        targets = ZGRID_TARGETS + [ZGRID_OUTSIDE]
+        reports = solve_with_continuation(targets, 0.5, H, prof, quad, opts)
+        assert [z for z, rep in reports.items() if rep.rescued] == [ZGRID_OUTSIDE]
+        for z, rep in reports.items():
+            assert rep.newton_steps > 0
+            ref_opts = SolverOptions(tol=1e-14 * max(1.0, 1.0 / z.imag), max_iters=60000)
+            ref = ladder_reference(z, 0.5, H, prof, quad, ref_opts)[-1]
+            assert abs(rep.f - ref.f) <= opts.tol
