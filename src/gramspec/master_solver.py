@@ -1,5 +1,6 @@
-"""Fixed-point solver for the coupled kernel system: Picard iteration at or
-above the contraction height, Newton on the reduced unknowns below it.
+"""Fixed-point solver for the coupled kernel system: one loop on the reduced
+unknowns, plain Picard steps at or above the contraction height and Newton
+steps below it.
 
 For a ratio ``c = lim N/n`` in (0, 1], a variance profile ``sigma2`` and a
 discrete limit measure ``H`` with atoms ``(u_i, lambda_i, w_i)``, the
@@ -34,14 +35,15 @@ and the masses are single expressions on ``s``.
 
 The map G is iterated from the cold start ``s = -num / z``: each weight
 is its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both
-kernels have mass ``-1/z`` and the start lies in the iterate layout.
-Above the contraction height (see :func:`contraction_start_height`) plain
-Picard contracts geometrically in total variation.  Below it the weights
-depend only on the ``2k`` reduced unknowns ``x = [alpha | beta]``, with
-``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``, and the solver runs
-Newton's method on ``x``: the map is holomorphic in ``x``, and its ``2k x
-2k`` Jacobian has a closed form (:meth:`_Stepper.jacobian`).  At every
-height the solve stops once the undamped residual ``|G(s) - s|_1`` of
+kernels have mass ``-1/z`` and the start lies in the iterate layout.  The
+weights depend only on the ``2k`` reduced unknowns ``x = [alpha | beta]``,
+with ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``, and one loop
+(:func:`_solve`) iterates on ``x``.  Above the contraction height (see
+:func:`contraction_start_height`) its every step is the plain step, so it
+is Picard, which contracts geometrically in total variation.  Below it the
+steps are Newton's: the map is holomorphic in ``x``, and its ``2k x 2k``
+Jacobian has a closed form (:meth:`_Stepper.jacobian`).  At every height
+the solve stops once the undamped residual ``|G(s) - s|_1`` of
 weights ``s`` is at most ``tol`` and returns ``G(s)``.  A denominator of
 the map below ``MIN_DENOMINATOR`` in magnitude raises
 :class:`DegenerateDenominator`.
@@ -96,8 +98,9 @@ class SolverOptions:
 
     A solve stops once the undamped residual ``|G(s) - s|_1`` is at most
     ``tol``; ``max_iters`` bounds the applications of the map in one solve.
-    The iteration itself is fixed: undamped Picard when Im(z) is at or
-    above the contraction height, Newton on the reduced unknowns below it.
+    The iteration itself is fixed: one loop on the reduced unknowns, with
+    plain Picard steps when Im(z) is at or above the contraction height and
+    Newton steps below it.
     A failed solve is rescued by a ladder of such solves down the imaginary
     axis, each with its own budget (see :func:`solve_with_continuation`).
     """
@@ -195,7 +198,9 @@ class _System:
             if (kernel.t.size != t.size or not np.allclose(kernel.t, t)
                     or not np.allclose(kernel.zeta, zeta)):
                 raise InvalidInput("kernels do not match the system layout")
-        return np.concatenate([pi.weights, pi_tilde.weights])
+        s = np.concatenate([pi.weights, pi_tilde.weights])
+        check_range(np.abs(s), "kernel weights |pi|, |pi_tilde|")
+        return s
 
 
 def init_kernels(H, quad, z, c):
@@ -257,13 +262,6 @@ class _Stepper(_System):
         self.height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
         phi, V, self.Psi = profile.factors(H.u, self.tilde_t)
         self.Phi = phi @ V
-
-    def cold(self, z):
-        """The first iterate: one step from the cold start ``-num / z``."""
-        return self.step(z, -self.num / z)
-
-    def step(self, z, s):
-        return self.weights(z, self.reduce(s))[0]
 
     def reduce(self, s):
         """The reduced unknowns ``x = [alpha | beta]`` of the stacked weights
@@ -338,50 +336,26 @@ def _answer(z, stepper, g, residuals, iterations, **counts):
                        iterations, **counts), g
 
 
-def _iterate(z, stepper, opts, start):
-    """Picard iteration from the stacked iterate ``start`` (the cold start
-    when None).  Returns the report and the converged stacked iterate.  A
-    failure carries the map applications it spent as ``exc.iterations``."""
-    residuals = []
-    iterations = 0
-    try:
-        if start is None:
-            iterations = 1
-            s = stepper.cold(z)
-        else:
-            s = start
-        while iterations < opts.max_iters:
-            iterations += 1
-            g = stepper.step(z, s)
-            res = float(np.abs(g - s).sum())
-            residuals.append(res)
-            if res <= opts.tol:
-                return _answer(z, stepper, g, residuals, iterations,
-                               total_iterations=iterations)
-            s = g
-        raise _no_convergence(z, iterations, residuals, opts)
-    except _SOLVE_FAILURES as exc:
-        exc.iterations = iterations
-        raise
-
-
-def _newton(z, stepper, opts, start):
-    """Newton's method on the reduced unknowns ``x = [alpha | beta]`` from
-    the stacked iterate ``start`` (the cold start when None).
+def _solve(z, stepper, opts, start):
+    """One solve at ``z`` on ``x = [alpha | beta]`` from the stacked iterate
+    ``start`` (the cold start ``-num / z`` when None).
 
     Each map application at ``x`` gives the weights ``g`` and ``F(x)``, the
-    reduced unknowns of ``g``; the next ``x`` solves ``(J - I) (x_new - x)
-    = F(x) - x``.  The change of the weights from one application to the
-    next is the residual history.  Once the last two Newton steps predict,
-    at quadratic convergence, a next change of at most ``tol``, the next
-    application is the plain step ``x = F(x)``: its change is the undamped
-    residual ``|G(s) - s|_1`` of the weights ``s``, and at most ``tol`` it
-    ends the solve; otherwise Newton goes on from there.
+    reduced unknowns of ``g``; the change of the weights from one
+    application to the next is the residual history.  A plain step ``x =
+    F(x)`` makes the next change the undamped residual ``|G(s) - s|_1`` of
+    the weights ``s``, and at most ``tol`` it ends the solve.  At or above
+    the contraction height every step is plain: Picard.  Below it the next
+    ``x`` solves ``(J - I) (x_new - x) = F(x) - x`` (Newton), until the last
+    two Newton steps predict, at quadratic convergence, a next change of at
+    most ``tol``; then one step is plain, and Newton goes on after it if
+    the residual is above ``tol``.
 
-    A singular system or weights that are not finite fail the solve with
-    :class:`NumericalFailure`; so does a converged answer outside the
+    A singular Newton system or weights that are not finite fail the solve
+    with :class:`NumericalFailure`; so does a converged answer outside the
     Stieltjes class.  Returns the report and the converged stacked iterate;
     a failure carries its map applications as ``exc.iterations``."""
+    newton = z.imag < stepper.height
     prev = start
     x = stepper.reduce(-stepper.num / z if start is None else start)
     eye = np.eye(x.size)
@@ -400,11 +374,12 @@ def _newton(z, stepper, opts, start):
                     return _answer(z, stepper, g, residuals, iterations, newton_steps=steps,
                                    total_iterations=iterations)
                 if not change < math.inf:
-                    raise NumericalFailure(f"Newton weights not finite at z={z}")
+                    raise NumericalFailure(f"weights not finite at z={z}")
                 if not plain:
                     last, moved = moved, change
             y = stepper.reduce(g)
-            plain = not plain and moved < last < math.inf and moved ** 3 <= opts.tol * last ** 2
+            plain = not (newton and (plain or not (
+                moved < last < math.inf and moved ** 3 <= opts.tol * last ** 2)))
             if plain:
                 x = y
             else:
@@ -418,18 +393,6 @@ def _newton(z, stepper, opts, start):
     except _SOLVE_FAILURES as exc:
         exc.iterations = iterations
         raise
-
-
-def _solve(z, stepper, opts, start):
-    """One solve at ``z`` from the stacked iterate ``start``, or from the
-    cold start when it is None: plain Picard at or above the contraction
-    height, Newton below it.  Returns the report and the converged stacked
-    iterate.  A failure carries the map applications it spent as
-    ``exc.iterations``."""
-    z = complex(z)
-    if z.imag >= stepper.height:
-        return _iterate(z, stepper, opts, start)
-    return _newton(z, stepper, opts, start)
 
 
 def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):

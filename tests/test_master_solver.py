@@ -89,6 +89,33 @@ class TestOneLayout:
         with pytest.raises(InvalidInput, match="kernels do not match the system layout"):
             picard_step(1j, 0.5, H, VarianceProfile.constant(1.0), quad, pi0, off)
 
+    @pytest.mark.parametrize("entry", ["solve_master", "picard_step"])
+    @pytest.mark.parametrize("kernel", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_kernels_rejected(self, monkeypatch, entry, kernel, bad):
+        # above (1 + 12j) and below (1 + 0.3j) the contraction height 6
+        H = uniform_H(32, 0.5)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(0.5, 32)
+        applied = []
+
+        def counted(*args):
+            applied.append(args[0])
+            return weights_from_integrals(*args)
+
+        weights_from_integrals = master_solver._weights_from_integrals
+        monkeypatch.setattr(master_solver, "_weights_from_integrals", counted)
+        for z in (1 + 12j, 1 + 0.3j):
+            kernels = init_kernels(H, quad, z, 0.5)
+            kernels[kernel].weights[3] = bad
+            with pytest.raises(InvalidInput, match=r"kernel weights \|pi\|, \|pi_tilde\| must "
+                               r"be finite"):
+                if entry == "solve_master":
+                    solve_master(z, 0.5, H, prof, quad, initial=kernels)
+                else:
+                    picard_step(z, 0.5, H, prof, quad, *kernels)
+        assert applied == []
+
 
 class TestPicardStep:
     def test_zero_profile_weights(self):
@@ -133,6 +160,12 @@ STEP_PROFILES = {
 }
 
 
+def solver_map(stepper, z, s):
+    """One application of the map to the stacked weights ``s``, as the
+    solver applies it: through the reduced unknowns of ``s``."""
+    return stepper.weights(z, stepper.reduce(s))[0]
+
+
 class TestStepperAgainstReference:
     """One step of the solver's stepper against the generic picard_step."""
 
@@ -148,13 +181,13 @@ class TestStepperAgainstReference:
         stepper = _Stepper(H, prof, quad, c)
         pi0, pit0 = init_kernels(H, quad, z, c)
         if layout == "cold":
-            got = stepper.cold(z)
+            got = solver_map(stepper, z, -stepper.num / z)
         else:
             pi0, pit0 = picard_step(z, c, H, prof, quad, pi0, pit0)
             # perturb so the step is not taken from a cold-start image
             pi0.weights *= 1.0 + 0.1j * rng.standard_normal(pi0.weights.size)
             pit0.weights *= 1.0 - 0.1j * rng.standard_normal(pit0.weights.size)
-            got = stepper.step(z, np.concatenate([pi0.weights, pit0.weights]))
+            got = solver_map(stepper, z, np.concatenate([pi0.weights, pit0.weights]))
         pi1, pit1 = picard_step(z, c, H, prof, quad, pi0, pit0)
         want = np.concatenate([pi1.weights, pit1.weights])
         assert got.size == 2 * H.u.size + len(quad)
@@ -482,9 +515,9 @@ class TestNewtonBelowHeight:
         stepper = _Stepper(H, prof, quad, c)
         z = complex(0.4, 0.3 if where == "below" else 1.5 * stepper.height)
         assert (z.imag < stepper.height) == (where == "below")
-        s = stepper.cold(z)
+        s = solver_map(stepper, z, -stepper.num / z)
         for _ in range(3):
-            s = stepper.step(z, s)
+            s = solver_map(stepper, z, s)
         x = stepper.reduce(s)
         jac = stepper.jacobian(z, *stepper.weights(z, x))
         assert jac.shape == (x.size, x.size)
@@ -546,17 +579,17 @@ class TestNewtonBelowHeight:
         z = ZGRID_OUTSIDE
         opts = SolverOptions(tol=1e-10, max_iters=60000)
         ref = ladder_reference(z, 0.5, H, prof, quad, opts)[-1]
-        newton = master_solver._newton
+        solve = master_solver._solve
         failures = []
 
         def spy(*args):
             try:
-                return newton(*args)
+                return solve(*args)
             except NumericalFailure as exc:
                 failures.append(exc)
                 raise
 
-        monkeypatch.setattr(master_solver, "_newton", spy)
+        monkeypatch.setattr(master_solver, "_solve", spy)
         attempts = record_attempts(monkeypatch)
         rep = solve_with_continuation([z], 0.5, H, prof, quad, opts)[z]
         assert "breaks Im s_k >= 0" in str(failures[0])
@@ -581,6 +614,56 @@ class TestNewtonBelowHeight:
         with pytest.raises(NumericalFailure, match=r"target z=\(0\.5\+0\.1j\): rung Im=[0-9.]+ "
                            r"failed: singular Newton system at z=\(0\.5\+[0-9.]+j\)"):
             solve_master(z, 1.0, H, prof, quad)
+
+
+class TestOneLoop:
+    """One solve loop at every height: every step is plain Picard at or
+    above the contraction height, and Newton steps run below it."""
+
+    @pytest.mark.parametrize("where", ["below", "above"])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_non_finite_weights_fail_the_solve(self, monkeypatch, where, k):
+        H = uniform_H(32)
+        prof = VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0, 256)
+        stepper = _Stepper(H, prof, quad, 1.0)
+        z = complex(0.5, 0.1 if where == "below" else 1.5 * stepper.height)
+        weights = _Stepper.weights
+        calls = []
+
+        def poisoned(self, z, x):
+            # NaN weights from the k-th map application on
+            calls.append(z)
+            g, one = weights(self, z, x)
+            return (np.full_like(g, np.nan) if len(calls) >= k else g), one
+
+        monkeypatch.setattr(_Stepper, "weights", poisoned)
+        with pytest.raises(NumericalFailure, match=r"weights not finite at z=") as info:
+            master_solver._solve(z, stepper, SolverOptions(), None)
+        assert info.value.iterations == len(calls) == k
+
+    @pytest.mark.parametrize("kind", ["constant", "separable", "bilinear", "blocks"])
+    @pytest.mark.parametrize("c", [0.3, 1.0])
+    def test_above_height_is_plain_picard(self, c, kind):
+        # picard_step iterated from the cold start, stopped on the same rule
+        prof = STEP_PROFILES[kind]
+        H = empirical_H_from_diagonal(np.random.default_rng(7).uniform(-1.5, 1.5, 12))
+        quad = QuadratureRule.midpoint(c, 9)
+        z = complex(0.4, 1.2 * _Stepper(H, prof, quad, c).height)
+        opts = SolverOptions(tol=1e-10)
+        rep = solve_master(z, c, H, prof, quad, opts)
+        pi, pit = picard_step(z, c, H, prof, quad, *init_kernels(H, quad, z, c))
+        for iterations in range(2, opts.max_iters + 1):
+            new_pi, new_pit = picard_step(z, c, H, prof, quad, pi, pit)
+            moved = tv_distance(pi, new_pi) + tv_distance(pit, new_pit)
+            pi, pit = new_pi, new_pit
+            if moved <= opts.tol:
+                break
+        assert moved <= opts.tol
+        assert rep.iterations == iterations
+        assert rep.newton_steps == 0 and not rep.rescued
+        np.testing.assert_allclose(rep.pi.weights, pi.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.pi_tilde.weights, pit.weights, rtol=0, atol=1e-12)
 
 
 def ladder_reference(z, c, H, prof, quad, opts):
@@ -877,3 +960,38 @@ class TestRescueLadder:
             ref_opts = SolverOptions(tol=1e-14 * max(1.0, 1.0 / z.imag), max_iters=60000)
             ref = ladder_reference(z, 0.5, H, prof, quad, ref_opts)[-1]
             assert abs(rep.f - ref.f) <= opts.tol
+
+
+_four_kinds = st.one_of(_profiles, st.builds(VarianceProfile.separable,
+                                             st.lists(_entries, min_size=2, max_size=3),
+                                             st.lists(_entries, min_size=2, max_size=3)))
+
+
+class TestSweepLine:
+    """A horizontal sweep, each point warm-started from its left neighbour,
+    against cold solves at the same points."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(below=st.booleans(), prof=_four_kinds,
+           law=st.lists(st.tuples(st.floats(0.0, 9.0), st.floats(0.1, 1.0)),
+                        min_size=1, max_size=3),
+           c=st.floats(0.2, 1.0),
+           xs=st.lists(st.floats(-1.0, 12.0), min_size=8, max_size=8).map(sorted),
+           t=st.floats(0.0, 1.0, exclude_max=True))
+    def test_matches_cold_solves(self, below, prof, law, c, xs, t):
+        total = sum(w for _, w in law)
+        H = product_H([(lam2, w / total) for lam2, w in law], 32)
+        quad = QuadratureRule.midpoint(c, 32)
+        height = contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H))
+        # log-uniform in [1e-3, height) below the height, in [height, 2 height) above
+        eps = 1e-3 * (height / 1e-3) ** t if below else height * (1.0 + t)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        reports = sweep_line(xs, eps, c, H, prof, quad, opts)
+        num = _Stepper(H, prof, quad, c).num
+        assert len(reports) == len(xs)
+        for x, rep in zip(xs, reports):
+            z = complex(x, eps)
+            ref = solve_with_continuation([z], c, H, prof, quad, opts)[z]
+            assert abs(rep.f - ref.f) <= 10 * opts.tol
+            assert abs(rep.f_tilde - ref.f_tilde) <= 10 * opts.tol
+            check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]), num)
