@@ -313,14 +313,15 @@ def product_H(h_lambda, count):
     """
     lam_vals, probs = offset_law(h_lambda)
     check_count(count, f"count for {len(probs)} lambda values", len(probs))
-    probs, assigned = np.asarray(probs), np.zeros(len(probs))
-    lam = np.empty(count)
+    # Python floats: one numpy call per atom would cost three times as much
+    assigned, lam = [0] * len(probs), []
     for i in range(1, count + 1):
-        k = int(np.argmax(i * probs - assigned))
+        deficits = [i * p - a for p, a in zip(probs, assigned)]
+        k = deficits.index(max(deficits))
         assigned[k] += 1
-        lam[i - 1] = lam_vals[k]
+        lam.append(lam_vals[k])
     u = np.arange(1, count + 1) / count
-    return JointLimitMeasure(u, lam, np.full(count, 1.0 / count))
+    return JointLimitMeasure(u, np.array(lam), np.full(count, 1.0 / count))
 
 
 def uniform_H(count, lam=0.0):

@@ -6,12 +6,16 @@ resolvent kernels, row-deletion identities, and empirical-vs-limit
 distances.  Sampling uses the counter-based Philox generator keyed by the
 seed, so every sample is reproducible independently of scheduling.
 
-Every Gram product goes through one helper that forms only the lower
-triangle of Sigma Sigma* (syrk for a real Sigma, zherk for a complex one,
-with no conjugated copy of Sigma).  The eigensolver reads that triangle
-alone; the resolvent diagonal mirrors it once, factors G - zI by LU in
-place and reads diag((G - zI)^{-1}) off the inverted triangular factors,
-so the N x N resolvent is never formed.
+Each matrix has one buffer.  Sigma is allocated once and drawn, scaled by
+the profile and normalized in place, a block of whole rows at a time.
+Every Gram product goes through one helper that forms Sigma Sigma* in C
+order (syrk for a real Sigma; zherk for a complex one, with no conjugated
+copy of Sigma, its triangle then mirrored in place).  The eigensolver gets
+the Fortran-ordered transpose view of that matrix, which LAPACK reads
+without a copy; the resolvent diagonal takes z off its diagonal, factors
+G - zI by LU in place and reads diag((G - zI)^{-1}) off the inverted
+triangular factors in row blocks, so the N x N resolvent is never formed.
+A spectrum or a resolvent diagonal thus peaks at about Sigma plus one Gram.
 """
 
 import math
@@ -29,6 +33,7 @@ RNG_NAME = "philox4x64"
 SEED_BITS = 128  # Philox keys are 128-bit
 
 _EIG_CLAMP = -1e-10
+_BLOCK_ENTRIES = 1 << 15  # entries in one row block of a blocked loop over a matrix
 
 
 def check_seed(seed):
@@ -79,19 +84,16 @@ class SpectrumSample:
         self.dims = tuple(self.dims)
 
 
-def _draw_entries(spec):
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    shape = (spec.N, spec.n)
-    if spec.entry_law == "gaussian":
-        return rng.standard_normal(shape)
-    if spec.entry_law == "rademacher":
-        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    if spec.entry_law == "uniform":
+def _draw_real(rng, law, out):
+    """Draw the next ``out.size`` entries of a real ``law`` into ``out``."""
+    if law == "gaussian":
+        rng.standard_normal(out=out)
+    elif law == "rademacher":
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
+    else:
         root3 = math.sqrt(3.0)
-        return rng.uniform(-root3, root3, size=shape)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+        out[...] = rng.uniform(-root3, root3, size=out.shape)
 
 
 def _offsets(lambda_diag, n_rows):
@@ -105,53 +107,80 @@ def _offsets(lambda_diag, n_rows):
 
 
 def sample_sigma_matrix(spec, profile, lambda_diag):
-    """One realization Sigma_ij = sigma(i/N, j/n)/sqrt(n) X_ij + Lambda_ii 1{i=j}."""
+    """One realization Sigma_ij = sigma(i/N, j/n)/sqrt(n) X_ij + Lambda_ii 1{i=j}.
+
+    Sigma is the only N x n array allocated.  It is filled in blocks of
+    whole rows, about ``_BLOCK_ENTRIES`` entries each: the block's draws
+    go straight into Sigma, and the block is then multiplied by
+    sqrt(sigma^2) and divided by sqrt(n) in place, with the same roundings
+    as one expression on whole matrices.  The Philox stream order is
+    unchanged: row after row and, for complex entries, all N n real parts
+    before all imaginary parts, so every seed gives the same bits as a
+    draw of the whole matrix.  The real parts wait in the upper half of
+    Sigma's own memory, which the blocks, written from the top, overwrite
+    only after reading them.
+    """
     lam = _offsets(lambda_diag, spec.N)
-    rows = np.arange(1, spec.N + 1) / spec.N
-    cols = np.arange(1, spec.n + 1) / spec.n
-    sig = np.sqrt(np.asarray(profile.evaluate(rows[:, None], cols[None, :])))
-    x = _draw_entries(spec)
-    sigma = sig * x / math.sqrt(spec.n)
-    idx = np.arange(spec.N)
+    n_rows, n_cols = spec.N, spec.n
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rows = np.arange(1, n_rows + 1) / n_rows
+    cols = np.arange(1, n_cols + 1) / n_cols
+    is_complex = spec.entry_law == "complex-gaussian"
+    sigma = np.empty((n_rows, n_cols), dtype=complex if is_complex else float)
+    if is_complex:
+        parked = sigma.reshape(-1).view(float)[n_rows * n_cols:].reshape(n_rows, n_cols)
+        rng.standard_normal(out=parked)
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        block = sigma[lo:hi]
+        if is_complex:
+            re = parked[lo:hi].copy()  # the block may overlap its real parts
+            np.multiply(1j, rng.standard_normal(block.shape), out=block)
+            block += re
+            block /= math.sqrt(2.0)
+        else:
+            _draw_real(rng, spec.entry_law, block)
+        block *= np.sqrt(profile.evaluate(rows[lo:hi, None], cols[None, :]))
+        block /= math.sqrt(n_cols)
+    idx = np.arange(n_rows)
     sigma[idx, idx] = sigma[idx, idx] + lam
     return sigma
 
 
 def _gram(sigma):
-    """Sigma Sigma*, whole for a real Sigma and as its lower triangle (the
-    upper one unspecified) for a complex one.
+    """Sigma Sigma* as a whole Hermitian matrix in C order.
 
     A real Sigma goes through ``sigma @ sigma.T``, which numpy sends to
-    syrk.  A complex one goes to zherk on the Fortran-ordered view
-    ``sigma.T``, which needs neither a copy of Sigma nor a conjugated one.
+    syrk and completes itself.  A complex one goes to zherk on the
+    Fortran-ordered view ``sigma.T``, which needs neither a copy of Sigma
+    nor a conjugated one, and its lower triangle is mirrored in place.
     """
     if np.iscomplexobj(sigma):
-        return sla.blas.zherk(1.0, sigma.T, trans=2, lower=0).T
+        gram = sla.blas.zherk(1.0, sigma.T, trans=2, lower=0).T
+        _mirror_lower(gram)
+        return gram
     return sigma @ sigma.T
 
 
 def _mirror_lower(a):
     """Overwrite the upper triangle of a square array with the conjugate
     transpose of its lower one, 128 rows at a time (index arrays for the
-    whole triangle take three times as long)."""
+    whole triangle take three times as long), conjugating straight into
+    the upper triangle with no copy of the strip."""
     n = a.shape[0]
     for lo in range(0, n, 128):
         hi = min(lo + 128, n)
-        a[lo:hi, hi:] = a[hi:, lo:hi].conj().T
+        np.conjugate(a[hi:, lo:hi].T, out=a[lo:hi, hi:])
         diag = a[lo:hi, lo:hi]
         diag[...] = np.tril(diag) + np.tril(diag, -1).conj().T
 
 
 def _shifted_gram(sigma, z):
-    """Sigma Sigma* - zI as a whole complex matrix in C order.
-
-    A complex Gram has its triangle mirrored in place, and z is taken off
-    the diagonal in place; no identity matrix is built.
-    """
+    """Sigma Sigma* - zI as a whole complex matrix in C order; z is taken
+    off the diagonal in place, and no identity matrix is built."""
     a = _gram(sigma)
-    if np.iscomplexobj(a):
-        _mirror_lower(a)
-    else:
+    if not np.iscomplexobj(a):
         a = a.astype(complex)
     diag = np.arange(a.shape[0])
     a[diag, diag] -= z
@@ -167,6 +196,8 @@ def _inverse_diagonal(a):
     column k_i to i.  That costs 2/3 N^3 after the factorization, against
     2 N^3 for solving against the identity.  The factorization runs on the
     Fortran-ordered view a.T, whose inverse has the same diagonal as A's.
+    The diagonal is read in blocks of whole rows of about
+    ``_BLOCK_ENTRIES`` entries, so no second N x N array is formed.
     """
     n = a.shape[0]
     lu, piv = sla.lu_factor(a.T, overwrite_a=True)
@@ -184,12 +215,18 @@ def _inverse_diagonal(a):
     col = np.empty(n, dtype=np.intp)
     col[perm] = np.arange(n)
     rows = np.arange(n)
-    # row i of w is column col[i] of L^{-1}, cut to the columns j >= i where
-    # U^{-1} is nonzero
-    w = inv.T[col]
-    w[rows[None, :] < np.maximum(col, rows)[:, None]] = 0.0
-    w[rows, col] = col >= rows
-    return np.einsum("ij,ij->i", inv, w)
+    q_diag = np.empty(n, dtype=inv.dtype)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        c, r = col[lo:hi], rows[lo:hi]
+        # row k of w is column c[k] of L^{-1}, cut to the columns j >= r[k]
+        # where U^{-1} is nonzero
+        w = inv.T[c]
+        w[rows[None, :] < np.maximum(c, r)[:, None]] = 0.0
+        w[rows[:hi - lo], c] = c >= r
+        q_diag[lo:hi] = np.einsum("ij,ij->i", inv[lo:hi], w)
+    return q_diag
 
 
 def gram_eigenvalues(sigma, seed=None):
@@ -198,7 +235,9 @@ def gram_eigenvalues(sigma, seed=None):
     if sigma.ndim != 2 or sigma.size == 0:
         raise InvalidInput("sigma must be a nonempty matrix")
     try:
-        ev = sla.eigvalsh(_gram(sigma), lower=True, overwrite_a=True)
+        # LAPACK reads the Fortran-ordered view without a copy; for a
+        # Hermitian Gram it is the conjugate, which has the same eigenvalues
+        ev = sla.eigvalsh(_gram(sigma).T, lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
         raise NumericalFailure(f"eigensolve failed: {exc}") from exc
     if ev[0] < _EIG_CLAMP:

@@ -168,6 +168,19 @@ class TestJointLimitMeasure:
             empirical_H_from_diagonal([])
 
 
+def argmax_quota_lam(law, count):
+    """The offsets of product_H from its largest-deficit rule with one
+    numpy argmax per atom: the reference for the loop on Python floats."""
+    lam_vals = [v for v, _ in law]
+    probs, assigned = np.array([p for _, p in law]), np.zeros(len(law))
+    lam = np.empty(count)
+    for i in range(1, count + 1):
+        k = int(np.argmax(i * probs - assigned))
+        assigned[k] += 1
+        lam[i - 1] = lam_vals[k]
+    return lam
+
+
 class TestProductH:
     def test_two_values_m2(self):
         H = product_H([(0.0, 0.5), (1.0, 0.5)], 2)
@@ -197,6 +210,18 @@ class TestProductH:
         for val, prob in zip(vals, probs):
             got = H.w[H.lam == val].sum()
             assert abs(got - prob) <= 1.0 / count + 1e-12
+
+    @pytest.mark.parametrize("count", [11, 256, 800, 1001, 4096])
+    def test_matches_the_argmax_loop(self, count):
+        rng = np.random.default_rng(5)
+        laws = [[1 / 3] * 3, [0.25] * 4, [0.1] * 10, [0.5, 0.25, 0.25], [0.5, 0.5]]
+        for size in range(2, 11):
+            weights = rng.uniform(0.05, 1.0, size)
+            laws.append(list(weights / weights.sum()))
+        for probs in laws:
+            law = [(float(k) ** 2, p) for k, p in enumerate(probs)]
+            np.testing.assert_array_equal(product_H(law, count).lam,
+                                          argmax_quota_lam(law, count))
 
     def test_non_normalized_rejected(self):
         with pytest.raises(InvalidInput):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import peak_bytes
 from gramspec import simulator
 from gramspec.closed_forms import mp_cdf
 from gramspec.errors import InvalidInput, NumericalFailure
@@ -13,6 +16,72 @@ from gramspec.simulator import (EnsembleSpec, SpectrumSample, _inverse_diagonal,
                                 schur_identity_check, truncate_diagonal)
 
 UNIT = VarianceProfile.constant(1.0)
+LAWS = ["gaussian", "rademacher", "uniform", "complex-gaussian"]
+# one profile of each kind, with zeros, so that the signs of zero entries
+# are compared too
+PROFILES = {
+    "constant": VarianceProfile.constant(1.7),
+    "separable": VarianceProfile.separable([0.0, 1.0, 2.0], [1.5, 0.0, 0.5]),
+    "bilinear": VarianceProfile.bilinear([[0.0, 1.0], [1.5, 2.0]]),
+    "blocks": VarianceProfile.blocks([[0.0, 1.0, 3.0], [2.0, 0.0, 0.5]]),
+}
+
+
+def one_shot_sigma(spec, profile, lambda_diag):
+    """Sigma drawn and scaled as one whole matrix, each step one numpy
+    expression: the reference for the blocked build."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    shape = (spec.N, spec.n)
+    if spec.entry_law == "gaussian":
+        x = rng.standard_normal(shape)
+    elif spec.entry_law == "rademacher":
+        x = rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    elif spec.entry_law == "uniform":
+        x = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
+    else:
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        x = (re + 1j * im) / math.sqrt(2.0)
+    rows = np.arange(1, spec.N + 1) / spec.N
+    cols = np.arange(1, spec.n + 1) / spec.n
+    sig = np.sqrt(np.asarray(profile.evaluate(rows[:, None], cols[None, :])))
+    sigma = sig * x / math.sqrt(spec.n)
+    idx = np.arange(spec.N)
+    sigma[idx, idx] = sigma[idx, idx] + lambda_diag
+    return sigma
+
+
+def one_shot_gram(sigma):
+    """The lower triangle of Sigma Sigma* (the upper one unspecified for a
+    complex Sigma) in C order, as one BLAS call makes it."""
+    if np.iscomplexobj(sigma):
+        return scipy.linalg.blas.zherk(1.0, sigma.T, trans=2, lower=0).T
+    return sigma @ sigma.T
+
+
+def full_gather_inverse_diagonal(a):
+    """diag(A^{-1}) from the inverted LU factors, read with one N x N
+    gather of L^{-1}'s columns and one N x N mask: the reference for the
+    blocked read."""
+    n = a.shape[0]
+    lu, piv = scipy.linalg.lu_factor(a.T, overwrite_a=True)
+    trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (lu,))
+    inv, _ = trtri(lu, lower=0, unitdiag=0, overwrite_c=1)
+    inv, _ = trtri(inv, lower=1, unitdiag=1, overwrite_c=1)
+    perm = np.arange(n)
+    for i, p in enumerate(piv):
+        perm[i], perm[p] = perm[p], perm[i]
+    col = np.empty(n, dtype=np.intp)
+    col[perm] = np.arange(n)
+    rows = np.arange(n)
+    w = inv.T[col]
+    w[rows[None, :] < np.maximum(col, rows)[:, None]] = 0.0
+    w[rows, col] = col >= rows
+    return np.einsum("ij,ij->i", inv, w)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSampleSigmaMatrix:
@@ -82,6 +151,24 @@ class TestSampleSigmaMatrix:
     def test_seed_inside_philox_keys_accepted(self, seed):
         assert EnsembleSpec("gaussian", seed, 2, 3).seed == seed
 
+    @pytest.mark.parametrize("kind", list(PROFILES))
+    @pytest.mark.parametrize("law", LAWS)
+    def test_blocks_match_one_shot_bit_for_bit(self, law, kind):
+        n_rows, n_cols = 100, 1001
+        # several blocks, the last one shorter
+        assert n_rows % (simulator._BLOCK_ENTRIES // n_cols) != 0
+        spec = EnsembleSpec(law, 2 ** 100 + 9, n_rows, n_cols)
+        lam = np.linspace(-1.0, 2.0, n_rows)
+        sigma = sample_sigma_matrix(spec, PROFILES[kind], lam)
+        assert same_bits(sigma, one_shot_sigma(spec, PROFILES[kind], lam))
+
+    @pytest.mark.parametrize("kind", list(PROFILES))
+    @pytest.mark.parametrize("law", LAWS)
+    def test_peak_memory_below_two_sigmas(self, law, kind):
+        spec = EnsembleSpec(law, 4, 600, 1201)
+        sigma, peak = peak_bytes(sample_sigma_matrix, spec, PROFILES[kind], np.zeros(600))
+        assert peak <= 2 * sigma.nbytes
+
 
 class TestGramEigenvalues:
     def test_identity_block(self):
@@ -115,6 +202,20 @@ class TestGramEigenvalues:
         ref = np.linalg.eigvalsh(sigma @ sigma.conj().T)
         np.testing.assert_allclose(ev, np.clip(ref, 0, None), rtol=1e-12,
                                    atol=1e-12 * ref[-1])
+
+    @pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+    def test_matches_eigvalsh_on_the_lower_triangle(self, law):
+        # more rows than one 128-row strip of the mirror
+        sigma = sample_sigma_matrix(EnsembleSpec(law, 14, 200, 301),
+                                    PROFILES["bilinear"], np.linspace(0, 1, 200))
+        ref = scipy.linalg.eigvalsh(one_shot_gram(sigma), lower=True)
+        assert same_bits(gram_eigenvalues(sigma).eigenvalues, np.clip(ref, 0.0, None))
+
+    @pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+    def test_peak_memory_one_gram(self, law):
+        sigma = sample_sigma_matrix(EnsembleSpec(law, 4, 600, 1201), UNIT, np.zeros(600))
+        _, peak = peak_bytes(gram_eigenvalues, sigma)
+        assert peak <= 1.2 * 600 * 600 * sigma.itemsize
 
     def test_finite_duality_with_transposed_gram(self):
         spec = EnsembleSpec("gaussian", 2, 6, 10)
@@ -182,6 +283,24 @@ class TestEmpiricalStieltjes:
         kern, fn = empirical_stieltjes(sigma, np.zeros(20), 1j)
         assert kern.weights.shape == (20,)
         assert fn.imag > 0
+
+    @pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+    @pytest.mark.parametrize("z", [0.8 + 1e-3j, 1.2 + 0.1j])
+    def test_blocked_diagonal_matches_full_gather(self, law, z):
+        n_rows = 300
+        # several row blocks, the last one shorter
+        assert n_rows % (simulator._BLOCK_ENTRIES // n_rows) != 0
+        sigma = sample_sigma_matrix(EnsembleSpec(law, 15, n_rows, 451), UNIT,
+                                    np.linspace(0, 1.5, n_rows))
+        shifted = simulator._shifted_gram(sigma, z)
+        ref = full_gather_inverse_diagonal(shifted.copy())
+        assert same_bits(_inverse_diagonal(shifted), ref)
+
+    @pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+    def test_peak_memory_one_complex_matrix(self, law):
+        sigma = sample_sigma_matrix(EnsembleSpec(law, 4, 600, 1201), UNIT, np.zeros(600))
+        _, peak = peak_bytes(empirical_stieltjes, sigma, np.zeros(600), 1 + 0.1j)
+        assert peak <= 1.6 * 600 * 600 * 16
 
     def test_singular_factor_raises(self):
         # G - zI is never singular for Im z > 0; the guard is reached directly
