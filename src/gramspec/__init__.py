@@ -11,8 +11,8 @@ from .master_solver import (SolveReport, SolverOptions,
                             contraction_start_height, init_kernels,
                             picard_step, solve_master,
                             solve_with_continuation, theta_bound)
-from .closed_forms import (ScalarFixedPointOptions, centered_profile_k,
-                           iid_noncentered_f, mp_cdf, mp_density, mp_stieltjes)
+from .closed_forms import (centered_profile_k, iid_noncentered_f, mp_cdf,
+                           mp_density, mp_stieltjes)
 from .spectra import (DensityCurve, cdf_with_atom, density_from_stieltjes,
                       limit_density, mass_check, stieltjes_pair)
 from .simulator import (EnsembleSpec, SpectrumSample, empirical_stieltjes,

@@ -11,30 +11,22 @@ kernel machinery:
   density k(u, z) of the limiting kernel in the position variable.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, check_count,
-                     check_range, check_ratio, upper_half_plane)
+from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, check_range,
+                     check_ratio, upper_half_plane)
 from .measures import offset_law
 
-__all__ = ["ScalarFixedPointOptions", "mp_stieltjes", "mp_density", "mp_cdf",
-           "iid_noncentered_f", "centered_profile_k"]
+__all__ = ["mp_stieltjes", "mp_density", "mp_cdf", "iid_noncentered_f",
+           "centered_profile_k"]
 
 
-# factor on the new value in the damped iterations of the scalar oracles
+# the damped iterations of the two fixed-point oracles: factor on the new
+# value, stop once a step moves the iterate by at most TOL, give up after
+# MAX_ITERS steps
 DAMPING = 0.5
-
-
-@dataclass
-class ScalarFixedPointOptions:
-    tol: float = 1e-14
-    max_iters: int = 100000
-
-    def __post_init__(self):
-        check_range(self.tol, "tol", open_low=True)
-        check_count(self.max_iters, "max_iters", 1)
+TOL = 1e-14
+MAX_ITERS = 100000
 
 
 def mp_stieltjes(z, c, sigma_sq):
@@ -102,7 +94,7 @@ def mp_cdf(c, sigma_sq):
     return cdf
 
 
-def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
+def iid_noncentered_f(z, c, sigma_sq, h_lambda):
     """Stieltjes transform for a constant profile and offset law h_lambda.
 
     Solves the scalar fixed point
@@ -117,12 +109,11 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
     z = upper_half_plane(z)
     c = check_ratio(c)
     sigma_sq = check_range(sigma_sq, "sigma_sq")
-    opts = opts or ScalarFixedPointOptions()
     atoms = list(zip(*offset_law(h_lambda)))
     cs2 = c * sigma_sq
     shift = (1.0 - c) * sigma_sq
     f = -1.0 / z
-    for _ in range(opts.max_iters):
+    for _ in range(MAX_ITERS):
         den1 = 1.0 + cs2 * f
         if abs(den1) < 1e-14:
             raise DegenerateDenominator(f"1 + c s2 f vanished at z={z}")
@@ -136,12 +127,12 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda, opts=None):
         f_next = DAMPING * f_new + (1.0 - DAMPING) * f
         delta = abs(f_next - f)
         f = f_next
-        if delta <= opts.tol:
+        if delta <= TOL:
             return f
     raise NoConvergence(f"scalar fixed point stalled at z={z}, |delta|={delta:.3e}")
 
 
-def centered_profile_k(z, c, profile, u_grid, opts=None):
+def centered_profile_k(z, c, profile, u_grid):
     """Position density k(u, z) of the limiting kernel for zero offsets.
 
     Solves, on the given u grid (treated as midpoints of equal cells),
@@ -160,7 +151,6 @@ def centered_profile_k(z, c, profile, u_grid, opts=None):
     """
     z = upper_half_plane(z)
     check_ratio(c)
-    opts = opts or ScalarFixedPointOptions()
     u = np.asarray(u_grid, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise InvalidInput("u_grid must be a nonempty 1-d array")
@@ -175,7 +165,7 @@ def centered_profile_k(z, c, profile, u_grid, opts=None):
     sig = np.asarray(profile.evaluate(u[:, None], t[None, :]))  # (m, T)
     w_u = 1.0 / m
     k = np.full(m, -1.0 / z, dtype=complex)
-    for _ in range(opts.max_iters):
+    for _ in range(MAX_ITERS):
         inner = 1.0 + c * (sig.T @ k) * w_u
         if np.min(np.abs(inner)) < 1e-14:
             raise DegenerateDenominator(f"inner denominator vanished at z={z}")
@@ -185,6 +175,6 @@ def centered_profile_k(z, c, profile, u_grid, opts=None):
         k_new = DAMPING / denom + (1.0 - DAMPING) * k
         delta = float(np.max(np.abs(k_new - k)))
         k = k_new
-        if delta <= opts.tol:
+        if delta <= TOL:
             return k
     raise NoConvergence(f"profile fixed point stalled at z={z}, delta={delta:.3e}")

@@ -7,7 +7,11 @@ distances.  Sampling uses the counter-based Philox generator keyed by the
 seed, so every sample is reproducible independently of scheduling.
 
 Each matrix has one buffer.  Sigma is allocated once and drawn, scaled by
-the profile and normalized in place, a block of whole rows at a time.
+the profile and normalized in place, a block of whole rows at a time; a
+complex Sigma takes two passes, its real parts through ``Sigma.real`` and
+then its imaginary parts through ``Sigma.imag``.  One rule, ``_row_blocks``,
+cuts every blocked loop over a matrix into blocks of whole rows of about
+``_BLOCK_ENTRIES`` entries.
 Every Gram product goes through one helper that forms Sigma Sigma* in C
 order (syrk for a real Sigma; zherk for a complex one, with no conjugated
 copy of Sigma, its triangle then mirrored in place).  The eigensolver gets
@@ -84,16 +88,21 @@ class SpectrumSample:
         self.dims = tuple(self.dims)
 
 
-def _draw_real(rng, law, out):
-    """Draw the next ``out.size`` entries of a real ``law`` into ``out``."""
+def _draw(rng, law, shape):
+    """The next entries of a real ``law``, as a float array of ``shape``."""
     if law == "gaussian":
-        rng.standard_normal(out=out)
-    elif law == "rademacher":
-        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
-        out -= 1.0
-    else:
-        root3 = math.sqrt(3.0)
-        out[...] = rng.uniform(-root3, root3, size=out.shape)
+        return rng.standard_normal(shape)
+    if law == "rademacher":
+        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
+
+
+def _row_blocks(n_rows, n_cols):
+    """``(lo, hi)`` bounds of the blocks of whole rows in which every
+    blocked loop walks an ``n_rows x n_cols`` array: about
+    ``_BLOCK_ENTRIES`` entries each, at least one row."""
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def _offsets(lambda_diag, n_rows):
@@ -109,16 +118,15 @@ def _offsets(lambda_diag, n_rows):
 def sample_sigma_matrix(spec, profile, lambda_diag):
     """One realization Sigma_ij = sigma(i/N, j/n)/sqrt(n) X_ij + Lambda_ii 1{i=j}.
 
-    Sigma is the only N x n array allocated.  It is filled in blocks of
-    whole rows, about ``_BLOCK_ENTRIES`` entries each: the block's draws
-    go straight into Sigma, and the block is then multiplied by
-    sqrt(sigma^2) and divided by sqrt(n) in place, with the same roundings
-    as one expression on whole matrices.  The Philox stream order is
-    unchanged: row after row and, for complex entries, all N n real parts
-    before all imaginary parts, so every seed gives the same bits as a
-    draw of the whole matrix.  The real parts wait in the upper half of
-    Sigma's own memory, which the blocks, written from the top, overwrite
-    only after reading them.
+    Sigma is the only N x n array allocated.  It is filled in the blocks
+    of ``_row_blocks``: each block's draws go into Sigma, and the block is
+    then multiplied by sqrt(sigma^2) and divided by sqrt(n) in place, with
+    the same roundings as one expression on whole matrices.  The Philox
+    stream is read row after row and, for complex entries, all N n real
+    parts before all imaginary parts, so every seed gives the same bits as
+    a draw of the whole matrix.  Complex entries take two passes over the
+    blocks: the first draws the real parts into ``Sigma.real``, the second
+    the imaginary parts into ``Sigma.imag`` before it scales the block.
     """
     lam = _offsets(lambda_diag, spec.N)
     n_rows, n_cols = spec.N, spec.n
@@ -127,20 +135,17 @@ def sample_sigma_matrix(spec, profile, lambda_diag):
     cols = np.arange(1, n_cols + 1) / n_cols
     is_complex = spec.entry_law == "complex-gaussian"
     sigma = np.empty((n_rows, n_cols), dtype=complex if is_complex else float)
+    blocks = _row_blocks(n_rows, n_cols)
     if is_complex:
-        parked = sigma.reshape(-1).view(float)[n_rows * n_cols:].reshape(n_rows, n_cols)
-        rng.standard_normal(out=parked)
-    step = max(1, _BLOCK_ENTRIES // n_cols)
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
+        for lo, hi in blocks:
+            sigma[lo:hi].real = rng.standard_normal(sigma[lo:hi].shape)
+    for lo, hi in blocks:
         block = sigma[lo:hi]
         if is_complex:
-            re = parked[lo:hi].copy()  # the block may overlap its real parts
-            np.multiply(1j, rng.standard_normal(block.shape), out=block)
-            block += re
+            block.imag = rng.standard_normal(block.shape)
             block /= math.sqrt(2.0)
         else:
-            _draw_real(rng, spec.entry_law, block)
+            block[...] = _draw(rng, spec.entry_law, block.shape)
         block *= np.sqrt(profile.evaluate(rows[lo:hi, None], cols[None, :]))
         block /= math.sqrt(n_cols)
     idx = np.arange(n_rows)
@@ -165,12 +170,12 @@ def _gram(sigma):
 
 def _mirror_lower(a):
     """Overwrite the upper triangle of a square array with the conjugate
-    transpose of its lower one, 128 rows at a time (index arrays for the
-    whole triangle take three times as long), conjugating straight into
-    the upper triangle with no copy of the strip."""
+    transpose of its lower one, a strip of ``_row_blocks`` rows at a time
+    (index arrays for the whole triangle take three times as long),
+    conjugating straight into the upper triangle with no copy of the
+    strip."""
     n = a.shape[0]
-    for lo in range(0, n, 128):
-        hi = min(lo + 128, n)
+    for lo, hi in _row_blocks(n, n):
         np.conjugate(a[hi:, lo:hi].T, out=a[lo:hi, hi:])
         diag = a[lo:hi, lo:hi]
         diag[...] = np.tril(diag) + np.tril(diag, -1).conj().T
@@ -196,8 +201,8 @@ def _inverse_diagonal(a):
     column k_i to i.  That costs 2/3 N^3 after the factorization, against
     2 N^3 for solving against the identity.  The factorization runs on the
     Fortran-ordered view a.T, whose inverse has the same diagonal as A's.
-    The diagonal is read in blocks of whole rows of about
-    ``_BLOCK_ENTRIES`` entries, so no second N x N array is formed.
+    The diagonal is read in the row blocks of ``_row_blocks``, so no
+    second N x N array is formed.
     """
     n = a.shape[0]
     lu, piv = sla.lu_factor(a.T, overwrite_a=True)
@@ -216,9 +221,7 @@ def _inverse_diagonal(a):
     col[perm] = np.arange(n)
     rows = np.arange(n)
     q_diag = np.empty(n, dtype=inv.dtype)
-    step = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in _row_blocks(n, n):
         c, r = col[lo:hi], rows[lo:hi]
         # row k of w is column c[k] of L^{-1}, cut to the columns j >= r[k]
         # where U^{-1} is nonzero

@@ -55,8 +55,8 @@ Z_ENTRIES = {
         lambda z: master_solver.solve_with_continuation([2j, z], 0.5, X, X, X, X),
     "sweep_line": lambda z: master_solver.sweep_line([0.0, z.real], z.imag, 0.5, X, X, X, X),
     "mp_stieltjes": lambda z: closed_forms.mp_stieltjes(z, 0.5, 1.0),
-    "iid_noncentered_f": lambda z: closed_forms.iid_noncentered_f(z, 0.5, 1.0, X, X),
-    "centered_profile_k": lambda z: closed_forms.centered_profile_k(z, 0.5, X, X, X),
+    "iid_noncentered_f": lambda z: closed_forms.iid_noncentered_f(z, 0.5, 1.0, X),
+    "centered_profile_k": lambda z: closed_forms.centered_profile_k(z, 0.5, X, X),
     "empirical_stieltjes": lambda z: simulator.empirical_stieltjes(X, X, z),
     "empirical_f_tilde": lambda z: simulator.empirical_f_tilde(X, z),
     "schur_identity_check": lambda z: simulator.schur_identity_check(X, z, 1),
@@ -139,7 +139,7 @@ BAD_LAWS = {
 }
 LAW_ENTRIES = {
     "product_H": lambda law: measures.product_H(law, 4),
-    "iid_noncentered_f": lambda law: closed_forms.iid_noncentered_f(1j, 0.5, 1.0, law, X),
+    "iid_noncentered_f": lambda law: closed_forms.iid_noncentered_f(1j, 0.5, 1.0, law),
 }
 
 
@@ -153,7 +153,7 @@ def test_offset_law_rule(entry, law):
 @pytest.mark.parametrize("sigma_sq", [NAN, INF, -1.0])
 def test_oracle_variance_rule(sigma_sq):
     with pytest.raises(InvalidInput, match="sigma_sq must be finite and >= 0"):
-        closed_forms.iid_noncentered_f(1j, 0.5, sigma_sq, X, X)
+        closed_forms.iid_noncentered_f(1j, 0.5, sigma_sq, X)
 
 
 def test_oracle_accepts_pure_offsets():
@@ -169,8 +169,6 @@ RANGE_SITES = {
     "check_ratio": (check_ratio, r"c must lie in \(0, 1\]", [1.5]),
     "SolverOptions.tol": (lambda v: master_solver.SolverOptions(tol=v),
                           "tol must be finite and > 0", [0.0]),
-    "ScalarFixedPointOptions.tol": (lambda v: closed_forms.ScalarFixedPointOptions(tol=v),
-                                    "tol must be finite and > 0", [-1.0]),
     "contraction_start_height.sigma_max_sq":
         (lambda v: master_solver.contraction_start_height(v, 0.5, 1.0),
          "sigma_max_sq must be finite and >= 0", [-1.0]),
@@ -185,10 +183,10 @@ RANGE_SITES = {
     "mp_cdf.c": (lambda v: closed_forms.mp_cdf(v, 1.0), r"c must lie in \(0, 1\]", [-1.0]),
     "mp_cdf.sigma_sq": (lambda v: closed_forms.mp_cdf(0.5, v),
                         "sigma_sq must be finite and > 0", [-1.0]),
-    "iid_noncentered_f.sigma_sq": (lambda v: closed_forms.iid_noncentered_f(1j, 0.5, v, X, X),
+    "iid_noncentered_f.sigma_sq": (lambda v: closed_forms.iid_noncentered_f(1j, 0.5, v, X),
                                    "sigma_sq must be finite and >= 0", [-1.0]),
     "centered_profile_k.u_grid":
-        (lambda v: closed_forms.centered_profile_k(1j, 0.5, X, [0.5, v], X),
+        (lambda v: closed_forms.centered_profile_k(1j, 0.5, X, [0.5, v]),
          r"u_grid must lie in \[0, 1\]", [1.5]),
     "VarianceProfile.constant": (measures.VarianceProfile.constant,
                                  "constant profile value must be finite and >= 0", [-1.0]),
@@ -305,9 +303,6 @@ def test_range_rule_returns_a_float_for_a_number_and_an_array_otherwise():
 COUNT_SITES = {
     "SolverOptions.max_iters": (lambda n: master_solver.SolverOptions(max_iters=n),
                                 "max_iters must be an integer >= 1", 0),
-    "ScalarFixedPointOptions.max_iters":
-        (lambda n: closed_forms.ScalarFixedPointOptions(max_iters=n),
-         "max_iters must be an integer >= 1", 0),
     "QuadratureRule.midpoint": (lambda n: measures.QuadratureRule.midpoint(0.5, n),
                                 "count must be an integer >= 1", 0),
     "product_H": (lambda n: measures.product_H([(0.0, 0.5), (1.0, 0.5)], n),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gramspec import cli
-from gramspec.closed_forms import mp_stieltjes
+from gramspec.closed_forms import centered_profile_k, iid_noncentered_f, mp_stieltjes
+from gramspec.measures import VarianceProfile
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -416,6 +417,96 @@ class TestDensityCommand:
         xs = np.array([float(r["x"]) for r in rows])
         vals = np.array([float(r["density"]) for r in rows])
         assert np.interp(2.0, xs, vals) == pytest.approx(1 / (2 * np.pi), abs=5e-3)
+
+
+ATOMS_H = {"type": "atoms", "atoms": [[0.25, 0.0, 0.5], [0.75, 2.25, 0.5]]}
+
+# branches of the config reader that no other test reaches:
+# (command, config as JSON, as raw text or None for no file, extra
+# arguments with EMPTY for an empty directory, the field in the message)
+CONFIG_ERRORS = {
+    "unreadable-config": ("solve", None, [], "config"),
+    "config-not-an-object": ("solve", "[1, 2]", [], "config"),
+    "ragged-rows": ("solve", dict(MP_SOLVE, profile={"kind": "bilinear",
+                                                     "values": [[1.0, 1.0], [1.0]]}),
+                    [], "profile.values"),
+    "unknown-H-type": ("solve", dict(MP_SOLVE, H={"type": "gaussian"}), [], "H.type"),
+    "no-c-no-ensemble": ("solve", {k: v for k, v in MP_SOLVE.items() if k != "c"}, [], "c"),
+    "empty-z-grid": ("solve", dict(MP_SOLVE, z_grid=[]), [], "z_grid"),
+    "one-point-x-grid": ("density", dict(SIM_BASE, x_grid=[1.0]), [], "x_grid"),
+    "atoms-simulated": ("simulate", dict(SIM_BASE, H=ATOMS_H), [], "H.type"),
+    "lambda-diag-not-N": ("simulate", dict(SIM_BASE, H={"type": "diagonal",
+                                                        "lambda_diag": [0.0, 1.0, 2.0]}),
+                          [], "H.lambda_diag"),
+    "sim-dir-without-csvs": ("compare", SIM_BASE, ["--sim-dir", "EMPTY"], "sim-dir"),
+    "seeds-not-integers": ("simulate", SIM_BASE, ["--seeds", "1,x"], "--seeds"),
+}
+
+
+class TestConfigKinds:
+    """Profile kinds, H types and grids the command tests above do not use,
+    each checked against an oracle, and the config errors they miss."""
+
+    @pytest.mark.parametrize("profile, reference", [
+        ({"kind": "bilinear", "values": [[1.0, 1.0], [1.0, 2.0]]},
+         VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])),
+        ({"kind": "blocks", "values": [[0.5, 1.5, 1.0], [2.0, 1.0, 0.7]]},
+         VarianceProfile.blocks([[0.5, 1.5, 1.0], [2.0, 1.0, 0.7]])),
+    ], ids=["bilinear", "blocks"])
+    def test_profile_kind_matches_position_oracle(self, tmp_path, profile, reference):
+        cfg = write_config(tmp_path, dict(MP_SOLVE, c=0.5, profile=profile,
+                                          z_grid=[[0.0, 1.0], [1.0, 0.5]]))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out / "solve.csv")
+        assert len(rows) == 2
+        # zero offsets: f is the mean of k over the u grid of H's 64 atoms
+        grid = (np.arange(64) + 0.5) / 64
+        for row in rows:
+            z = complex(float(row["z_re"]), float(row["z_im"]))
+            f = complex(float(row["f_re"]), float(row["f_im"]))
+            assert abs(f - complex(centered_profile_k(z, 0.5, reference, grid).mean())) <= 1e-10
+
+    @pytest.mark.parametrize("H", [
+        {"type": "diagonal", "lambda_diag": [0.0, 1.5] * 32},
+        ATOMS_H,
+    ], ids=["diagonal", "atoms"])
+    def test_H_type_matches_offset_oracle(self, tmp_path, H):
+        # both give squared offsets 0 and 2.25 with weight 1/2 each
+        cfg = write_config(tmp_path, dict(MP_SOLVE, c=0.5, H=H,
+                                          z_grid=[[0.0, 1.0], [2.0, 0.5]]))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out / "solve.csv")
+        assert len(rows) == 2
+        for row in rows:
+            z = complex(float(row["z_re"]), float(row["z_im"]))
+            f = complex(float(row["f_re"]), float(row["f_im"]))
+            assert abs(f - iid_noncentered_f(z, 0.5, 1.0, [(0.0, 0.5), (2.25, 0.5)])) <= 1e-10
+
+    def test_explicit_x_grid_is_the_curve_grid(self, tmp_path):
+        xs = [0.5, 1.0, 2.0, 3.0]
+        cfg = write_config(tmp_path, dict(MP_SOLVE, epsilon=0.01, x_grid=xs))
+        out = tmp_path / "out"
+        assert cli.main(["density", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out / "density.csv")
+        assert [float(r["x"]) for r in rows] == xs
+        for x, row in zip(xs, rows):
+            expect = mp_stieltjes(complex(x, 0.01), 1.0, 1.0).imag / np.pi
+            assert abs(float(row["density"]) - expect) <= 1e-8
+
+    @pytest.mark.parametrize("case", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+    def test_config_error_exits_2_before_creating_out(self, tmp_path, capsys, case):
+        command, cfg_dict, extra, field = case
+        cfg = tmp_path / "cfg.json"
+        if cfg_dict is not None:
+            cfg.write_text(cfg_dict if isinstance(cfg_dict, str) else json.dumps(cfg_dict))
+        (tmp_path / "empty").mkdir()
+        extra = [str(tmp_path / "empty") if arg == "EMPTY" else arg for arg in extra]
+        out = tmp_path / "never"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+        assert not out.exists()
+        assert f"config error: {field}: " in capsys.readouterr().err
 
 
 class TestReadmeExample:

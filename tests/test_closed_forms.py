@@ -3,11 +3,11 @@ import cmath
 import numpy as np
 import pytest
 
-from gramspec.closed_forms import (ScalarFixedPointOptions, centered_profile_k,
-                                   iid_noncentered_f, mp_cdf, mp_density,
-                                   mp_stieltjes)
+from gramspec.closed_forms import (centered_profile_k, iid_noncentered_f, mp_cdf,
+                                   mp_density, mp_stieltjes)
 from gramspec.errors import DegenerateDenominator, InvalidInput
-from gramspec.measures import VarianceProfile
+from gramspec.master_solver import solve_master
+from gramspec.measures import QuadratureRule, VarianceProfile, uniform_H
 
 Z_GRID = [0.5j, 1j, 2j, 1 + 1j, -0.5 + 0.7j, 3 + 4j, 10j, 0.1 + 0.6j,
           -2 + 1.5j, 5 + 0.5j, 0.9j, -1 + 2j, 4j, 2 + 2j, 0.3 + 1.1j,
@@ -141,13 +141,27 @@ class TestCenteredProfileK:
             f_mp = mp_stieltjes(z, 0.5, 1.0)
             assert np.max(np.abs(k - f_mp)) <= 1e-10
 
+    # c = 1: the t nodes are the u grid itself and [c, 1] carries no nodes
+    @pytest.mark.parametrize("z", [1j, 2 + 0.1j, 0.5 + 0.05j])
+    def test_square_constant_profile_is_mp(self, z):
+        grid = (np.arange(64) + 0.5) / 64
+        k = centered_profile_k(z, 1.0, VarianceProfile.constant(1.0), grid)
+        assert np.max(np.abs(k - mp_stieltjes(z, 1.0, 1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("z", [1j, 2 + 0.1j, 0.5 + 0.05j])
+    def test_square_profile_matches_solver(self, z):
+        prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
+        H = uniform_H(64)
+        rep = solve_master(z, 1.0, H, prof, QuadratureRule.midpoint(1.0, 64))
+        k = centered_profile_k(z, 1.0, prof, H.u)
+        assert abs(rep.f - complex(k.mean())) <= 1e-12
+
     def test_defining_equation_residual(self):
         prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
         m = 64
         grid = (np.arange(m) + 0.5) / m
         c, z = 0.5, 1j
-        opts = ScalarFixedPointOptions(tol=1e-15)
-        k = centered_profile_k(z, c, prof, grid, opts)
+        k = centered_profile_k(z, c, prof, grid)
         # rebuild the same discrete right-hand side and plug the solution in
         q = m
         t = np.concatenate([c * grid, c + (1 - c) * (np.arange(q) + 0.5) / q])

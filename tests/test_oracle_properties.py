@@ -33,7 +33,7 @@ from gramspec.master_solver import SolverOptions, solve_with_continuation
 from gramspec.measures import JointLimitMeasure, QuadratureRule, VarianceProfile, uniform_H
 
 TOL = 1e-10
-ORACLE_TOL = 1e-14     # the default of ScalarFixedPointOptions
+ORACLE_TOL = 1e-14     # closed_forms.TOL, the step size where the oracles stop
 BOUND = 10 * (TOL + 2 * ORACLE_TOL)
 OPTS = SolverOptions(tol=TOL, max_iters=60000)
 

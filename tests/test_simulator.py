@@ -154,13 +154,15 @@ class TestSampleSigmaMatrix:
     @pytest.mark.parametrize("kind", list(PROFILES))
     @pytest.mark.parametrize("law", LAWS)
     def test_blocks_match_one_shot_bit_for_bit(self, law, kind):
-        n_rows, n_cols = 100, 1001
-        # several blocks, the last one shorter
-        assert n_rows % (simulator._BLOCK_ENTRIES // n_cols) != 0
-        spec = EnsembleSpec(law, 2 ** 100 + 9, n_rows, n_cols)
-        lam = np.linspace(-1.0, 2.0, n_rows)
-        sigma = sample_sigma_matrix(spec, PROFILES[kind], lam)
-        assert same_bits(sigma, one_shot_sigma(spec, PROFILES[kind], lam))
+        # 100 x 1001: several blocks, the last one shorter; 3 x 40000: a row
+        # wider than a block, so every block is one row
+        assert 100 % (simulator._BLOCK_ENTRIES // 1001) != 0
+        assert simulator._BLOCK_ENTRIES // 40000 == 0
+        for n_rows, n_cols in [(100, 1001), (3, 40000)]:
+            spec = EnsembleSpec(law, 2 ** 100 + 9, n_rows, n_cols)
+            lam = np.linspace(-1.0, 2.0, n_rows)
+            sigma = sample_sigma_matrix(spec, PROFILES[kind], lam)
+            assert same_bits(sigma, one_shot_sigma(spec, PROFILES[kind], lam)), (n_rows, n_cols)
 
     @pytest.mark.parametrize("kind", list(PROFILES))
     @pytest.mark.parametrize("law", LAWS)
