@@ -72,7 +72,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgesv
 
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
                      check_count, check_range, check_ratio, check_stieltjes, positive_height,
@@ -383,9 +382,10 @@ def _solve(z, stepper, opts, start):
             if plain:
                 x = y
             else:
-                delta, info = zgesv(stepper.jacobian(z, g, one) - eye, x - y)[2:]
-                if info != 0:
-                    raise NumericalFailure(f"singular Newton system at z={z}")
+                try:
+                    delta = np.linalg.solve(stepper.jacobian(z, g, one) - eye, x - y)
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalFailure(f"singular Newton system at z={z}") from exc
                 x = x + delta
                 steps += 1
             prev = g

@@ -19,14 +19,21 @@ the Fortran-ordered transpose view of that matrix, which LAPACK reads
 without a copy; the resolvent diagonal takes z off its diagonal, factors
 G - zI by LU in place and reads diag((G - zI)^{-1}) off the inverted
 triangular factors in row blocks, so the N x N resolvent is never formed.
+For a real Sigma that complex matrix is the only N x N buffer: the real
+Gram is formed in the second half of its memory and widened into it.
 A spectrum or a resolvent diagonal thus peaks at about Sigma plus one Gram.
+
+``scipy.linalg`` (zherk, eigvalsh, the LU and trtri routines, solve) is
+imported inside the four functions that call it, not with the module:
+that import loads about 300 modules and 25 MB, which the commands that
+only solve the limit (``gramspec solve``, ``density``, ``compare
+--sim-dir``) would pay for and never use.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (InvalidInput, NumericalFailure, check_count, check_range, check_stieltjes,
                      upper_half_plane)
@@ -162,6 +169,7 @@ def _gram(sigma):
     nor a conjugated one, and its lower triangle is mirrored in place.
     """
     if np.iscomplexobj(sigma):
+        import scipy.linalg as sla
         gram = sla.blas.zherk(1.0, sigma.T, trans=2, lower=0).T
         _mirror_lower(gram)
         return gram
@@ -183,11 +191,24 @@ def _mirror_lower(a):
 
 def _shifted_gram(sigma, z):
     """Sigma Sigma* - zI as a whole complex matrix in C order; z is taken
-    off the diagonal in place, and no identity matrix is built."""
-    a = _gram(sigma)
-    if not np.iscomplexobj(a):
-        a = a.astype(complex)
-    diag = np.arange(a.shape[0])
+    off the diagonal in place, and no identity matrix is built.
+
+    For a real Sigma the complex matrix is the only N x N buffer: the real
+    Gram (syrk) is written into the second half of its memory and widened
+    forward into it in the blocks of ``_row_blocks``.  No block's
+    destination reaches a later block's source; numpy buffers the source
+    of a tail block that its destination overlaps.
+    """
+    n = sigma.shape[0]
+    if np.iscomplexobj(sigma):
+        a = _gram(sigma)
+    else:
+        a = np.empty((n, n), dtype=complex)
+        g = a.reshape(-1).view(float)[n * n:].reshape(n, n)
+        np.matmul(sigma, sigma.T, out=g)
+        for lo, hi in _row_blocks(n, n):
+            a[lo:hi] = g[lo:hi]
+    diag = np.arange(n)
     a[diag, diag] -= z
     return a
 
@@ -204,6 +225,7 @@ def _inverse_diagonal(a):
     The diagonal is read in the row blocks of ``_row_blocks``, so no
     second N x N array is formed.
     """
+    import scipy.linalg as sla
     n = a.shape[0]
     lu, piv = sla.lu_factor(a.T, overwrite_a=True)
     trtri, = sla.get_lapack_funcs(("trtri",), (lu,))
@@ -237,11 +259,12 @@ def gram_eigenvalues(sigma, seed=None):
     sigma = np.asarray(sigma)
     if sigma.ndim != 2 or sigma.size == 0:
         raise InvalidInput("sigma must be a nonempty matrix")
+    import scipy.linalg as sla
     try:
         # LAPACK reads the Fortran-ordered view without a copy; for a
         # Hermitian Gram it is the conjugate, which has the same eigenvalues
         ev = sla.eigvalsh(_gram(sigma).T, lower=True, overwrite_a=True)
-    except sla.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolve failed: {exc}") from exc
     if ev[0] < _EIG_CLAMP:
         raise NumericalFailure(f"negative eigenvalue {ev[0]:.3e} beyond round-off")
@@ -305,6 +328,7 @@ def schur_identity_check(sigma, z, i):
     n_rows = sigma.shape[0]
     if not 1 <= i <= n_rows:
         raise InvalidInput(f"row index must lie in [1, {n_rows}]")
+    import scipy.linalg as sla
     try:
         e_i = np.zeros(n_rows, dtype=complex)
         e_i[i - 1] = 1.0
@@ -313,7 +337,7 @@ def schur_identity_check(sigma, z, i):
         rest = np.delete(sigma, i - 1, axis=0)
         # S_i* S_i is the Gram of S_i*
         inner = xi @ sla.solve(_shifted_gram(rest.conj().T, z), xi.conj())
-    except sla.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"linear solve failed: {exc}") from exc
     return float(abs(q_ii - 1.0 / (-z - z * inner)))
 

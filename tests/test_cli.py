@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gramspec
 from gramspec import cli
 from gramspec.closed_forms import centered_profile_k, iid_noncentered_f, mp_stieltjes
 from gramspec.measures import VarianceProfile
@@ -532,3 +536,33 @@ class TestReadmeExample:
         exec(compile(example.split("```python\n", 1)[1].split("```", 1)[0], "README.md",
                      "exec"), {})
         assert capsys.readouterr().out.strip()
+
+
+# run in a fresh interpreter, so no other test's imports reach sys.modules
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import gramspec, gramspec.cli
+cfg, out = sys.argv[1:]
+codes = [gramspec.cli.run([cmd, "--config", cfg, "--out", out + "/" + cmd])
+         for cmd in ("solve", "density")]
+solver_path = "scipy.linalg" in sys.modules
+gramspec.simulator.gram_eigenvalues(np.ones((2, 3)))
+print(json.dumps([codes, solver_path, "scipy.linalg" in sys.modules]))
+"""
+
+
+class TestImportBoundary:
+    def test_solver_path_does_not_load_scipy_linalg(self, tmp_path):
+        cfg = write_config(tmp_path, dict(MP_SOLVE, H={"type": "uniform", "M": 16},
+                                          quadrature_nodes=16, epsilon=0.01,
+                                          x_grid={"points": 100}))
+        src = str(Path(gramspec.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(cfg), str(tmp_path)],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        codes, solver_path, simulator_path = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert not solver_path
+        # the probe sees the import once the simulator does linear algebra
+        assert simulator_path

@@ -608,9 +608,11 @@ class TestNewtonBelowHeight:
         prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 0.5 + 0.1j
-        # LAPACK reports an exactly singular factor through info > 0, so
-        # every Newton solve fails and the ladder gives up below the height
-        monkeypatch.setattr(master_solver, "zgesv", lambda a, b: (None, None, None, 1))
+        # with J = I the Newton matrix J - I is zero, LAPACK reports an
+        # exactly singular factor, so every Newton solve fails and the
+        # ladder gives up below the height
+        monkeypatch.setattr(_Stepper, "jacobian",
+                            lambda self, z, g, one: np.eye(2 * self.Phi.shape[1], dtype=complex))
         with pytest.raises(NumericalFailure, match=r"target z=\(0\.5\+0\.1j\): rung Im=[0-9.]+ "
                            r"failed: singular Newton system at z=\(0\.5\+[0-9.]+j\)"):
             solve_master(z, 1.0, H, prof, quad)
