@@ -223,12 +223,15 @@ def build_x_grid(cfg, profile, H, c):
 
 
 def _checked_seeds(seeds, field):
-    """``seeds`` if it is nonempty and each passes :func:`simulator.check_seed`."""
+    """``seeds`` if it is nonempty, each passes :func:`simulator.check_seed`
+    and none repeats: a repeated seed would count one sample twice."""
     if not seeds:
         raise ConfigError(field, "names no seed")
     with _field(field):
-        for seed in seeds:
+        for k, seed in enumerate(seeds):
             simulator.check_seed(seed)
+            if seed in seeds[:k]:
+                raise ConfigError(field, f"repeats seed {seed}")
     return seeds
 
 

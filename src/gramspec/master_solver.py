@@ -79,9 +79,8 @@ from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, Numeric
 from .measures import ComplexKernel, lambda_moment
 
 __all__ = [
-    "SolverOptions", "SolveReport", "contraction_start_height", "theta_bound",
-    "init_kernels", "picard_step", "solve_master",
-    "solve_with_continuation", "sweep_line",
+    "SolverOptions", "SolveReport", "contraction_start_height", "init_kernels",
+    "picard_step", "solve_master", "solve_with_continuation", "sweep_line",
 ]
 
 # smallest magnitude a denominator of the map may take
@@ -142,28 +141,22 @@ class SolveReport:
     newton_steps: int = 0
 
 
-def _contraction_bounds(sigma_max_sq, c, lambda_m1):
-    """The contraction bounds 2 c s2 m1 / y^2, sqrt(2) s2 / y, 3 s2 / y and
-    2 s2 m1 / y^2 as ``(a, p)`` pairs, a bound being ``a / y**p``; s2 =
-    sigma_max_sq and m1, the first lambda moment, are finite and >= 0."""
+def contraction_start_height(sigma_max_sq, c, lambda_m1):
+    """Smallest Im(z) = y above which the map contracts with ratio < 1/2.
+
+    The paper bounds the contraction ratio by the largest of four terms,
+    ``2 c s2 m1 / y^2``, ``sqrt(2) s2 / y``, ``3 s2 / y`` and ``2 s2 m1 /
+    y^2``, with s2 = sigma_max_sq and m1 = lambda_m1, the first lambda
+    moment (both finite and >= 0).  For c in (0, 1] the first is at most
+    the fourth and the second at most the third, so only ``3 s2 / y`` and
+    ``2 s2 m1 / y^2`` bind; each equals 1/2 at ``y = 6 s2`` and ``y =
+    sqrt(4 s2 m1)``, and the height is the larger.  Rounding is monotone,
+    so in floating point too the dropped bounds never exceed the two kept.
+    """
     s2 = check_range(sigma_max_sq, "sigma_max_sq")
     m1 = check_range(lambda_m1, "lambda_m1")
-    c = check_ratio(c)
-    return ((2.0 * c * s2 * m1, 2), (math.sqrt(2.0) * s2, 1), (3.0 * s2, 1),
-            (2.0 * s2 * m1, 2))
-
-
-def contraction_start_height(sigma_max_sq, c, lambda_m1):
-    """Smallest Im(z) above which all four contraction bounds of
-    :func:`theta_bound` are < 1/2: ``a / y**p = 1/2`` at ``y = (2 a)**(1/p)``."""
-    return max(2.0 * a if p == 1 else math.sqrt(2.0 * a)
-               for a, p in _contraction_bounds(sigma_max_sq, c, lambda_m1))
-
-
-def theta_bound(sigma_max_sq, c, lambda_m1, im_z):
-    """Largest of the four contraction bounds at height Im(z) = im_z."""
-    im_z = positive_height(im_z, "im_z")
-    return max(a / im_z ** p for a, p in _contraction_bounds(sigma_max_sq, c, lambda_m1))
+    check_ratio(c)
+    return max(2.0 * (3.0 * s2), math.sqrt(2.0 * (2.0 * s2 * m1)))
 
 
 class _System:

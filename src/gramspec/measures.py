@@ -6,8 +6,7 @@ The limiting-spectrum machinery works with four ingredients:
 * a discrete probability measure on ``[0,1] x R+`` holding atoms
   ``(u_i, lambda_i, w_i)`` where ``lambda`` is the squared diagonal offset;
 * a quadrature rule for the Lebesgue component living on ``[c, 1]``;
-* complex weighted point measures whose weights are iterated by the solver,
-  compared in the discrete total-variation metric.
+* complex weighted point measures whose weights are iterated by the solver.
 
 All types are immutable after construction and all operations are pure, so
 instances can be shared freely across threads.
@@ -334,10 +333,3 @@ def uniform_H(count, lam=0.0):
 def lambda_moment(measure):
     """First lambda moment: sum of w_i * lambda_i."""
     return float(np.dot(measure.w, measure.lam))
-
-
-def tv_distance(a, b):
-    """Discrete total-variation distance of two kernels on the same points."""
-    if not (np.array_equal(a.t, b.t) and np.array_equal(a.zeta, b.zeta)):
-        raise InvalidInput("kernels must share the identical point sequence")
-    return float(np.abs(a.weights - b.weights).sum())

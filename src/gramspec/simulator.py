@@ -2,9 +2,9 @@
 
 Samples N x n matrices Sigma = Y + Lambda with Y_ij = sigma(i/N, j/n) /
 sqrt(n) * X_ij and a diagonal offset, computes Gram spectra, diagonal
-resolvent kernels, row-deletion identities, and empirical-vs-limit
-distances.  Sampling uses the counter-based Philox generator keyed by the
-seed, so every sample is reproducible independently of scheduling.
+resolvent kernels and empirical-vs-limit distances.  Sampling uses the
+counter-based Philox generator keyed by the seed, so every sample is
+reproducible independently of scheduling.
 
 Each matrix has one buffer.  Sigma is allocated once and drawn, scaled by
 the profile and normalized in place, a block of whole rows at a time; a
@@ -23,8 +23,8 @@ For a real Sigma that complex matrix is the only N x N buffer: the real
 Gram is formed in the second half of its memory and widened into it.
 A spectrum or a resolvent diagonal thus peaks at about Sigma plus one Gram.
 
-``scipy.linalg`` (zherk, eigvalsh, the LU and trtri routines, solve) is
-imported inside the four functions that call it, not with the module:
+``scipy.linalg`` (zherk, eigvalsh, the LU and trtri routines) is
+imported inside the three functions that call it, not with the module:
 that import loads about 300 modules and 25 MB, which the commands that
 only solve the limit (``gramspec solve``, ``density``, ``compare
 --sim-dir``) would pay for and never use.
@@ -302,57 +302,6 @@ def empirical_stieltjes(sigma, lambda_diag, z):
     points_u = np.arange(1, n_rows + 1) / n_rows
     kernel = ComplexKernel(points_u, lam ** 2, q_diag / n_rows)
     return kernel, complex(q_diag.mean())
-
-
-def empirical_f_tilde(sample, z):
-    """Normalized resolvent trace of the transposed Gram matrix.
-
-    Computed from the Gram spectrum: the transposed matrix shares the
-    nonzero eigenvalues and carries n - N extra zeros.
-    """
-    z = upper_half_plane(z)
-    n_rows, n_cols = sample.dims
-    trace = np.sum(1.0 / (sample.eigenvalues - z)) + (n_cols - n_rows) * (-1.0 / z)
-    return complex(trace / n_cols)
-
-
-def schur_identity_check(sigma, z, i):
-    """Residual of the row-deletion resolvent identity at 1-based row i.
-
-    Compares q_ii(z) against 1 / (-z - z xi (S_i* S_i - z)^{-1} xi*) where
-    xi is row i and S_i is sigma with that row removed.  The identity is
-    exact in exact arithmetic; the residual measures round-off only.
-    """
-    z = upper_half_plane(z)
-    sigma = np.asarray(sigma)
-    n_rows = sigma.shape[0]
-    if not 1 <= i <= n_rows:
-        raise InvalidInput(f"row index must lie in [1, {n_rows}]")
-    import scipy.linalg as sla
-    try:
-        e_i = np.zeros(n_rows, dtype=complex)
-        e_i[i - 1] = 1.0
-        q_ii = sla.solve(_shifted_gram(sigma, z), e_i)[i - 1]
-        xi = sigma[i - 1]
-        rest = np.delete(sigma, i - 1, axis=0)
-        # S_i* S_i is the Gram of S_i*
-        inner = xi @ sla.solve(_shifted_gram(rest.conj().T, z), xi.conj())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"linear solve failed: {exc}") from exc
-    return float(abs(q_ii - 1.0 / (-z - z * inner)))
-
-
-def truncate_diagonal(lambda_diag, bound_sq):
-    """Zero out offsets with squared value above bound_sq, all offsets finite.
-
-    Returns (truncated diagonal, number of entries zeroed).  Each zeroed
-    entry perturbs the empirical distribution function by at most 1/N in
-    sup norm, being a rank-one change.
-    """
-    bound_sq = check_range(bound_sq, "bound_sq")
-    lam = _offsets(lambda_diag, np.size(lambda_diag))
-    keep = lam ** 2 <= bound_sq
-    return np.where(keep, lam, 0.0), int(np.count_nonzero(~keep))
 
 
 def ks_compare(sample, cdf):

@@ -17,8 +17,8 @@ from .errors import (InvalidInput, NumericalFailure, check_count, check_range, p
 from . import master_solver
 
 __all__ = ["DensityCurve", "stieltjes_pair", "density_from_stieltjes",
-           "limit_density", "mass_check", "check_curve_mass", "cdf_with_atom",
-           "support_bound", "default_x_grid"]
+           "limit_density", "check_curve_mass", "cdf_with_atom", "support_bound",
+           "default_x_grid"]
 
 _NEG_CLAMP = 1e-12
 MASS_WINDOW = (0.95, 1.05)
@@ -102,16 +102,6 @@ def limit_density(H, profile, quad, c, x_grid, epsilon, opts=None, transpose=Fal
         return DensityCurve(np.asarray(x_grid, float), c * values, epsilon,
                             atom_at_zero=1.0 - c)
     return DensityCurve(np.asarray(x_grid, float), values, epsilon)
-
-
-def mass_check(f_at, y_sequence):
-    """Total-mass probe Re(-i y f(iy)) along increasing heights y.
-
-    For the transform of a probability measure the values approach 1 at a
-    rate O(1/y).
-    """
-    ys = [positive_height(y, "y") for y in np.asarray(y_sequence, dtype=float).tolist()]
-    return [float((-1j * y * complex(f_at(complex(0.0, y)))).real) for y in ys]
 
 
 def check_curve_mass(total):

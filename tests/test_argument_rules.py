@@ -6,9 +6,10 @@ half plane, and a height that is not finite and positive, with
 stand-in that fails the test on first use, so no map application,
 profile evaluation or factorization can happen before the check.
 
-The contraction bounds take one input rule, and the offset laws of
-``product_H`` and ``iid_noncentered_f`` pass one rule too, as does the
-oracle's variance.
+Every entry point that takes the ratio ``c`` rejects a ``c`` outside
+(0, 1] first.  The contraction height takes one input rule, and the
+offset laws of ``product_H`` and ``iid_noncentered_f`` pass one rule too,
+as does the oracle's variance.
 
 Every other real argument with a range passes ``check_range`` and every
 count ``check_count``: the tables below give each site a NaN, an infinity
@@ -21,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import schur_identity_check
 from gramspec import capacity, closed_forms, master_solver, measures, simulator, spectra
 from gramspec.errors import (InvalidInput, check_count, check_range, check_ratio,
                              positive_height, upper_half_plane)
@@ -58,20 +60,35 @@ Z_ENTRIES = {
     "iid_noncentered_f": lambda z: closed_forms.iid_noncentered_f(z, 0.5, 1.0, X),
     "centered_profile_k": lambda z: closed_forms.centered_profile_k(z, 0.5, X, X),
     "empirical_stieltjes": lambda z: simulator.empirical_stieltjes(X, X, z),
-    "empirical_f_tilde": lambda z: simulator.empirical_f_tilde(X, z),
-    "schur_identity_check": lambda z: simulator.schur_identity_check(X, z, 1),
+    "schur_identity_check": lambda z: schur_identity_check(X, z, 1),
     "density_from_stieltjes":
         lambda z: spectra.density_from_stieltjes(X, [0.0, z.real], z.imag),
 }
 
 HEIGHT_ENTRIES = {
-    "theta_bound": lambda y: master_solver.theta_bound(1.0, 0.5, 1.0, y),
     "sweep_line": lambda y: master_solver.sweep_line([0.5], y, 0.5, X, X, X, X),
     "solve_with_continuation":
         lambda y: master_solver.solve_with_continuation([2j], 0.5, X, X, X, X, y_start=y),
     "density_from_stieltjes": lambda y: spectra.density_from_stieltjes(X, [0.5], y),
-    "mass_check": lambda y: spectra.mass_check(X, [1.0, y]),
+    "limit_density": lambda y: spectra.limit_density(X, X, X, 0.5, [0.5], y),
     "DensityCurve": lambda y: spectra.DensityCurve([0.0, 1.0], [0.0, 0.0], y),
+}
+
+BAD_RATIOS = [NAN, 0.0, -0.1, 1.5, INF]
+
+RATIO_ENTRIES = {
+    "init_kernels": lambda c: master_solver.init_kernels(X, X, 1j, c),
+    "picard_step": lambda c: master_solver.picard_step(1j, c, X, X, X, X, X),
+    "solve_master": lambda c: master_solver.solve_master(1j, c, X, X, X, X, X),
+    "solve_with_continuation":
+        lambda c: master_solver.solve_with_continuation([2j], c, X, X, X, X),
+    "sweep_line": lambda c: master_solver.sweep_line([0.5], 0.5, c, X, X, X, X),
+    "mp_stieltjes": lambda c: closed_forms.mp_stieltjes(1j, c, 1.0),
+    "iid_noncentered_f": lambda c: closed_forms.iid_noncentered_f(1j, c, 1.0, X),
+    "centered_profile_k": lambda c: closed_forms.centered_profile_k(1j, c, X, X),
+    "limit_density": lambda c: spectra.limit_density(X, X, X, c, [0.5], 0.5),
+    "capacity_from_limit": lambda c: capacity.capacity_from_limit(
+        spectra.DensityCurve([0.0, 1.0], [0.0, 0.0], 0.5), c, X),
 }
 
 
@@ -98,33 +115,32 @@ def test_rules_return_the_value_they_checked():
     assert check_ratio(0.25) == 0.25
 
 
-@pytest.mark.parametrize("c", [NAN, 0.0, -0.1, 1.5, INF])
+@pytest.mark.parametrize("c", BAD_RATIOS)
 def test_ratio_rule(c):
     with pytest.raises(InvalidInput, match=r"c must lie in \(0, 1\]"):
         check_ratio(c)
 
 
-BOUND_ENTRIES = {
-    "contraction_start_height": master_solver.contraction_start_height,
-    "theta_bound": lambda s2, c, m1: master_solver.theta_bound(s2, c, m1, 1.0),
-}
+@pytest.mark.parametrize("c", BAD_RATIOS)
+@pytest.mark.parametrize("entry", RATIO_ENTRIES)
+def test_ratio_outside_zero_one_rejected_first(entry, c):
+    with pytest.raises(InvalidInput, match=r"c must lie in \(0, 1\]"):
+        RATIO_ENTRIES[entry](c)
 
 
 @pytest.mark.parametrize("s2, m1", [(NAN, 1.0), (INF, 1.0), (-1.0, 1.0),
                                     (1.0, NAN), (1.0, INF), (1.0, -3.0)],
                          ids=["s2-nan", "s2-inf", "s2-negative",
                               "m1-nan", "m1-inf", "m1-negative"])
-@pytest.mark.parametrize("entry", BOUND_ENTRIES)
-def test_contraction_bounds_need_finite_nonnegative_inputs(entry, s2, m1):
+def test_contraction_bounds_need_finite_nonnegative_inputs(s2, m1):
     with pytest.raises(InvalidInput, match="must be finite and >= 0"):
-        BOUND_ENTRIES[entry](s2, 0.5, m1)
+        master_solver.contraction_start_height(s2, 0.5, m1)
 
 
 @pytest.mark.parametrize("c", [NAN, 0.0, 2.0])
-@pytest.mark.parametrize("entry", BOUND_ENTRIES)
-def test_contraction_bounds_take_the_ratio_rule(entry, c):
+def test_contraction_bounds_take_the_ratio_rule(c):
     with pytest.raises(InvalidInput, match=r"c must lie in \(0, 1\]"):
-        BOUND_ENTRIES[entry](1.0, c, 1.0)
+        master_solver.contraction_start_height(1.0, c, 1.0)
 
 
 BAD_LAWS = {
@@ -172,8 +188,9 @@ RANGE_SITES = {
     "contraction_start_height.sigma_max_sq":
         (lambda v: master_solver.contraction_start_height(v, 0.5, 1.0),
          "sigma_max_sq must be finite and >= 0", [-1.0]),
-    "theta_bound.lambda_m1": (lambda v: master_solver.theta_bound(1.0, 0.5, v, 1.0),
-                              "lambda_m1 must be finite and >= 0", [-1.0]),
+    "contraction_start_height.lambda_m1":
+        (lambda v: master_solver.contraction_start_height(1.0, 0.5, v),
+         "lambda_m1 must be finite and >= 0", [-1.0]),
     "mp_stieltjes.sigma_sq": (lambda v: closed_forms.mp_stieltjes(1j, 0.5, v),
                               "sigma_sq must be finite and > 0", [0.0]),
     "mp_density.sigma_sq": (lambda v: closed_forms.mp_density(X, 0.5, v),
@@ -238,11 +255,6 @@ RANGE_SITES = {
     "empirical_stieltjes.lambda_diag":
         (lambda v: simulator.empirical_stieltjes(np.eye(2), [0.0, v], 1j),
          r"offsets \|lambda_diag\| must be finite and >= 0", [-math.inf]),
-    "truncate_diagonal.bound_sq": (lambda v: simulator.truncate_diagonal(X, v),
-                                   "bound_sq must be finite and >= 0", [-1.0]),
-    "truncate_diagonal.lambda_diag": (lambda v: simulator.truncate_diagonal([1.0, v], 4.0),
-                                      r"offsets \|lambda_diag\| must be finite and >= 0",
-                                      [-math.inf]),
 }
 
 

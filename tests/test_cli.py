@@ -187,6 +187,9 @@ class TestSolveCommand:
         ("simulate", [1.5], []),
         ("compare", [True], []),
         ("capacity", ["7"], []),
+        # a repeated seed would count one sample twice
+        ("compare", [3, 3], []),
+        ("simulate", [1, 2], ["--seeds", "7,7"]),
     ])
     def test_bad_seed_exits_2_before_creating_out(self, tmp_path, command, cfg_seeds,
                                                   extra):

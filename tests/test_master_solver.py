@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_height, theta_bound
 from gramspec import master_solver
 from gramspec.closed_forms import mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
@@ -10,12 +11,16 @@ from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
 from gramspec.master_solver import (LADDER_FACTOR, SolverOptions, _Stepper,
                                     contraction_start_height,
                                     init_kernels, picard_step, solve_master,
-                                    solve_with_continuation, sweep_line,
-                                    theta_bound)
+                                    solve_with_continuation, sweep_line)
 from gramspec.measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
                                VarianceProfile, empirical_H_from_diagonal,
-                               lambda_moment, product_H, tv_distance, uniform_H)
+                               lambda_moment, product_H, uniform_H)
 from gramspec.spectra import default_x_grid
+
+
+def tv(a, b):
+    """Discrete total-variation distance of two kernels on the same points."""
+    return np.abs(a.weights - b.weights).sum()
 
 
 def two_atom_H():
@@ -134,8 +139,8 @@ class TestPicardStep:
         pi0, pit0 = init_kernels(H, quad, 1j, 1.0)
         pi1, pit1 = picard_step(1j, 1.0, H, prof, quad, pi0, pit0)
         pi2, pit2 = picard_step(1j, 1.0, H, prof, quad, pi1, pit1)
-        assert tv_distance(pi1, pi2) == 0.0
-        assert tv_distance(pit1, pit2) == 0.0
+        assert tv(pi1, pi2) == 0.0
+        assert tv(pit1, pit2) == 0.0
 
     def test_unit_profile_zero_offsets_uniform_weights(self):
         # with pi_tilde mass -1/z all denominators equal -z(1 - 1/z)
@@ -223,6 +228,15 @@ class TestContractionHeight:
     def test_zero_offsets(self):
         assert contraction_start_height(1.0, 1.0, 0.0) == pytest.approx(6.0)
 
+    @given(s2=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+           m1=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+           c=st.floats(0.0, 1.0, exclude_min=True))
+    @settings(max_examples=500)
+    def test_equals_the_largest_of_the_four_bounds(self, s2, m1, c):
+        # the two bounds dropped for c <= 1 never bind, bit for bit
+        got = contraction_start_height(s2, c, m1)
+        assert got.hex() == reference_height(s2, c, m1).hex()
+
     def test_all_four_bounds_below_half_at_height(self):
         for s2, c, m1 in [(1.0, 1.0, 1.0), (2.0, 0.5, 4.0), (0.3, 0.25, 0.0)]:
             y = contraction_start_height(s2, c, m1)
@@ -267,7 +281,7 @@ class TestSolveMaster:
         opts = SolverOptions(tol=1e-13)
         rep = solve_master(2j, 0.5, H, prof, quad, opts)
         pi2, pit2 = picard_step(2j, 0.5, H, prof, quad, rep.pi, rep.pi_tilde)
-        moved = tv_distance(rep.pi, pi2) + tv_distance(rep.pi_tilde, pit2)
+        moved = tv(rep.pi, pi2) + tv(rep.pi_tilde, pit2)
         assert moved <= 10 * opts.tol
 
     def test_uniqueness_two_initializations(self):
@@ -288,8 +302,8 @@ class TestSolveMaster:
         skew_pit = ComplexKernel(t, zeta, skew_wt)
         rep_warm = solve_master(z, 0.5, H, prof, quad, opts,
                                 initial=(skew_pi, skew_pit))
-        assert tv_distance(rep_cold.pi, rep_warm.pi) <= 10 * opts.tol
-        assert tv_distance(rep_cold.pi_tilde, rep_warm.pi_tilde) <= 10 * opts.tol
+        assert tv(rep_cold.pi, rep_warm.pi) <= 10 * opts.tol
+        assert tv(rep_cold.pi_tilde, rep_warm.pi_tilde) <= 10 * opts.tol
 
     def test_geometric_contraction_above_height(self):
         rng = np.random.default_rng(11)
@@ -657,7 +671,7 @@ class TestOneLoop:
         pi, pit = picard_step(z, c, H, prof, quad, *init_kernels(H, quad, z, c))
         for iterations in range(2, opts.max_iters + 1):
             new_pi, new_pit = picard_step(z, c, H, prof, quad, pi, pit)
-            moved = tv_distance(pi, new_pi) + tv_distance(pit, new_pit)
+            moved = tv(pi, new_pi) + tv(pit, new_pit)
             pi, pit = new_pi, new_pit
             if moved <= opts.tol:
                 break

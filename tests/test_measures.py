@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gramspec.errors import InvalidInput
-from gramspec.measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
-                               VarianceProfile, empirical_H_from_diagonal,
-                               lambda_moment, product_H, tv_distance, uniform_H)
+from gramspec.measures import (JointLimitMeasure, QuadratureRule, VarianceProfile,
+                               empirical_H_from_diagonal, lambda_moment, product_H,
+                               uniform_H)
 
 
 class TestVarianceProfile:
@@ -272,57 +270,6 @@ class TestQuadratureRule:
     def test_unsorted_nodes_rejected(self):
         with pytest.raises(InvalidInput, match="nondecreasing"):
             QuadratureRule(0.5, [0.7, 0.6], [0.25, 0.25])
-
-
-complex_weights = st.lists(
-    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    min_size=1, max_size=12)
-
-
-class TestTvDistance:
-    def _kernel(self, weights):
-        n = len(weights)
-        return ComplexKernel(np.linspace(0, 1, n), np.zeros(n), weights)
-
-    def test_identical_is_zero(self):
-        a = self._kernel([1 + 2j, -0.5j])
-        assert tv_distance(a, a) == 0.0
-
-    def test_single_point_i_vs_minus_i(self):
-        a = self._kernel([1j])
-        b = self._kernel([-1j])
-        assert tv_distance(a, b) == 2.0
-
-    def test_delta_in_one_coordinate(self):
-        a = self._kernel([1.0, 2.0, 3.0])
-        b = self._kernel([1.0, 2.0 + 0.25, 3.0])
-        assert tv_distance(a, b) == pytest.approx(0.25)
-
-    def test_mismatched_points_rejected(self):
-        a = ComplexKernel([0.1], [0.0], [1.0])
-        b = ComplexKernel([0.2], [0.0], [1.0])
-        with pytest.raises(InvalidInput):
-            tv_distance(a, b)
-
-    @given(w=complex_weights)
-    @settings(max_examples=50, deadline=None)
-    def test_identity_of_indiscernibles(self, w):
-        a, b = self._kernel(w), self._kernel(list(w))
-        assert tv_distance(a, b) == 0.0
-
-    @given(data=st.data(), w=complex_weights)
-    @settings(max_examples=50, deadline=None)
-    def test_symmetry_and_triangle(self, data, w):
-        n = len(w)
-        other = data.draw(st.lists(
-            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-            min_size=n, max_size=n))
-        third = data.draw(st.lists(
-            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-            min_size=n, max_size=n))
-        a, b, cker = self._kernel(w), self._kernel(other), self._kernel(third)
-        assert tv_distance(a, b) == tv_distance(b, a)
-        assert tv_distance(a, cker) <= tv_distance(a, b) + tv_distance(b, cker) + 1e-9
 
 
 class TestUniformH:

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import peak_bytes
+from conftest import peak_bytes, schur_identity_check
 from gramspec import simulator
 from gramspec.closed_forms import mp_cdf
 from gramspec.errors import InvalidInput, NumericalFailure
 from gramspec.measures import VarianceProfile
 from gramspec.simulator import (EnsembleSpec, SpectrumSample, _inverse_diagonal,
-                                empirical_f_tilde, empirical_stieltjes, export_csv,
-                                gram_eigenvalues, ks_compare, load_csv,
-                                sample_sigma_matrix, sample_spectrum,
-                                schur_identity_check, truncate_diagonal)
+                                empirical_stieltjes, export_csv, gram_eigenvalues,
+                                ks_compare, load_csv, sample_sigma_matrix,
+                                sample_spectrum)
 
 UNIT = VarianceProfile.constant(1.0)
 LAWS = ["gaussian", "rademacher", "uniform", "complex-gaussian"]
@@ -348,7 +347,9 @@ class TestEmpiricalStieltjes:
         sample = gram_eigenvalues(sigma)
         z = 0.5 + 1j
         _, fn = empirical_stieltjes(sigma, lam, z)
-        ft = empirical_f_tilde(sample, z)
+        # the transposed Gram matrix shares the nonzero eigenvalues and
+        # carries n - N extra zeros
+        ft = (np.sum(1.0 / (sample.eigenvalues - z)) + (16 - 8) * (-1.0 / z)) / 16
         ratio = 8 / 16
         assert abs(ft - (ratio * fn - (1 - ratio) / z)) <= 1e-12
 
@@ -379,21 +380,14 @@ class TestSchurIdentity:
 
 
 class TestTruncateDiagonal:
-    def test_within_bound_unchanged(self):
-        lam, count = truncate_diagonal([1.0, -1.5, 0.0], 4.0)
-        np.testing.assert_array_equal(lam, [1.0, -1.5, 0.0])
-        assert count == 0
-
-    def test_outlier_zeroed(self):
-        lam, count = truncate_diagonal([1.0, 10.0], 4.0)
-        np.testing.assert_array_equal(lam, [1.0, 0.0])
-        assert count == 1
-
     def test_rank_bound_on_esd_distance(self):
+        # zeroing an offset is a rank-one change, which moves the empirical
+        # distribution function by at most 1/N
         n_rows, n_cols = 100, 150
         lam = np.zeros(n_rows)
         lam[0] = 25.0
-        trunc, count = truncate_diagonal(lam, 4.0)
+        trunc = np.where(lam ** 2 <= 4.0, lam, 0.0)
+        count = int(np.count_nonzero(trunc != lam))
         assert count == 1
         spec = EnsembleSpec("gaussian", 17, n_rows, n_cols)
         s_orig = sample_spectrum(spec, UNIT, lam)
