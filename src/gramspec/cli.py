@@ -16,9 +16,11 @@ are read before the output directory exists, so a bad field leaves none.
 ``--threads`` sets how many seeds are sampled at once (simulate, compare,
 capacity); solve and density run serially.
 
-Numeric tables are CSV, reports are JSON; every output embeds a hash of
-the canonical config so downstream steps can refuse mismatched artifacts.
-Reruns with identical configs and seeds are byte-identical.
+This module owns every file format: CSV tables (one writer), JSON reports,
+and the eigenvalue files that ``compare --sim-dir`` reads back (one reader).
+Every output embeds a hash of the canonical config so downstream steps can
+refuse mismatched artifacts.  Reruns with identical configs and seeds are
+byte-identical.
 
 Exit codes: 0 success, 2 config validation, 3 no convergence, 4 numerical
 failure.
@@ -40,7 +42,7 @@ import numpy as np
 from . import capacity as cap
 from . import master_solver, measures, simulator, spectra
 from .errors import (ConfigError, DegenerateDenominator, InvalidInput, NoConvergence,
-                     NumericalFailure, check_count, check_range, positive_height,
+                     NumericalFailure, check_count, check_range, check_x_grid, positive_height,
                      upper_half_plane)
 
 DEFAULT_QUAD_NODES = 256
@@ -203,11 +205,8 @@ def build_z_grid(cfg):
 def build_x_grid(cfg, profile, H, c):
     spec = _require(cfg, "x_grid", "list of numbers or object", {})
     if isinstance(spec, list):
-        if len(spec) < 2:
-            raise ConfigError("x_grid", "explicit grid needs length >= 2")
         with _field("x_grid"):
-            check_range(np.diff(spec), "strictly increasing x_grid: each step", open_low=True)
-        return np.asarray(spec, dtype=float)
+            return check_x_grid(spec)
     points = _require(cfg, "x_grid.points", "integer", DEFAULT_X_POINTS)
     lower = float(_require(cfg, "x_grid.min", "number", 0.0))
     upper = _require(cfg, "x_grid.max", "number", None)
@@ -295,6 +294,55 @@ def _write_json(path, model, fields):
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path, header, columns, rows):
+    """A table as ``# key: value`` lines, the column names and the rows,
+    each line ended by ``\\n``; a (Python, not numpy) float is written by
+    ``repr``, which reads back to the same double."""
+    lines = [f"# {k}: {v}" for k, v in header.items()]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", newline="")
+
+
+def _load_csv(path):
+    """(sample, header dict) of an eigenvalue file of ``simulate``.  A file with
+    no ``# seed:``, ``# N:`` or ``# n:`` line, a value or a header that does not
+    parse, a seed outside the Philox keys or other than N eigenvalues raises
+    :class:`InvalidInput` naming the file and, where there is one, the line."""
+    meta, lines, values = {}, {}, []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, val = line[1:].partition(":")
+                meta[key.strip()] = val.strip()
+                lines[key.strip()] = number
+            elif line and line != "eigenvalue":
+                values.append(_parse(float, line, path, number))
+    for key in ("seed", "N", "n"):
+        if key not in meta:
+            raise InvalidInput(f"{path}: no '# {key}:' header line")
+    seed, *dims = (_parse(int, meta[key], path, lines[key]) for key in ("seed", "N", "n"))
+    try:
+        simulator.check_seed(seed)
+        if len(values) != dims[0]:
+            raise InvalidInput(f"{len(values)} eigenvalues for N={dims[0]}")
+        return simulator.SpectrumSample(np.asarray(values), seed, dims), meta
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _parse(kind, text, path, number):
+    """``kind(text)``, or :class:`InvalidInput` naming line ``number`` of
+    ``path`` when ``text`` does not parse."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{path}, line {number}: cannot read {text!r} "
+                           f"as {kind.__name__}") from exc
+
+
 def _meta(cfg):
     return {"config_hash": config_hash(cfg), "rng": simulator.RNG_NAME,
             "config": json.dumps(cfg, sort_keys=True, separators=(",", ":"))}
@@ -311,7 +359,7 @@ def cmd_solve(model, zs, out_dir):
         rows.append((z.real, z.imag, f.real, f.imag, ft.real, ft.imag, dual,
                      rep.iterations, rep.total_iterations, int(rep.rescued)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    simulator.write_csv(out_dir / "solve.csv", model.meta, [
+    _write_csv(out_dir / "solve.csv", model.meta, [
         "z_re", "z_im", "f_re", "f_im", "ft_re", "ft_im", "dual_resid", "iters", "total_iters",
         "rescued"], rows)
     return 0
@@ -341,8 +389,8 @@ def _limit_curve(model, grid):
 
 def cmd_density(model, grid, out_dir):
     curve = _limit_curve(model, grid)
-    simulator.write_csv(out_dir / "density.csv", model.meta, ["x", "density"],
-                        list(zip(curve.x_grid.tolist(), curve.values.tolist())))
+    _write_csv(out_dir / "density.csv", model.meta, ["x", "density"],
+               list(zip(curve.x_grid.tolist(), curve.values.tolist())))
     _write_json(out_dir / "density.json", model, {
         "epsilon": curve.epsilon,
         "atom_at_zero": curve.atom_at_zero,
@@ -366,9 +414,12 @@ def _simulate_all(model, sampling, threads):
 
 
 def cmd_simulate(model, sampling, threads, out_dir):
-    extra = dict(model.meta, transposed=model.dims[0] > model.dims[1])
+    transposed = model.dims[0] > model.dims[1]
     for seed, sample in _simulate_all(model, sampling, threads):
-        simulator.export_csv(sample, out_dir / f"eigenvalues_seed{seed}.csv", extra)
+        header = {"seed": seed, "N": sample.dims[0], "n": sample.dims[1],
+                  "rng": simulator.RNG_NAME, **model.meta, "transposed": transposed}
+        _write_csv(out_dir / f"eigenvalues_seed{seed}.csv", header, ["eigenvalue"],
+                   ([v] for v in sample.eigenvalues.tolist()))
     return 0
 
 
@@ -379,19 +430,20 @@ def _pad_to_transposed(sample):
 
 
 def _load_samples(model, sim_dir):
-    """The (seed, sample) pairs of a previous simulate run of this config."""
+    """The (seed, sample) pairs of a previous simulate run of this config, in seed order."""
     want_hash = model.meta["config_hash"]
     samples = []
     paths = sorted(Path(sim_dir).glob("eigenvalues_seed*.csv"))
     if not paths:
         raise ConfigError("sim-dir", f"no eigenvalue CSVs under {sim_dir}")
     for path in paths:
-        sample, meta = simulator.load_csv(path)
+        sample, meta = _load_csv(path)
         if meta.get("config_hash") != want_hash:
             raise ConfigError("sim-dir", f"{path.name} was produced by config "
                                          f"{meta.get('config_hash')}, expected {want_hash}")
         samples.append((sample.seed, sample))
-    return samples
+    _checked_seeds([seed for seed, _ in samples], "sim-dir")
+    return sorted(samples, key=lambda pair: pair[0])
 
 
 def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
@@ -409,10 +461,10 @@ def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
         "per_seed": per_seed,
         "median_ks": float(np.median([r["ks"] for r in per_seed])),
     })
-    simulator.write_csv(out_dir / "compare.csv", model.meta, ["seed", "ks"],
-                        [(r["seed"], r["ks"]) for r in per_seed])
-    simulator.write_csv(out_dir / "limit_cdf.csv", model.meta, ["x", "cdf"],
-                        list(zip(curve.x_grid.tolist(), cdf(curve.x_grid).tolist())))
+    _write_csv(out_dir / "compare.csv", model.meta, ["seed", "ks"],
+               [(r["seed"], r["ks"]) for r in per_seed])
+    _write_csv(out_dir / "limit_cdf.csv", model.meta, ["x", "cdf"],
+               list(zip(curve.x_grid.tolist(), cdf(curve.x_grid).tolist())))
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, the one Stieltjes-class rule,
 and the argument rules: every real argument with a range passes
 :func:`check_range` (finite and inside its interval, so NaN fails), every
-count :func:`check_count`, and every point z :func:`upper_half_plane`."""
+count :func:`check_count`, every point z :func:`upper_half_plane`, and
+every density grid :func:`check_x_grid`."""
 
 import cmath
 import math
@@ -78,6 +79,16 @@ def positive_height(y, name):
 def check_ratio(c, name="c"):
     """``float(c)``; raises :class:`InvalidInput` unless c lies in (0, 1]."""
     return check_range(c, name, 0.0, 1.0, open_low=True)
+
+
+def check_x_grid(x_grid):
+    """``x_grid`` as a float array; raises :class:`InvalidInput` unless it
+    holds at least two points in strictly increasing finite steps."""
+    x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidInput("x_grid must hold at least two points")
+    check_range(np.diff(x), "strictly increasing x_grid: each step", open_low=True)
+    return x
 
 
 def check_count(value, name, floor=0, bits=None):

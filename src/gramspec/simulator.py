@@ -315,67 +315,3 @@ def ks_compare(sample, cdf):
     ecdf = np.searchsorted(ev, ev, side="right") / ev.size
     ref = np.asarray(cdf(ev), dtype=float)
     return float(np.max(np.abs(ecdf - ref)))
-
-
-def write_csv(path, header_meta, columns, rows):
-    """A table as ``# key: value`` lines, the column names and the rows,
-    each line ended by ``\\n``; a (Python, not numpy) float is written by
-    ``repr``, which reads back to the same double."""
-    lines = [f"# {k}: {v}" for k, v in header_meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_csv(sample, path, metadata=None):
-    """One eigenvalue per line with seed/dims/rng header comments, then
-    the entries of ``metadata`` under other keys."""
-    header = {"seed": sample.seed, "N": sample.dims[0], "n": sample.dims[1], "rng": RNG_NAME}
-    header.update((k, v) for k, v in (metadata or {}).items() if k not in header)
-    write_csv(path, header, ["eigenvalue"], ([v] for v in sample.eigenvalues.tolist()))
-
-
-def load_csv(path):
-    """Read back an exported spectrum; returns (sample, metadata dict).
-
-    A file that is not such an export (no ``# N:`` or ``# n:`` line, a
-    value or a header that does not parse, a seed outside the Philox keys,
-    other than N eigenvalues) raises :class:`InvalidInput` naming the file
-    and, where there is one, the line.
-    """
-    meta, lines, values = {}, {}, []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                meta[key.strip()] = val.strip()
-                lines[key.strip()] = number
-            elif line and line != "eigenvalue":
-                values.append(_parse(float, line, path, number))
-    for key in ("N", "n"):
-        if key not in meta:
-            raise InvalidInput(f"{path}: no '# {key}:' header line")
-    seed = meta.get("seed", "None")
-    seed = None if seed == "None" else _parse(int, seed, path, lines["seed"])
-    dims = tuple(_parse(int, meta[key], path, lines[key]) for key in ("N", "n"))
-    try:
-        if seed is not None:
-            check_seed(seed)
-        if len(values) != dims[0]:
-            raise InvalidInput(f"{len(values)} eigenvalues for N={dims[0]}")
-        return SpectrumSample(np.asarray(values), seed, dims), meta
-    except InvalidInput as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
-
-
-def _parse(kind, text, path, number):
-    """``kind(text)``, or :class:`InvalidInput` naming line ``number`` of
-    ``path`` when ``text`` does not parse."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise InvalidInput(f"{path}, line {number}: cannot read {text!r} "
-                           f"as {kind.__name__}") from exc

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInput, NumericalFailure, check_count, check_range, positive_height,
-                     upper_half_plane)
+from .errors import (InvalidInput, NumericalFailure, check_count, check_range, check_ratio,
+                     check_x_grid, positive_height)
 from . import master_solver
 
 __all__ = ["DensityCurve", "stieltjes_pair", "density_from_stieltjes",
@@ -34,11 +34,8 @@ class DensityCurve:
     atom_at_zero: float = 0.0
 
     def __post_init__(self):
-        self.x_grid = np.asarray(self.x_grid, dtype=float)
+        self.x_grid = check_x_grid(self.x_grid)
         self.values = np.asarray(self.values, dtype=float)
-        if self.x_grid.ndim != 1 or self.x_grid.size < 2:
-            raise InvalidInput("x_grid must hold at least two points")
-        check_range(np.diff(self.x_grid), "strictly increasing x_grid: each step", open_low=True)
         if self.x_grid.shape != self.values.shape:
             raise InvalidInput("values must match x_grid in length")
         check_range(self.values, "density values")
@@ -78,12 +75,11 @@ def density_from_stieltjes(f_at, x_grid, epsilon):
 
     Negative inversion values are clamped to zero when they stay above
     -1e-12; anything lower raises NumericalFailure.  Evaluator exceptions
-    propagate per grid point.
+    propagate per grid point; the grid is checked before any call.
     """
     epsilon = positive_height(epsilon, "epsilon")
-    x = np.asarray(x_grid, dtype=float)
-    zs = [upper_half_plane(complex(xi, epsilon)) for xi in x]
-    f_values = [complex(f_at(z)) for z in zs]
+    x = check_x_grid(x_grid)
+    f_values = [complex(f_at(complex(xi, epsilon))) for xi in x]
     values = _clamped_density(f_values, f"epsilon={epsilon}")
     return DensityCurve(x, values, epsilon)
 
@@ -94,14 +90,17 @@ def limit_density(H, profile, quad, c, x_grid, epsilon, opts=None, transpose=Fal
     Sweeps the solver along Im(z) = epsilon with warm starts.  With
     ``transpose=True`` the curve describes the transposed Gram side: its
     absolutely continuous part is c times the primal density and it carries
-    the analytic point mass 1-c at zero.
+    the analytic point mass 1-c at zero.  Height, ratio, then grid are
+    checked before any solve.
     """
-    reports = master_solver.sweep_line(x_grid, epsilon, c, H, profile, quad, opts)
+    positive_height(epsilon, "epsilon")
+    check_ratio(c)
+    x = check_x_grid(x_grid)
+    reports = master_solver.sweep_line(x, epsilon, c, H, profile, quad, opts)
     values = _clamped_density([rep.f for rep in reports], f"epsilon={epsilon}")
     if transpose:
-        return DensityCurve(np.asarray(x_grid, float), c * values, epsilon,
-                            atom_at_zero=1.0 - c)
-    return DensityCurve(np.asarray(x_grid, float), values, epsilon)
+        return DensityCurve(x, c * values, epsilon, atom_at_zero=1.0 - c)
+    return DensityCurve(x, values, epsilon)
 
 
 def check_curve_mass(total):

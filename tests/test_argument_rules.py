@@ -11,10 +11,15 @@ Every entry point that takes the ratio ``c`` rejects a ``c`` outside
 offset laws of ``product_H`` and ``iid_noncentered_f`` pass one rule too,
 as does the oracle's variance.
 
+Every entry point that takes a density grid checks it by
+:class:`~gramspec.spectra.DensityCurve`'s rule before it evaluates a
+transform or solves.
+
 Every other real argument with a range passes ``check_range`` and every
 count ``check_count``: the tables below give each site a NaN, an infinity
 and a value outside its interval, or a float, a bool and a value below its
-floor.
+floor.  Each shape rule (a dimension, a length, an empty input) has a row
+of its own.
 """
 
 import math
@@ -105,6 +110,23 @@ def test_z_outside_the_upper_half_plane_rejected_first(entry, z):
 def test_height_not_finite_and_positive_rejected_first(entry, y):
     with pytest.raises(InvalidInput, match="must be finite and > 0"):
         HEIGHT_ENTRIES[entry](y)
+
+
+BAD_GRIDS = {"reversed": ([1.0, 0.5], "strictly increasing x_grid"),
+             "one-point": ([0.5], "x_grid must hold at least two points")}
+
+GRID_ENTRIES = {
+    "density_from_stieltjes": lambda grid: spectra.density_from_stieltjes(X, grid, 0.5),
+    "limit_density": lambda grid: spectra.limit_density(X, X, X, 0.5, grid, 0.5),
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRIDS.keys())
+@pytest.mark.parametrize("entry", GRID_ENTRIES)
+def test_density_grid_rejected_before_any_solve(entry, grid):
+    values, message = BAD_GRIDS[grid]
+    with pytest.raises(InvalidInput, match=message):
+        GRID_ENTRIES[entry](values)
 
 
 def test_rules_return_the_value_they_checked():
@@ -276,6 +298,47 @@ def test_range_rule_at_every_site(site, value):
      "strictly increasing x_grid: each step must be finite and > 0, got 0.0"),
 ], ids=["QuadratureRule.nodes", "SpectrumSample", "DensityCurve.x_grid"])
 def test_order_rule(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+# site: (a call that breaks the site's shape rule, the rule's message)
+SHAPE_SITES = {
+    "VarianceProfile.separable": (lambda: measures.VarianceProfile.separable([1.0], [1.0, 1.0]),
+                                  "g_values must be a 1-d sequence, length >= 2"),
+    "VarianceProfile.bilinear": (lambda: measures.VarianceProfile.bilinear([[1.0] * 3] * 2),
+                                 "bilinear grid must be square, at least 2x2"),
+    "VarianceProfile.blocks": (lambda: measures.VarianceProfile.blocks([1.0, 2.0]),
+                               "block values must form a 2-d array"),
+    "JointLimitMeasure.lengths": (lambda: measures.JointLimitMeasure([0.2, 0.8], [0.0], [1.0]),
+                                  "u, lam, w must be 1-d sequences of equal length"),
+    "JointLimitMeasure.empty": (lambda: measures.JointLimitMeasure([], [], []),
+                                "measure needs at least one atom"),
+    "ComplexKernel.ndim": (lambda: measures.ComplexKernel([[0.5]], [0.0], [1.0]),
+                           "kernel arrays must be 1-d"),
+    "ComplexKernel.lengths": (lambda: measures.ComplexKernel([0.2, 0.8], [0.0, 0.0], [1.0]),
+                              "points and weights must have equal length"),
+    "QuadratureRule": (lambda: measures.QuadratureRule(0.5, [0.6, 0.7], [0.5]),
+                       "nodes and weights must be 1-d of equal length"),
+    "SpectrumSample": (lambda: simulator.SpectrumSample([], 1, (2, 3)),
+                       "eigenvalues must be a nonempty 1-d array"),
+    "gram_eigenvalues": (lambda: simulator.gram_eigenvalues(np.empty((0, 3))),
+                         "sigma must be a nonempty matrix"),
+    "DensityCurve.x_grid": (lambda: spectra.DensityCurve([0.5], [0.0], 1e-3),
+                            "x_grid must hold at least two points"),
+    "DensityCurve.values": (lambda: spectra.DensityCurve([0.0, 1.0], [0.0], 1e-3),
+                            "values must match x_grid in length"),
+    "centered_profile_k.u_grid": (lambda: closed_forms.centered_profile_k(1j, 0.5, X, []),
+                                  "u_grid must be a nonempty 1-d array"),
+    "solve_with_continuation.factor":
+        (lambda: master_solver.solve_with_continuation([2j], 0.5, X, X, X, X, factor=1.0),
+         r"factor must lie in \(0, 1\)"),
+}
+
+
+@pytest.mark.parametrize("site", SHAPE_SITES)
+def test_shape_rule_at_every_site(site):
+    call, message = SHAPE_SITES[site]
     with pytest.raises(InvalidInput, match=message):
         call()
 

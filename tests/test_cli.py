@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import gramspec
-from gramspec import cli
+from gramspec import cli, simulator
 from gramspec.closed_forms import centered_profile_k, iid_noncentered_f, mp_stieltjes
+from gramspec.errors import InvalidInput
 from gramspec.measures import VarianceProfile
 
 
@@ -332,6 +333,7 @@ class TestCompareCommand:
         ("# N: 60\n", ""),
         ("\neigenvalue\n", "\neigenvalue\nnot-a-number\n"),
         ("# seed: 1\n", "# seed: x\n"),
+        ("# seed: 1\n", ""),
     ])
     def test_malformed_artifact_exits_2_before_creating_out(self, tmp_path, capsys,
                                                             old, new):
@@ -347,6 +349,32 @@ class TestCompareCommand:
                          "--sim-dir", str(sim_out)]) == 2
         assert not out.exists()
         assert "eigenvalues_seed1.csv" in capsys.readouterr().err
+
+    def test_repeated_seed_exits_2_before_creating_out(self, tmp_path, capsys):
+        # a copy of a file still matches eigenvalues_seed*.csv, and its
+        # sample would count twice
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[2, 10, 3]))
+        sim_out = tmp_path / "sims"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        (sim_out / "eigenvalues_seed3.bak.csv").write_bytes(
+            (sim_out / "eigenvalues_seed3.csv").read_bytes())
+        out = tmp_path / "never"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                         "--sim-dir", str(sim_out)]) == 2
+        assert not out.exists()
+        assert "sim-dir: repeats seed 3" in capsys.readouterr().err
+
+    def test_loaded_samples_give_the_bytes_of_fresh_ones(self, tmp_path):
+        # seed order, not file-name order (eigenvalues_seed10 before _seed2)
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[2, 10, 3]))
+        sim_out, fresh, loaded = tmp_path / "sims", tmp_path / "fresh", tmp_path / "loaded"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(fresh)]) == 0
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(loaded),
+                         "--sim-dir", str(sim_out)]) == 0
+        for name in ("compare.csv", "compare.json", "limit_cdf.csv"):
+            assert (fresh / name).read_bytes() == (loaded / name).read_bytes(), name
+        assert [r["seed"] for r in read_rows(loaded / "compare.csv")] == ["2", "3", "10"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_eigenvalue_not_finite_exits_2_before_creating_out(self, tmp_path, capsys, value):
@@ -373,6 +401,57 @@ class TestCompareCommand:
         report = json.loads((out / "compare.json").read_text())
         # padded spectra against the atom-bearing curve stay close too
         assert report["median_ks"] <= 0.2
+
+
+class TestEigenvalueFiles:
+    """``simulate`` writes each sample with the CLI's one CSV writer, and
+    ``compare --sim-dir`` reads it back with the CLI's one reader."""
+
+    SMALL = dict(SIM_BASE, ensemble={"entry_law": "gaussian", "N": 5, "n": 8}, seeds=[3])
+
+    def simulated(self, tmp_path):
+        """The eigenvalue file of seed 3 at 5 x 8, and the sample it holds."""
+        cfg = write_config(tmp_path, self.SMALL)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        sample = simulator.sample_spectrum(simulator.EnsembleSpec("gaussian", 3, 5, 8),
+                                           VarianceProfile.constant(1.0), np.zeros(5))
+        return tmp_path / "eigenvalues_seed3.csv", sample
+
+    def test_simulate_and_load(self, tmp_path):
+        path, sample = self.simulated(tmp_path)
+        loaded, meta = cli._load_csv(path)
+        np.testing.assert_array_equal(loaded.eigenvalues, sample.eigenvalues)
+        assert loaded.seed == 3
+        assert loaded.dims == (5, 8)
+        assert meta["config_hash"] == cli.config_hash(self.SMALL)
+        assert meta["rng"] == "philox4x64"
+        assert list(meta) == ["seed", "N", "n", "rng", "config_hash", "config", "transposed"]
+        assert b"\r" not in path.read_bytes()
+
+    def test_loads_files_with_crlf_rows(self, tmp_path):
+        # files written before every table ended its lines with \n alone
+        path, sample = self.simulated(tmp_path)
+        head, _, rows = path.read_bytes().partition(b"eigenvalue\n")
+        path.write_bytes(head + b"eigenvalue\r\n" + rows.replace(b"\n", b"\r\n"))
+        loaded, _ = cli._load_csv(path)
+        np.testing.assert_array_equal(loaded.eigenvalues, sample.eigenvalues)
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("# N: 5\n", "", "no '# N:' header line"),
+        ("# seed: 3\n", "", "no '# seed:' header line"),
+        ("\neigenvalue\n", "\neigenvalue\n1.5e\n", "line 9: cannot read '1.5e'"),
+        ("# seed: 3\n", "# seed: x\n", "line 1: cannot read 'x'"),
+        ("# seed: 3\n", "# seed: -1\n", "seed must be an integer in [0, 2**128)"),
+        ("\neigenvalue\n", "\neigenvalue\n0.5\n", "6 eigenvalues for N=5"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, old, new, where):
+        path, _ = self.simulated(tmp_path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(InvalidInput, match="eigenvalues_seed3.csv") as info:
+            cli._load_csv(path)
+        assert where in str(info.value)
 
 
 class TestCapacityCommand:

@@ -10,9 +10,8 @@ from gramspec.closed_forms import mp_cdf
 from gramspec.errors import InvalidInput, NumericalFailure
 from gramspec.measures import VarianceProfile
 from gramspec.simulator import (EnsembleSpec, SpectrumSample, _inverse_diagonal,
-                                empirical_stieltjes, export_csv, gram_eigenvalues,
-                                ks_compare, load_csv, sample_sigma_matrix,
-                                sample_spectrum)
+                                empirical_stieltjes, gram_eigenvalues, ks_compare,
+                                sample_sigma_matrix, sample_spectrum)
 
 UNIT = VarianceProfile.constant(1.0)
 LAWS = ["gaussian", "rademacher", "uniform", "complex-gaussian"]
@@ -451,46 +450,3 @@ class TestOffsetEnsembleEndToEnd:
                                          UNIT, lam_diag), cdf)
               for seed in range(5)]
         assert np.median(ks) <= 0.08
-
-
-class TestCsvRoundTrip:
-    def test_export_and_load(self, tmp_path):
-        spec = EnsembleSpec("gaussian", 3, 5, 8)
-        sample = sample_spectrum(spec, UNIT, np.zeros(5))
-        path = tmp_path / "eig.csv"
-        export_csv(sample, path, {"config_hash": "abc123"})
-        loaded, meta = load_csv(path)
-        np.testing.assert_array_equal(loaded.eigenvalues, sample.eigenvalues)
-        assert loaded.seed == 3
-        assert loaded.dims == (5, 8)
-        assert meta["config_hash"] == "abc123"
-        assert meta["rng"] == "philox4x64"
-        assert b"\r" not in path.read_bytes()
-
-    def test_loads_files_with_crlf_rows(self, tmp_path):
-        # files written before every table ended its lines with \n alone
-        sample = sample_spectrum(EnsembleSpec("gaussian", 3, 5, 8), UNIT, np.zeros(5))
-        path = tmp_path / "eig.csv"
-        export_csv(sample, path)
-        head, _, rows = path.read_bytes().partition(b"eigenvalue\n")
-        path.write_bytes(head + b"eigenvalue\r\n" + rows.replace(b"\n", b"\r\n"))
-        loaded, _ = load_csv(path)
-        np.testing.assert_array_equal(loaded.eigenvalues, sample.eigenvalues)
-
-    @pytest.mark.parametrize("old,new,where", [
-        ("# N: 5\n", "", "no '# N:' header line"),
-        ("\neigenvalue\n", "\neigenvalue\n1.5e\n", "line 6: cannot read '1.5e'"),
-        ("# seed: 3\n", "# seed: x\n", "line 1: cannot read 'x'"),
-        ("# seed: 3\n", "# seed: -1\n", "seed must be an integer in [0, 2**128)"),
-        ("\neigenvalue\n", "\neigenvalue\n0.5\n", "6 eigenvalues for N=5"),
-    ])
-    def test_malformed_file_names_file_and_line(self, tmp_path, old, new, where):
-        sample = sample_spectrum(EnsembleSpec("gaussian", 3, 5, 8), UNIT, np.zeros(5))
-        path = tmp_path / "eig.csv"
-        export_csv(sample, path)
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
-        with pytest.raises(InvalidInput, match="eig.csv") as info:
-            load_csv(path)
-        assert where in str(info.value)
