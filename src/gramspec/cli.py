@@ -6,7 +6,7 @@ ensemble, noise, grids, solver options); subcommands run the workflows:
     gramspec solve    --config cfg.json --out outdir
     gramspec density  --config cfg.json --out outdir
     gramspec simulate --config cfg.json --out outdir [--seeds 1,2,3]
-    gramspec compare  --config cfg.json --out outdir [--sim-dir dir]
+    gramspec compare  --config cfg.json --out outdir [--sim-dir dir | --seeds 1,2]
     gramspec capacity --config cfg.json --out outdir [--bits]
 
 Every config field is read once, by one typed reader that names the
@@ -534,6 +534,10 @@ def _bind_command(args, model, seeds):
     if args.command == "density":
         return functools.partial(cmd_density, model, grid)
     if args.command == "compare":
+        if args.sim_dir is not None and seeds is not None:
+            # the files name their own seeds, and no rule picks some of them
+            raise ConfigError("--seeds", "cannot be given with --sim-dir, whose "
+                                         "files carry their seeds")
         loaded = None if args.sim_dir is None else _load_samples(model, args.sim_dir)
         sampling = build_sampling(model, seeds) if loaded is None else None
         return functools.partial(cmd_compare, model, grid, sampling, args.threads, loaded)

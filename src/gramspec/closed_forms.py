@@ -6,7 +6,8 @@ kernel machinery:
 
 * constant profile, zero offset: a scalar quadratic (Marchenko-Pastur);
 * constant profile, general offset law: a scalar fixed point over the
-  offset distribution alone;
+  offset distribution alone, finished by Newton steps that are kept only
+  inside the Stieltjes class;
 * zero offset, general profile: a one-kernel nested fixed point for the
   density k(u, z) of the limiting kernel in the position variable.
 """
@@ -21,12 +22,18 @@ __all__ = ["mp_stieltjes", "mp_density", "mp_cdf", "iid_noncentered_f",
            "centered_profile_k"]
 
 
-# the damped iterations of the two fixed-point oracles: factor on the new
-# value, stop once a step moves the iterate by at most TOL, give up after
-# MAX_ITERS steps
+# the iterations of the two fixed-point oracles: factor on the new value of
+# a damped step, stop once a step (damped, or Newton in iid_noncentered_f)
+# moves the iterate by at most TOL, give up after MAX_ITERS steps
 DAMPING = 0.5
 TOL = 1e-14
 MAX_ITERS = 100000
+# iid_noncentered_f tries a Newton step once a damped step is at most this
+# fraction of |f|.  On the 500 points of the Monte Carlo reference curve
+# (Im z = 1e-3) damped steps alone took 63 112 steps, at most 3974 per call;
+# from a tenth they take 7376, at most 36.  From a third, Newton steps left
+# the class or cycled.
+_NEWTON_START = 0.1
 
 
 def mp_stieltjes(z, c, sigma_sq):
@@ -101,8 +108,15 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda):
 
         f = sum_k w_k / ( -z (1 + c s2 f) + (1-c) s2 + lambda_k / (1 + c s2 f) )
 
-    by damped iteration from f = -1/z, for a finite ``sigma_sq >= 0`` and
-    an :func:`~gramspec.measures.offset_law`.  The iteration runs on Python
+    for a finite ``sigma_sq >= 0`` and an
+    :func:`~gramspec.measures.offset_law`.  Damped steps from f = -1/z
+    carry the iterate into Newton's basin.  Once a damped step is at most
+    |f|/10, each step tries Newton on F(f) = f - G(f), with G'(f) summed
+    over the atoms in the same loop, and takes it only if the new iterate
+    stays in the Stieltjes class (Im f >= 0, Im zf >= 0, |f| <= 1/Im z);
+    otherwise it takes the damped step.  It returns after a step of at most
+    ``TOL``: after a Newton step, where convergence is quadratic, that
+    bounds the error, not only the step.  The iteration runs on Python
     complex scalars: the offset law has a handful of atoms, too few for
     array arithmetic to pay for its per-call overhead.
     """
@@ -113,19 +127,29 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda):
     cs2 = c * sigma_sq
     shift = (1.0 - c) * sigma_sq
     f = -1.0 / z
+    bound = 1.0 / z.imag
     for _ in range(MAX_ITERS):
         den1 = 1.0 + cs2 * f
         if abs(den1) < 1e-14:
             raise DegenerateDenominator(f"1 + c s2 f vanished at z={z}")
         base = -z * den1 + shift
-        f_new = 0j
+        g = slope = 0j                  # G(f), and G'(f) up to the factor c s2
         for lam_k, w_k in atoms:
             den = base + lam_k / den1
             if abs(den) < 1e-14:
                 raise DegenerateDenominator(f"resolvent denominator vanished at z={z}")
-            f_new += w_k * (1.0 / den)
-        f_next = DAMPING * f_new + (1.0 - DAMPING) * f
+            inv = 1.0 / den
+            g += w_k * inv
+            slope += w_k * (z + lam_k / (den1 * den1)) * inv * inv
+        f_next = DAMPING * g + (1.0 - DAMPING) * f
         delta = abs(f_next - f)
+        slope *= cs2
+        if delta <= _NEWTON_START * abs(f) and slope != 1.0:
+            f_newton = f + (g - f) / (1.0 - slope)
+            if (f_newton.imag >= 0.0 and (z * f_newton).imag >= 0.0
+                    and abs(f_newton) <= bound):
+                f_next = f_newton
+                delta = abs(f_newton - f)
         f = f_next
         if delta <= TOL:
             return f

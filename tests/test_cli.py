@@ -364,6 +364,25 @@ class TestCompareCommand:
         assert not out.exists()
         assert "sim-dir: repeats seed 3" in capsys.readouterr().err
 
+    def test_seeds_with_sim_dir_exits_2_before_creating_out(self, tmp_path, capsys):
+        # the files carry seeds 1 and 2; --seeds 5,6 must not be dropped unread
+        cfg = write_config(tmp_path, SIM_BASE)
+        sim_out = tmp_path / "sims"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        out = tmp_path / "never"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                         "--sim-dir", str(sim_out), "--seeds", "5,6"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: --seeds: " in err and "--sim-dir" in err
+
+    def test_seeds_override_the_config_without_sim_dir(self, tmp_path):
+        cfg = write_config(tmp_path, SIM_BASE)
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                         "--seeds", "5"]) == 0
+        assert [r["seed"] for r in read_rows(out / "compare.csv")] == ["5"]
+
     def test_loaded_samples_give_the_bytes_of_fresh_ones(self, tmp_path):
         # seed order, not file-name order (eigenvalues_seed10 before _seed2)
         cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[2, 10, 3]))

@@ -1,13 +1,16 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
 
+from gramspec import closed_forms
 from gramspec.closed_forms import (centered_profile_k, iid_noncentered_f, mp_cdf,
                                    mp_density, mp_stieltjes)
-from gramspec.errors import DegenerateDenominator, InvalidInput
+from gramspec.errors import DegenerateDenominator, InvalidInput, NoConvergence
 from gramspec.master_solver import solve_master
-from gramspec.measures import QuadratureRule, VarianceProfile, uniform_H
+from gramspec.measures import QuadratureRule, VarianceProfile, product_H, uniform_H
+from gramspec.spectra import default_x_grid
 
 Z_GRID = [0.5j, 1j, 2j, 1 + 1j, -0.5 + 0.7j, 3 + 4j, 10j, 0.1 + 0.6j,
           -2 + 1.5j, 5 + 0.5j, 0.9j, -1 + 2j, 4j, 2 + 2j, 0.3 + 1.1j,
@@ -100,15 +103,23 @@ class TestIidNoncentered:
         with pytest.raises(InvalidInput):
             iid_noncentered_f(1j, 0.5, 1.0, [(0.0, 0.7)])
 
-    @pytest.mark.parametrize("c,s2", [(0.25, 2.0), (1.0, 0.5)])
-    def test_zero_offset_law_matches_mp_near_the_axis(self, c, s2):
-        for x in np.linspace(-0.5, 4.0, 19):
-            z = complex(x, 1e-2)
+    # the 1e-13 cases hold the Newton finish to the exact root; a stop on a
+    # damped step of 1e-14 read 4.4e-13 off it at Im z = 1e-3
+    @pytest.mark.parametrize("c,s2,height,points,bound", [
+        pytest.param(0.25, 2.0, 1e-2, 19, 1e-10, id="0.25-2.0"),
+        pytest.param(1.0, 0.5, 1e-2, 19, 1e-10, id="1.0-0.5"),
+        *(pytest.param(c, s2, height, 91, 1e-13, id=f"{c}-{s2}-{height}-exact")
+          for c, s2 in [(0.25, 2.0), (1.0, 0.5), (0.5, 1.0)] for height in (1e-2, 1e-3)),
+    ])
+    def test_zero_offset_law_matches_mp_near_the_axis(self, c, s2, height, points, bound):
+        for x in np.linspace(-0.5, 4.0, points):
+            z = complex(x, height)
             f = iid_noncentered_f(z, c, s2, [(0, 1)])
-            assert abs(f - mp_stieltjes(z, c, s2)) <= 1e-10 * max(1.0, abs(f))
+            assert abs(f - mp_stieltjes(z, c, s2)) <= bound * max(1.0, abs(f))
 
     def test_matches_array_iteration(self):
-        # the same damped iteration on numpy arrays, as a reference
+        # the damped iteration alone on numpy arrays, as a reference: the
+        # Newton finish lands on the same root to rounding
         def array_f(z, c, s2, pairs):
             lam = np.array([p[0] for p in pairs])
             w = np.array([p[1] for p in pairs])
@@ -131,6 +142,24 @@ class TestIidNoncentered:
         # zero at z = i, is no longer a valid law)
         with pytest.raises(DegenerateDenominator, match="resolvent denominator vanished"):
             iid_noncentered_f(2.0 + 1e-20j, 1.0, 0.0, [(2.0, 1.0)])
+
+    def test_montecarlo_reference_grid_within_a_step_budget(self, monkeypatch):
+        # the 500 points of the Monte Carlo reference curve at Im z = 1e-3
+        # take at most 36 steps each with the Newton finish, and up to 3974
+        # with damped steps alone
+        law = [(0.0, 0.5), (1.0, 0.5)]
+        xs = default_x_grid(VarianceProfile.constant(1.0), product_H(law, 800), 0.5, 500)
+        monkeypatch.setattr(closed_forms, "MAX_ITERS", 72)
+        for x in xs:
+            z = complex(x, 1e-3)
+            f = iid_noncentered_f(z, 0.5, 1.0, law)
+            assert f.imag >= 0 and (z * f).imag >= 0 and abs(f) <= 1 / z.imag
+
+    def test_step_budget_spent_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "MAX_ITERS", 3)
+        z = 0.3 + 1e-3j
+        with pytest.raises(NoConvergence, match=re.escape(f"stalled at z={z}")):
+            iid_noncentered_f(z, 0.5, 1.0, [(0.0, 0.5), (1.0, 0.5)])
 
 
 class TestCenteredProfileK:
@@ -170,6 +199,13 @@ class TestCenteredProfileK:
         inner = 1 + c * (sig.T @ k) / m
         rhs = 1.0 / (-z + sig @ (tw / inner))
         assert np.max(np.abs(k - rhs)) <= 1e-10
+
+    def test_step_budget_spent_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "MAX_ITERS", 3)
+        z = 0.5 + 0.05j
+        with pytest.raises(NoConvergence, match=re.escape(f"stalled at z={z}")):
+            centered_profile_k(z, 0.5, VarianceProfile.constant(1.0),
+                               (np.arange(16) + 0.5) / 16)
 
     def test_stieltjes_properties_of_mean(self):
         prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])

@@ -20,8 +20,10 @@ So the iterated answers differ only by the two stopping rules:
   Above the contraction height that bounds the error of f by ``TOL``;
   below it the factor 10 is the margin that ``TestColdStartAtTarget``
   holds against a tight reference over the same heights;
-* the oracles stop once a damped step, half the undamped residual, is at
-  most ``ORACLE_TOL``; the same factor 10 goes on that residual.
+* the oracles stop once a step is at most ``ORACLE_TOL``: a damped step,
+  half the undamped residual, or (``iid_noncentered_f``) a Newton step,
+  which bounds its error more tightly; the same factor 10 goes on that
+  residual.
 """
 
 import numpy as np
