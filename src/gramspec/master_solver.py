@@ -26,12 +26,14 @@ The iterate is one complex vector ``s = [p | pa | r]`` of length 2m + q:
 the m weights of pi on H's atoms, then the m atomic and q quadrature
 weights of pi_tilde.  The profile enters only through its separable
 factors (:meth:`VarianceProfile.factors`), ``sigma2(x, y) = phi(x) V
-psi(y)^T`` of rank k, kept as two thin real matrices: ``Phi = phi(u) V``
-(m x k) and ``Psi = psi([c u; t])`` ((m + q) x k).  The integrals of a step
-are ``A = Phi (Psi^T s[m:])`` and ``[B; C] = Psi (Phi^T s[:m])``, real
-products on the (re, im) pairs of the weights that cost O((m + q) k); the
-dense m x (m + q) profile matrix is never formed.  Damping, the residual
-and the masses are single expressions on ``s``.
+psi(y)^T`` of rank k, kept as two thin matrices: ``Phi = phi(u) V`` (m x
+k) and ``Psi = psi([c u; t])`` ((m + q) x k).  They are real, but the
+solver keeps contiguous complex copies of them and of their transposes, so
+that every product of a step is one complex matrix product on contiguous
+operands.  The integrals of a step are ``A = Phi (Psi^T s[m:])`` and ``[B;
+C] = Psi (Phi^T s[:m])``, complex matrix-vector products that cost O((m +
+q) k); the dense m x (m + q) profile matrix is never formed.  The
+residual and the masses are single expressions on ``s``.
 
 The map G is iterated from the cold start ``s = -num / z``: each weight
 is its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both
@@ -57,7 +59,8 @@ each kernel's numerators sum to 1, so the weights' rules imply the same
 rules on the masses with numerator 1, up to rounding.
 
 Each target is solved once, straight from the cold start at the target (or
-from a neighbour's or a caller's iterate).  Only when that solve fails,
+from a caller's iterate, or along a sweep from a start extrapolated from
+the answers at its two left neighbours).  Only when that solve fails,
 most often because Newton converged to a root outside the Stieltjes
 class, does the rescue run: a ladder down the imaginary axis whose top
 rung is a cold solve at the contraction height, where the contraction
@@ -233,63 +236,69 @@ def _weights_from_integrals(z, c, lam, num, A, BC):
     return num / den, one
 
 
-def _real_matvec(matrix, v):
-    """``matrix @ v`` for a real matrix and a contiguous complex vector,
-    computed on the ``(re, im)`` pairs so nothing is upcast."""
-    return (matrix @ v.view(np.float64).reshape(-1, 2)).view(complex).ravel()
-
-
 class _Stepper(_System):
     """The fixed-point map on the stacked iterate of a :class:`_System`, its
     Jacobian in the reduced unknowns, and the system's contraction
     ``height``.
 
     Holds the profile as the thin factors ``Phi`` (m x k) and ``Psi``
-    ((m + q) x k) of the module docstring, so no array it keeps grows like
-    m (m + q).
+    ((m + q) x k) of the module docstring and their transposes, each a
+    contiguous complex copy, so every product of a step is one complex
+    matrix product and no array it keeps grows like m (m + q).
     """
 
     def __init__(self, H, profile, quad, c):
         super().__init__(H, quad, c)
         self.height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
-        phi, V, self.Psi = profile.factors(H.u, self.tilde_t)
-        self.Phi = phi @ V
+        phi, V, Psi = profile.factors(H.u, self.tilde_t)
+        self.Phi = np.ascontiguousarray(phi @ V, dtype=complex)
+        self.Psi = np.ascontiguousarray(Psi, dtype=complex)
+        self.PhiT = np.ascontiguousarray(self.Phi.T)
+        self.PsiT = np.ascontiguousarray(self.Psi.T)
+        # [c lam; lam]: the offsets of the dp/dB and dpa/dA coefficients
+        self.lam2 = np.array([c * H.lam, H.lam], dtype=complex)
 
     def reduce(self, s):
         """The reduced unknowns ``x = [alpha | beta]`` of the stacked weights
         ``s``: ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``."""
         m = self.m
-        return np.concatenate([_real_matvec(self.Psi.T, s[m:]), _real_matvec(self.Phi.T, s[:m])])
+        return np.concatenate([self.PsiT @ s[m:], self.PhiT @ s[:m]])
 
     def weights(self, z, x):
         """The map at the reduced unknowns ``x``: the weights from ``A = Phi
         alpha`` and ``[B; C] = Psi beta``, and ``[1 + A | 1 + c B]``."""
         k = self.Phi.shape[1]
         return _weights_from_integrals(z, self.c, self.H.lam, self.num,
-                                       _real_matvec(self.Phi, x[:k]),
-                                       _real_matvec(self.Psi, x[k:]))
+                                       self.Phi @ x[:k], self.Psi @ x[k:])
 
     def jacobian(self, z, g, one):
         """The ``2k x 2k`` Jacobian of ``F(x) = reduce(weights(x))`` at the
         point where :meth:`weights` returned ``(g, one)``.
 
         Each weight is ``num / den``, so ``dg = -(g^2 / num) dden``, and
-        ``dden`` is diagonal in ``(A, B, C)``.  ``E = dg/dx`` is formed once,
-        (2m + q) x 2k, and reduced by the factors: ``J = [Psi^T E[m:];
-        Phi^T E[:m]]``, O((m + q) k^2) in all.
+        ``dden`` is diagonal in ``(A, B, C)``; with ``h = g^2 / num`` the
+        four k x k blocks are products ``X^T diag(a) Y`` of the factors:
+
+            dalpha/dalpha = Psi[:m]^T diag(lam h_pa / (1 + A)^2) Phi
+            dalpha/dbeta  = z c Psi^T diag(h[m:]) Psi
+            dbeta/dalpha  = z Phi^T diag(h_p) Phi
+            dbeta/dbeta   = Phi^T diag(c lam h_p / (1 + c B)^2) Psi[:m]
+
+        O((m + q) k^2) in all.
         """
-        m, c, lam = self.m, self.c, self.H.lam
-        k = self.Phi.shape[1]
-        h = g * g / self.num
-        E = np.zeros((g.size, 2 * k), complex)
-        # dp/dA = z p^2/w and dp/dB = c lam p^2 / (w (1 + c B)^2)
-        np.multiply((z * h[:m])[:, None], self.Phi, out=E[:m, :k])
-        np.multiply((c * lam * h[:m] / one[m:] ** 2)[:, None], self.Psi[:m], out=E[:m, k:])
-        # dpa/dA = lam pa^2 / (c w (1 + A)^2), dpa/dB = z pa^2/w, dr/dC = z c r^2/omega
-        np.multiply((lam * h[m:2 * m] / one[:m] ** 2)[:, None], self.Phi, out=E[m:2 * m, :k])
-        np.multiply((z * c * h[m:])[:, None], self.Psi, out=E[m:, k:])
-        return np.concatenate([self.Psi.T @ E[m:].view(np.float64),
-                               self.Phi.T @ E[:m].view(np.float64)]).view(complex)
+        m, k = self.m, self.Phi.shape[1]
+        h = g * g
+        h /= self.num
+        # rows [c lam h_p / (1 + c B)^2; lam h_pa / (1 + A)^2]
+        off = self.lam2 * h[:2 * m].reshape(2, m) / one.reshape(2, m)[::-1] ** 2
+        J = np.empty((2 * k, 2 * k), complex)
+        J[:k, :k] = (self.PsiT[:, :m] * off[1]) @ self.Phi
+        J[:k, k:] = (self.PsiT * h[m:]) @ self.Psi
+        J[:k, k:] *= z * self.c
+        J[k:, :k] = (self.PhiT * h[:m]) @ self.Phi
+        J[k:, :k] *= z
+        J[k:, k:] = (self.PhiT * off[0]) @ self.Psi[:m]
+        return J
 
 
 def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
@@ -482,16 +491,23 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
 
 
 def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
-    """Solve along the horizontal line Im(z) = epsilon, warm-starting
-    each point from its left neighbour.
+    """Solve along the horizontal line Im(z) = epsilon, starting each point
+    from the linear extrapolation of its two left neighbours' answers.
 
-    Points where the warm-started solve fails (no convergence, a degenerate
+    The first point starts cold and the second from the first's weights.
+    Each later point starts from ``s_{k-1} + r (s_{k-1} - s_{k-2})``, a
+    predictor step (Allgower & Georg, *Introduction to Numerical
+    Continuation Methods*, SIAM 2003) with ``r = (x_k - x_{k-1}) / (x_{k-1}
+    - x_{k-2})`` clipped to [0, 1], and from ``s_{k-1}`` alone when the
+    previous spacing is not positive.  The start is only a guess: the solve
+    from it keeps the stopping rule and the class check of every solve.
+    Points where that solve fails (no convergence, a degenerate
     denominator, or an answer that fails its checks) are rescued by the
     ladder of :func:`solve_with_continuation` from the contraction height,
     with the finest step ``LADDER_FACTOR``; a failed rescue re-raises its
-    error type with x and the rung height added.  Returns the list of SolveReports in x order.
-    Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad``
-    is the quadrature on [c, 1].
+    error type with x and the rung height added.  Returns the list of
+    SolveReports in x order.  Raises :class:`InvalidInput` unless ``c``
+    lies in (0, 1] and ``quad`` is the quadrature on [c, 1].
     """
     epsilon = positive_height(epsilon, "epsilon")
     points = [upper_half_plane(complex(x, epsilon))
@@ -499,9 +515,15 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     reports = []
-    state = None
-    for z in points:
-        report, state = _solve_or_climb(z, stepper, opts, state, stepper.height,
+    prev = last = None           # the answers at the two left neighbours
+    for k, z in enumerate(points):
+        start = last
+        if prev is not None:
+            step, before = z.real - points[k - 1].real, points[k - 1].real - points[k - 2].real
+            if step > 0 and before > 0:
+                start = last + min(1.0, step / before) * (last - prev)
+        report, state = _solve_or_climb(z, stepper, opts, start, stepper.height,
                                         LADDER_FACTOR, f"rescue at x={z.real!r}")
         reports.append(report)
+        prev, last = last, state
     return reports

@@ -87,10 +87,12 @@ def density_from_stieltjes(f_at, x_grid, epsilon):
 def limit_density(H, profile, quad, c, x_grid, epsilon, opts=None, transpose=False):
     """Density curve of the limiting spectrum via the kernel solver.
 
-    Sweeps the solver along Im(z) = epsilon with warm starts.  With
-    ``transpose=True`` the curve describes the transposed Gram side: its
-    absolutely continuous part is c times the primal density and it carries
-    the analytic point mass 1-c at zero.  Height, ratio, then grid are
+    Sweeps the solver along Im(z) = epsilon with
+    :func:`~gramspec.master_solver.sweep_line`, which starts each point from
+    the linear extrapolation of the answers at its two left neighbours.
+    With ``transpose=True`` the curve describes the transposed Gram side:
+    its absolutely continuous part is c times the primal density and it
+    carries the analytic point mass 1-c at zero.  Height, ratio, then grid are
     checked before any solve.
     """
     positive_height(epsilon, "epsilon")

@@ -4,7 +4,9 @@ deterministic and writes no ``.hypothesis/`` directory into the checkout;
 ``peak_bytes`` is the one memory probe of the memory tests.  The
 reference checks live here too: the paper's four contraction bounds
 (``theta_bound``, ``reference_height``), which the solver's contraction
-height is tested against, and the row-deletion resolvent identity
+height is tested against, the solver's Newton Jacobian formed through one
+dense derivative matrix (``reference_jacobian``), which its own Jacobian is
+tested against, and the row-deletion resolvent identity
 (``schur_identity_check``), a finite-matrix check with its own dense
 solves."""
 
@@ -66,6 +68,32 @@ def reference_height(sigma_max_sq, c, lambda_m1):
     ``a / y**p = 1/2`` at ``y = (2 a)**(1/p)``."""
     return max(2.0 * a if p == 1 else math.sqrt(2.0 * a)
                for a, p in contraction_bounds(sigma_max_sq, c, lambda_m1))
+
+
+def reference_jacobian(stepper, profile, z, g, one):
+    """The ``2k x 2k`` Jacobian of the stepper's reduced map at the point
+    where ``stepper.weights`` returned ``(g, one)``, formed from the real
+    factors of ``profile`` through the derivative of the weights.
+
+    Each weight is ``num / den``, so ``dg = -(g^2 / num) dden``, and
+    ``dden`` is diagonal in ``(A, B, C)``.  ``E = dg/dx`` is formed once,
+    (2m + q) x 2k, and reduced by the factors: ``J = [Psi^T E[m:];
+    Phi^T E[:m]]``, as real products on the (re, im) pairs of ``E``.
+    """
+    phi, V, Psi = profile.factors(stepper.H.u, stepper.tilde_t)
+    Phi = phi @ V
+    m, c, lam = stepper.m, stepper.c, stepper.H.lam
+    k = Phi.shape[1]
+    h = g * g / stepper.num
+    E = np.zeros((g.size, 2 * k), complex)
+    # dp/dA = z p^2/w and dp/dB = c lam p^2 / (w (1 + c B)^2)
+    np.multiply((z * h[:m])[:, None], Phi, out=E[:m, :k])
+    np.multiply((c * lam * h[:m] / one[m:] ** 2)[:, None], Psi[:m], out=E[:m, k:])
+    # dpa/dA = lam pa^2 / (c w (1 + A)^2), dpa/dB = z pa^2/w, dr/dC = z c r^2/omega
+    np.multiply((lam * h[m:2 * m] / one[:m] ** 2)[:, None], Phi, out=E[m:2 * m, :k])
+    np.multiply((z * c * h[m:])[:, None], Psi, out=E[m:, k:])
+    return np.concatenate([Psi.T @ E[m:].view(np.float64),
+                           Phi.T @ E[:m].view(np.float64)]).view(complex)
 
 
 def schur_identity_check(sigma, z, i):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_height, theta_bound
+from conftest import reference_height, reference_jacobian, theta_bound
 from gramspec import master_solver
 from gramspec.closed_forms import mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
@@ -546,6 +546,25 @@ class TestNewtonBelowHeight:
                                   for e in np.eye(x.size)])
             assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
 
+    @pytest.mark.parametrize("kind", sorted(STEP_PROFILES))
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("where", ["below", "above"])
+    def test_jacobian_matches_reference(self, where, c, kind):
+        prof = STEP_PROFILES[kind]
+        H = empirical_H_from_diagonal(np.random.default_rng(7).uniform(-1.5, 1.5, 12))
+        quad = QuadratureRule.midpoint(c, 9)
+        stepper = _Stepper(H, prof, quad, c)
+        z = complex(0.4, 0.3 if where == "below" else 1.5 * stepper.height)
+        assert (z.imag < stepper.height) == (where == "below")
+        s = solver_map(stepper, z, -stepper.num / z)
+        for _ in range(3):
+            s = solver_map(stepper, z, s)
+        g, one = stepper.weights(z, stepper.reduce(s))
+        jac = stepper.jacobian(z, g, one)
+        ref = reference_jacobian(stepper, prof, z, g, one)
+        assert jac.shape == ref.shape
+        assert np.abs(jac - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_density_sweep_within_one_tolerance(self):
         # the system of the density benchmark: 60 points along Im z = 1e-3
         prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
@@ -984,8 +1003,32 @@ _four_kinds = st.one_of(_profiles, st.builds(VarianceProfile.separable,
 
 
 class TestSweepLine:
-    """A horizontal sweep, each point warm-started from its left neighbour,
-    against cold solves at the same points."""
+    """A horizontal sweep, each point started from the extrapolation of its
+    two left neighbours' answers, against cold solves at the same points."""
+
+    @pytest.mark.parametrize("xs", [
+        [1.5] * 6,                                        # no spacing at all
+        [0.0, 2.2250738585e-313, 1.0, 1.5, 2.0, 3.0],     # an infinite ratio
+        [4.0, 3.0, 2.5, 1.0, 0.5, -0.5],                  # decreasing
+        [0.0, 0.01, 0.05, 0.3, 1.5, 6.0],                 # growing steps
+    ], ids=["all equal", "subnormal step", "decreasing", "growing steps"])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_grids_the_predictor_must_not_break(self, xs, below):
+        prof = VarianceProfile.bilinear([[0.5, 1.0], [1.2, 2.0]])
+        H = product_H([(0.0, 0.6), (4.0, 0.4)], 32)
+        quad = QuadratureRule.midpoint(0.5, 32)
+        height = contraction_start_height(prof.sigma_max_sq, 0.5, lambda_moment(H))
+        eps = 0.05 if below else 1.5 * height
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        reports = sweep_line(xs, eps, 0.5, H, prof, quad, opts)
+        num = _Stepper(H, prof, quad, 0.5).num
+        assert len(reports) == len(xs)
+        for x, rep in zip(xs, reports):
+            z = complex(x, eps)
+            ref = solve_with_continuation([z], 0.5, H, prof, quad, opts)[z]
+            assert abs(rep.f - ref.f) <= 10 * opts.tol
+            assert abs(rep.f_tilde - ref.f_tilde) <= 10 * opts.tol
+            check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]), num)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(below=st.booleans(), prof=_four_kinds,
