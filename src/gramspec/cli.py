@@ -13,7 +13,7 @@ Every config field is read once, by one typed reader that names the
 field by its dotted path (``H.M``) in any error; a bool is only ever a
 flag, never a number.  The :class:`Model` and the fields the command reads
 are read before the output directory exists, so a bad field leaves none.
-``--threads`` sets how many seeds are sampled at once (simulate, compare,
+``--threads N`` draws up to N seeds at once (simulate, compare,
 capacity); solve and density run serially.
 
 This module owns every file format: CSV tables (one writer), JSON reports,
@@ -236,28 +236,28 @@ def _checked_seeds(seeds, field):
 
 @dataclasses.dataclass(frozen=True)
 class Sampling:
-    """What sampling reads from the config: the ensemble (its seed left
-    unset, its dims in Gram order), its diagonal offsets and the seeds."""
+    """What sampling reads from the config: one keyed ensemble per seed in
+    seed order, its dims in Gram order, and the offsets they share."""
 
-    spec: simulator.EnsembleSpec
+    specs: list
     lambda_diag: np.ndarray
-    seeds: list
 
 
 def build_sampling(model, seeds_override):
     law = _require(model.cfg, "ensemble.entry_law", "text")
+    seeds = _checked_seeds(_require(model.cfg, "seeds", "list", [0]), "seeds")
     # the entry law is present, so the model read the ensemble's dims too
     with _field("ensemble"):
-        spec = simulator.EnsembleSpec(law, None, min(model.dims), max(model.dims))
+        specs = [simulator.EnsembleSpec(law, seed, min(model.dims), max(model.dims))
+                 for seed in sorted(seeds if seeds_override is None else seeds_override)]
     if model.offsets is None:
         raise ConfigError("H.type", "type 'atoms' cannot drive a simulation "
                                     "(use diagonal, uniform or product)")
     with _field("H"):
-        lambda_diag = model.offsets(spec.N)
-    if lambda_diag.size != spec.N:
-        raise ConfigError("H.lambda_diag", f"length {lambda_diag.size} != N={spec.N}")
-    seeds = _checked_seeds(_require(model.cfg, "seeds", "list", [0]), "seeds")
-    return Sampling(spec, lambda_diag, seeds if seeds_override is None else seeds_override)
+        lambda_diag = model.offsets(specs[0].N)
+    if lambda_diag.size != specs[0].N:
+        raise ConfigError("H.lambda_diag", f"length {lambda_diag.size} != N={specs[0].N}")
+    return Sampling(specs, lambda_diag)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -401,24 +401,18 @@ def cmd_density(model, grid, out_dir):
 
 
 def _simulate_all(model, sampling, threads):
-    """The (seed, sample) pairs in seed order."""
-    def one(seed):
-        spec = dataclasses.replace(sampling.spec, seed=seed)
-        return seed, simulator.sample_spectrum(spec, model.profile, sampling.lambda_diag)
-
-    seeds = sorted(sampling.seeds)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            return list(pool.map(one, seeds))
-    return [one(s) for s in seeds]
+    """The spectra of ``sampling``'s specs in seed order, up to ``threads`` drawn at once."""
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(lambda spec: simulator.sample_spectrum(
+            spec, model.profile, sampling.lambda_diag), sampling.specs))
 
 
 def cmd_simulate(model, sampling, threads, out_dir):
     transposed = model.dims[0] > model.dims[1]
-    for seed, sample in _simulate_all(model, sampling, threads):
-        header = {"seed": seed, "N": sample.dims[0], "n": sample.dims[1],
+    for sample in _simulate_all(model, sampling, threads):
+        header = {"seed": sample.seed, "N": sample.dims[0], "n": sample.dims[1],
                   "rng": simulator.RNG_NAME, **model.meta, "transposed": transposed}
-        _write_csv(out_dir / f"eigenvalues_seed{seed}.csv", header, ["eigenvalue"],
+        _write_csv(out_dir / f"eigenvalues_seed{sample.seed}.csv", header, ["eigenvalue"],
                    ([v] for v in sample.eigenvalues.tolist()))
     return 0
 
@@ -430,7 +424,7 @@ def _pad_to_transposed(sample):
 
 
 def _load_samples(model, sim_dir):
-    """The (seed, sample) pairs of a previous simulate run of this config, in seed order."""
+    """The samples of a previous simulate run of this config, in seed order."""
     want_hash = model.meta["config_hash"]
     samples = []
     paths = sorted(Path(sim_dir).glob("eigenvalues_seed*.csv"))
@@ -441,9 +435,9 @@ def _load_samples(model, sim_dir):
         if meta.get("config_hash") != want_hash:
             raise ConfigError("sim-dir", f"{path.name} was produced by config "
                                          f"{meta.get('config_hash')}, expected {want_hash}")
-        samples.append((sample.seed, sample))
-    _checked_seeds([seed for seed, _ in samples], "sim-dir")
-    return sorted(samples, key=lambda pair: pair[0])
+        samples.append(sample)
+    _checked_seeds([sample.seed for sample in samples], "sim-dir")
+    return sorted(samples, key=lambda sample: sample.seed)
 
 
 def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
@@ -454,9 +448,9 @@ def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
     cdf = spectra.cdf_with_atom(curve)
     if grid.transpose:
         # transposed Gram side: same nonzero spectrum plus n - N exact zeros
-        samples = [(seed, _pad_to_transposed(sample)) for seed, sample in samples]
-    per_seed = [{"seed": seed, "ks": simulator.ks_compare(sample, cdf)}
-                for seed, sample in samples]
+        samples = [_pad_to_transposed(sample) for sample in samples]
+    per_seed = [{"seed": sample.seed, "ks": simulator.ks_compare(sample, cdf)}
+                for sample in samples]
     _write_json(out_dir / "compare.json", model, {
         "per_seed": per_seed,
         "median_ks": float(np.median([r["ks"] for r in per_seed])),
@@ -469,14 +463,14 @@ def cmd_compare(model, grid, sampling, threads, loaded, out_dir):
 
 
 def cmd_capacity(model, grid, sampling, threads, noise, bits, out_dir):
-    values = [(seed, cap.capacity_from_spectrum(sample, noise, bits=bits))
-              for seed, sample in _simulate_all(model, sampling, threads)]
+    per_seed = [{"seed": s.seed, "capacity": cap.capacity_from_spectrum(s, noise, bits=bits)}
+                for s in _simulate_all(model, sampling, threads)]
     curve = _limit_curve(model, grid)
     _write_json(out_dir / "capacity.json", model, {
         "s_sq": noise.s_sq,
         "units": "bits" if bits else "nats",
-        "per_seed": [{"seed": s, "capacity": v} for s, v in values],
-        "empirical_mean": float(np.mean([v for _, v in values])),
+        "per_seed": per_seed,
+        "empirical_mean": float(np.mean([r["capacity"] for r in per_seed])),
         "limit": cap.capacity_from_limit(curve, model.c, noise, bits=bits),
     })
     return 0

@@ -24,10 +24,12 @@ __all__ = ["mp_stieltjes", "mp_density", "mp_cdf", "iid_noncentered_f",
 
 # the iterations of the two fixed-point oracles: factor on the new value of
 # a damped step, stop once a step (damped, or Newton in iid_noncentered_f)
-# moves the iterate by at most TOL, give up after MAX_ITERS steps
+# moves the iterate by at most TOL, give up after MAX_ITERS steps or on a
+# denominator of magnitude below MIN_DENOMINATOR
 DAMPING = 0.5
 TOL = 1e-14
 MAX_ITERS = 100000
+MIN_DENOMINATOR = 1e-14
 # iid_noncentered_f tries a Newton step once a damped step is at most this
 # fraction of |f|.  On the 500 points of the Monte Carlo reference curve
 # (Im z = 1e-3) damped steps alone took 63 112 steps, at most 3974 per call;
@@ -130,13 +132,13 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda):
     bound = 1.0 / z.imag
     for _ in range(MAX_ITERS):
         den1 = 1.0 + cs2 * f
-        if abs(den1) < 1e-14:
+        if abs(den1) < MIN_DENOMINATOR:
             raise DegenerateDenominator(f"1 + c s2 f vanished at z={z}")
         base = -z * den1 + shift
         g = slope = 0j                  # G(f), and G'(f) up to the factor c s2
         for lam_k, w_k in atoms:
             den = base + lam_k / den1
-            if abs(den) < 1e-14:
+            if abs(den) < MIN_DENOMINATOR:
                 raise DegenerateDenominator(f"resolvent denominator vanished at z={z}")
             inv = 1.0 / den
             g += w_k * inv
@@ -191,10 +193,10 @@ def centered_profile_k(z, c, profile, u_grid):
     k = np.full(m, -1.0 / z, dtype=complex)
     for _ in range(MAX_ITERS):
         inner = 1.0 + c * (sig.T @ k) * w_u
-        if np.min(np.abs(inner)) < 1e-14:
+        if np.min(np.abs(inner)) < MIN_DENOMINATOR:
             raise DegenerateDenominator(f"inner denominator vanished at z={z}")
         denom = -z + sig @ (tw / inner)
-        if np.min(np.abs(denom)) < 1e-14:
+        if np.min(np.abs(denom)) < MIN_DENOMINATOR:
             raise DegenerateDenominator(f"outer denominator vanished at z={z}")
         k_new = DAMPING / denom + (1.0 - DAMPING) * k
         delta = float(np.max(np.abs(k_new - k)))

@@ -91,6 +91,9 @@ MIN_DENOMINATOR = 1e-14
 # finest step of the rescue ladder: it gives up once a failed attempt was at
 # least this fraction of the last solved height
 LADDER_FACTOR = 0.7
+# sweep_line extrapolates only while a step is at most this many times the
+# one before it: past that the secant misses, costing steps and rescues
+_MAX_STEP_RATIO = 1.25
 
 
 @dataclass
@@ -492,15 +495,15 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
 
 def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     """Solve along the horizontal line Im(z) = epsilon, starting each point
-    from the linear extrapolation of its two left neighbours' answers.
+    from the linear extrapolation of the answers at the two points before it.
 
     The first point starts cold and the second from the first's weights.
-    Each later point starts from ``s_{k-1} + r (s_{k-1} - s_{k-2})``, a
-    predictor step (Allgower & Georg, *Introduction to Numerical
+    Each later point starts from ``s_{k-1} + min(r, 1) (s_{k-1} - s_{k-2})``,
+    a predictor step (Allgower & Georg, *Introduction to Numerical
     Continuation Methods*, SIAM 2003) with ``r = (x_k - x_{k-1}) / (x_{k-1}
-    - x_{k-2})`` clipped to [0, 1], and from ``s_{k-1}`` alone when the
-    previous spacing is not positive.  The start is only a guess: the solve
-    from it keeps the stopping rule and the class check of every solve.
+    - x_{k-2})``, if ``0 < r <= _MAX_STEP_RATIO`` (1.25), else from
+    ``s_{k-1}`` alone.  The start is only a guess: the solve from it keeps
+    the stopping rule and the class check of every solve.
     Points where that solve fails (no convergence, a degenerate
     denominator, or an answer that fails its checks) are rescued by the
     ladder of :func:`solve_with_continuation` from the contraction height,
@@ -519,9 +522,10 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     for k, z in enumerate(points):
         start = last
         if prev is not None:
-            step, before = z.real - points[k - 1].real, points[k - 1].real - points[k - 2].real
-            if step > 0 and before > 0:
-                start = last + min(1.0, step / before) * (last - prev)
+            before = points[k - 1].real - points[k - 2].real
+            ratio = (z.real - points[k - 1].real) / before if before else 0.0
+            if 0 < ratio <= _MAX_STEP_RATIO:
+                start = last + min(1.0, ratio) * (last - prev)
         report, state = _solve_or_climb(z, stepper, opts, start, stepper.height,
                                         LADDER_FACTOR, f"rescue at x={z.real!r}")
         reports.append(report)

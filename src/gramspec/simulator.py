@@ -58,7 +58,7 @@ class EnsembleSpec:
     """Entry law, seed and dimensions of one matrix ensemble.
 
     All built-in laws are centered with unit (absolute) second moment and
-    have all moments finite.  The seed is None (left to be set) or passes
+    have all moments finite.  The seed is required and passes
     :func:`check_seed`; the dimensions are integers under the same rule.
     """
 
@@ -70,8 +70,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.entry_law not in ENTRY_LAWS:
             raise InvalidInput(f"unknown entry law {self.entry_law!r}")
-        if self.seed is not None:
-            check_seed(self.seed)
+        check_seed(self.seed)
         check_count((self.N, self.n), "dimensions (N, n)", 1)
         if self.N > self.n:
             raise InvalidInput("N must not exceed n (transpose the model first)")

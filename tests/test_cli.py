@@ -626,9 +626,9 @@ class TestReadmeExample:
         grid = cli.build_curve_grid(model)
         assert grid.x_grid.size == 2000 and grid.epsilon == 0.001 and not grid.transpose
         sampling = cli.build_sampling(model, None)
-        assert (sampling.spec.N, sampling.spec.n) == (200, 400)
+        assert [(spec.seed, spec.N, spec.n) for spec in sampling.specs] == [
+            (seed, 200, 400) for seed in range(5)]
         assert sampling.lambda_diag.shape == (200,)
-        assert sampling.seeds == [0, 1, 2, 3, 4]
 
     def test_library_quick_start_runs(self, capsys):
         # the quick start must call only names and parameters that exist
@@ -667,3 +667,18 @@ class TestImportBoundary:
         assert not solver_path
         # the probe sees the import once the simulator does linear algebra
         assert simulator_path
+
+
+class TestConsoleScript:
+    @pytest.mark.parametrize("extra, code", [([], 0), (["--threads", "0"], 2)])
+    def test_main_without_argv_exits_with_the_code(self, tmp_path, monkeypatch, extra, code):
+        # the console script calls main() with no argv: it reads sys.argv
+        # and ends the process with the command's exit code
+        cfg = write_config(tmp_path, MP_SOLVE)
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["gramspec", "solve", "--config", str(cfg),
+                                          "--out", str(out), *extra])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == code
+        assert (out / "solve.csv").exists() == (code == 0)

@@ -143,6 +143,15 @@ class TestIidNoncentered:
         with pytest.raises(DegenerateDenominator, match="resolvent denominator vanished"):
             iid_noncentered_f(2.0 + 1e-20j, 1.0, 0.0, [(2.0, 1.0)])
 
+    @pytest.mark.parametrize("floor, message", [
+        (1e3, "1 + c s2 f vanished"),                # |1 + c s2 f| is about 100
+        (10.0, "resolvent denominator vanished"),    # and the resolvent's about 1
+    ])
+    def test_denominator_below_floor_raises(self, monkeypatch, floor, message):
+        monkeypatch.setattr(closed_forms, "MIN_DENOMINATOR", floor)
+        with pytest.raises(DegenerateDenominator, match=re.escape(f"{message} at z=0.01j")):
+            iid_noncentered_f(0.01j, 1.0, 1.0, [(0.5, 1.0)])
+
     def test_montecarlo_reference_grid_within_a_step_budget(self, monkeypatch):
         # the 500 points of the Monte Carlo reference curve at Im z = 1e-3
         # take at most 36 steps each with the Newton finish, and up to 3974
@@ -205,6 +214,16 @@ class TestCenteredProfileK:
         z = 0.5 + 0.05j
         with pytest.raises(NoConvergence, match=re.escape(f"stalled at z={z}")):
             centered_profile_k(z, 0.5, VarianceProfile.constant(1.0),
+                               (np.arange(16) + 0.5) / 16)
+
+    @pytest.mark.parametrize("floor, message", [
+        (1e3, "inner denominator vanished"),         # |1 + c J| is about 100
+        (10.0, "outer denominator vanished"),        # and the outer one about 0.02
+    ])
+    def test_denominator_below_floor_raises(self, monkeypatch, floor, message):
+        monkeypatch.setattr(closed_forms, "MIN_DENOMINATOR", floor)
+        with pytest.raises(DegenerateDenominator, match=re.escape(f"{message} at z=0.01j")):
+            centered_profile_k(0.01j, 1.0, VarianceProfile.constant(1.0),
                                (np.arange(16) + 0.5) / 16)
 
     def test_stieltjes_properties_of_mean(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_height, reference_jacobian, theta_bound
@@ -726,13 +726,16 @@ _profiles = st.one_of(
 )
 _offset_laws = st.lists(st.tuples(st.floats(0.0, 25.0), st.floats(0.1, 1.0)),
                         min_size=1, max_size=3)
+# every example of the tests below is a full sweep or a ladder reference, so
+# shrinking a failure takes minutes: they report the first failing example
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 class TestColdStartAtTarget:
     """Each target is solved from the cold start at the target; the
     continuation ladder only rescues a failed solve."""
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=60, phases=_NO_SHRINK)
     @given(prof=_profiles, law=_offset_laws,
            c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
            x=st.one_of(st.floats(-0.1, 0.1), st.floats(-2.0, 20.0)),
@@ -951,7 +954,7 @@ class TestRescueLadder:
         assert [y for y, _, _ in attempts] == expected
         assert len(expected) > 4
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=60, phases=_NO_SHRINK)
     @given(prof=_profiles, law=_offset_laws,
            c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
            x=st.one_of(st.floats(-0.1, 0.1), st.floats(-2.0, 20.0)),
@@ -1030,7 +1033,20 @@ class TestSweepLine:
             assert abs(rep.f_tilde - ref.f_tilde) <= 10 * opts.tol
             check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]), num)
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @pytest.mark.parametrize("eps, most", [(1e-3, 64), (0.05, 48)])
+    def test_no_extrapolation_over_growing_steps(self, eps, most):
+        # each step here is 4-6 times the one before it, too long for the
+        # secant through the two answers before it: every point starts from
+        # the answer at the point before it, and none needs a rescue
+        prof = VarianceProfile.bilinear([[0.5, 1.0], [1.2, 2.0]])
+        H = product_H([(0.0, 0.6), (4.0, 0.4)], 32)
+        quad = QuadratureRule.midpoint(0.5, 32)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        reports = sweep_line([0.0, 0.01, 0.05, 0.3, 1.5, 6.0], eps, 0.5, H, prof, quad, opts)
+        assert sum(rep.total_iterations for rep in reports) <= most
+        assert not any(rep.rescued for rep in reports)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, phases=_NO_SHRINK)
     @given(below=st.booleans(), prof=_four_kinds,
            law=st.lists(st.tuples(st.floats(0.0, 9.0), st.floats(0.1, 1.0)),
                         min_size=1, max_size=3),

@@ -129,7 +129,7 @@ class TestSampleSigmaMatrix:
         with pytest.raises(InvalidInput):
             EnsembleSpec("gaussian", 0, 5, 3)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, "3", True])
+    @pytest.mark.parametrize("seed", [None, -1, 2 ** 128, 1.5, "3", True])
     def test_seed_outside_philox_keys_rejected(self, seed):
         with pytest.raises(InvalidInput, match="seed"):
             EnsembleSpec("gaussian", seed, 2, 3)
@@ -145,7 +145,7 @@ class TestSampleSigmaMatrix:
         spec = EnsembleSpec("gaussian", 0, np.int64(2), np.int32(3))
         assert (spec.N, spec.n) == (2, 3)
 
-    @pytest.mark.parametrize("seed", [None, 0, 2 ** 128 - 1, np.uint64(7)])
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(7)])
     def test_seed_inside_philox_keys_accepted(self, seed):
         assert EnsembleSpec("gaussian", seed, 2, 3).seed == seed
 
@@ -216,6 +216,24 @@ class TestGramEigenvalues:
         sigma = sample_sigma_matrix(EnsembleSpec(law, 4, 600, 1201), UNIT, np.zeros(600))
         _, peak = peak_bytes(gram_eigenvalues, sigma)
         assert peak <= 1.2 * 600 * 600 * sigma.itemsize
+
+    def test_eigensolver_error_raises_numerical_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalFailure, match="eigensolve failed: no convergence"):
+            gram_eigenvalues(np.eye(3))
+
+    @pytest.mark.parametrize("gram, message", [
+        (lambda g: -g, r"negative eigenvalue -1\.000e\+00 beyond round-off"),
+        (lambda g: g + np.eye(3), r"trace identity violated: sum\(eig\)=6, "),
+    ], ids=["negative", "trace"])
+    def test_gram_other_than_sigma_sigma_star_raises(self, monkeypatch, gram, message):
+        # the eigenvalues of a matrix that is not Sigma Sigma* fail the checks
+        one_gram = simulator._gram
+        monkeypatch.setattr(simulator, "_gram", lambda sigma: gram(one_gram(sigma)))
+        with pytest.raises(NumericalFailure, match=message):
+            gram_eigenvalues(np.eye(3))
 
     def test_finite_duality_with_transposed_gram(self):
         spec = EnsembleSpec("gaussian", 2, 6, 10)
