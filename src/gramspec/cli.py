@@ -349,7 +349,9 @@ def _meta(cfg):
 
 
 def cmd_solve(model, zs, out_dir):
-    # one stepper for all targets; each target is solved from its own cold start
+    # one stepper for all targets; each target is solved from its own start,
+    # the mean-field start below the contraction height and the cold start
+    # at or above it
     reports = master_solver.solve_with_continuation(zs, model.c, model.H, model.profile,
                                                     model.quad, model.opts)
     rows = []

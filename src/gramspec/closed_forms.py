@@ -24,8 +24,9 @@ __all__ = ["mp_stieltjes", "mp_density", "mp_cdf", "iid_noncentered_f",
 
 # the iterations of the two fixed-point oracles: factor on the new value of
 # a damped step, stop once a step (damped, or Newton in iid_noncentered_f)
-# moves the iterate by at most TOL, give up after MAX_ITERS steps or on a
-# denominator of magnitude below MIN_DENOMINATOR
+# moves the iterate by at most TOL (a Newton step of iid_noncentered_f also
+# stops at TOL |f|), give up after MAX_ITERS steps or on a denominator of
+# magnitude below MIN_DENOMINATOR
 DAMPING = 0.5
 TOL = 1e-14
 MAX_ITERS = 100000
@@ -117,8 +118,11 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda):
     over the atoms in the same loop, and takes it only if the new iterate
     stays in the Stieltjes class (Im f >= 0, Im zf >= 0, |f| <= 1/Im z);
     otherwise it takes the damped step.  It returns after a step of at most
-    ``TOL``: after a Newton step, where convergence is quadratic, that
-    bounds the error, not only the step.  The iteration runs on Python
+    ``TOL``, or a Newton step of at most ``TOL |f|``: after a Newton step,
+    where convergence is quadratic, that bounds the error, not only the
+    step.  The Newton steps of a large ``f`` (near the origin at c = 1,
+    say) end in rounding noise of a few ulps of ``f``, which an absolute
+    ``TOL`` alone never reached.  The iteration runs on Python
     complex scalars: the offset law has a handful of atoms, too few for
     array arithmetic to pay for its per-call overhead.
     """
@@ -148,10 +152,12 @@ def iid_noncentered_f(z, c, sigma_sq, h_lambda):
         slope *= cs2
         if delta <= _NEWTON_START * abs(f) and slope != 1.0:
             f_newton = f + (g - f) / (1.0 - slope)
-            if (f_newton.imag >= 0.0 and (z * f_newton).imag >= 0.0
-                    and abs(f_newton) <= bound):
+            size = abs(f_newton)
+            if f_newton.imag >= 0.0 and (z * f_newton).imag >= 0.0 and size <= bound:
                 f_next = f_newton
                 delta = abs(f_newton - f)
+                if delta <= TOL * size:
+                    return f_newton
         f = f_next
         if delta <= TOL:
             return f

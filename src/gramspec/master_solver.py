@@ -35,16 +35,23 @@ C] = Psi (Phi^T s[:m])``, complex matrix-vector products that cost O((m +
 q) k); the dense m x (m + q) profile matrix is never formed.  The
 residual and the masses are single expressions on ``s``.
 
-The map G is iterated from the cold start ``s = -num / z``: each weight
-is its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both
-kernels have mass ``-1/z`` and the start lies in the iterate layout.  The
+At or above the contraction height (see :func:`contraction_start_height`)
+the map G is iterated from the cold start ``s = -num / z``: each weight is
+its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both kernels
+have mass ``-1/z`` and the start lies in the iterate layout.  Below the
+height it is iterated from the mean-field start
+(:meth:`_Stepper.start`): the answer of the system with ``sigma2`` and
+``lambda`` replaced by their means, which the scalar oracle
+:func:`~gramspec.closed_forms.iid_noncentered_f` gives, mapped into the
+layout by one application of the map.  It lies in the Stieltjes class,
+where the cold start often lets Newton converge to a root outside it.  The
 weights depend only on the ``2k`` reduced unknowns ``x = [alpha | beta]``,
 with ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``, and one loop
-(:func:`_solve`) iterates on ``x``.  Above the contraction height (see
-:func:`contraction_start_height`) its every step is the plain step, so it
-is Picard, which contracts geometrically in total variation.  Below it the
-steps are Newton's: the map is holomorphic in ``x``, and its ``2k x 2k``
-Jacobian has a closed form (:meth:`_Stepper.jacobian`).  At every height
+(:func:`_solve`) iterates on ``x``.  Above the contraction height its
+every step is the plain step, so it is Picard, which contracts
+geometrically in total variation.  Below it the steps are Newton's: the
+map is holomorphic in ``x``, and its ``2k x 2k`` Jacobian has a closed
+form (:meth:`_Stepper.jacobian`).  At every height
 the solve stops once the undamped residual ``|G(s) - s|_1`` of
 weights ``s`` is at most ``tol`` and returns ``G(s)``.  A denominator of
 the map below ``MIN_DENOMINATOR`` in magnitude raises
@@ -58,9 +65,12 @@ numerator ``num_k`` has ``Im s_k >= 0``, ``Im(z s_k) >= 0`` and
 each kernel's numerators sum to 1, so the weights' rules imply the same
 rules on the masses with numerator 1, up to rounding.
 
-Each target is solved once, straight from the cold start at the target (or
-from a caller's iterate, or along a sweep from a start extrapolated from
-the answers at its two left neighbours).  Only when that solve fails,
+Each target is solved once, straight from its own start at the target:
+the mean-field start below the height and the cold start at or above it
+(or from a caller's iterate, or along a sweep from a start extrapolated
+from the answers at its two left neighbours).  When a solve from a
+caller's or a sweep's start fails below the height, one retry from the
+mean-field start at the target comes first.  Only when that fails too,
 most often because Newton converged to a root outside the Stieltjes
 class, does the rescue run: a ladder down the imaginary axis whose top
 rung is a cold solve at the contraction height, where the contraction
@@ -76,6 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closed_forms import iid_noncentered_f
 from .errors import (DegenerateDenominator, InvalidInput, NoConvergence, NumericalFailure,
                      check_count, check_range, check_ratio, check_stieltjes, positive_height,
                      upper_half_plane)
@@ -123,17 +134,20 @@ class SolveReport:
 
     ``iterations``, ``residuals`` and ``newton_steps`` describe the
     iteration that produced the answer, at the answer's z.  ``iterations``
-    counts every application of the fixed-point map in it, the cold start
-    and Newton steps included; ``residuals`` has one entry per application
-    after the first iterate: the change of the weights, whose last entry is
-    the undamped residual.  ``newton_steps`` counts the Newton steps (0
-    above the contraction height, where Picard produced the answer).
+    counts every application of the fixed-point map in it, the first one
+    from the cold start (or the one that makes the mean-field start below
+    the contraction height) and Newton steps included; ``residuals`` has
+    one entry per application after the first iterate: the change of the
+    weights, whose last entry is the undamped residual.  ``newton_steps``
+    counts the Newton steps (0 above the contraction height, where Picard
+    produced the answer).
 
     ``total_iterations`` counts every map application behind the answer:
     the same as ``iterations`` for a direct solve, and otherwise also the
-    failed first attempt and every attempt of the rescue ladder, failed
-    ones included.  ``rescued`` is True when the first attempt failed and
-    the answer came from the ladder.
+    failed first attempt and every later attempt, failed ones included.
+    ``rescued`` is True when the first attempt failed and the answer came
+    from the lifted retry (from the mean-field start at the target, after
+    a failed warm start below the height) or the ladder.
     """
 
     pi: ComplexKernel
@@ -205,7 +219,9 @@ def init_kernels(H, quad, z, c):
     """The cold start ``s = -num / z`` as a (pi, pi_tilde) pair in the
     iterate layout: pi has weights ``-w/z`` on H's atoms, pi_tilde has
     ``-[c w | omega]/z`` on (c u_i, lambda_i) and (t_j, 0).  Each kernel
-    has mass ``-1/z``; this is the solver's own start.
+    has mass ``-1/z``.  It is the solver's own start at or above the
+    contraction height; below it the solver starts from the mean-field
+    start instead.
     """
     z = upper_half_plane(z)
     system = _System(H, quad, c)
@@ -252,9 +268,14 @@ class _Stepper(_System):
 
     def __init__(self, H, profile, quad, c):
         super().__init__(H, quad, c)
-        self.height = contraction_start_height(profile.sigma_max_sq, c, lambda_moment(H))
+        self.lam_mean = lambda_moment(H)
+        self.height = contraction_start_height(profile.sigma_max_sq, c, self.lam_mean)
         phi, V, Psi = profile.factors(H.u, self.tilde_t)
-        self.Phi = np.ascontiguousarray(phi @ V, dtype=complex)
+        Phi = phi @ V
+        # the mean of sigma2 against the numerators of pi and pi_tilde, each
+        # of mass 1
+        self.s2_mean = float((H.w @ Phi) @ (self.num[self.m:] @ Psi))
+        self.Phi = np.ascontiguousarray(Phi, dtype=complex)
         self.Psi = np.ascontiguousarray(Psi, dtype=complex)
         self.PhiT = np.ascontiguousarray(self.Phi.T)
         self.PsiT = np.ascontiguousarray(self.Psi.T)
@@ -273,6 +294,21 @@ class _Stepper(_System):
         k = self.Phi.shape[1]
         return _weights_from_integrals(z, self.c, self.H.lam, self.num,
                                        self.Phi @ x[:k], self.Psi @ x[k:])
+
+    def start(self, z):
+        """The mean-field start at ``z``: the answer of the system with
+        ``sigma2`` and ``lambda`` replaced by their means ``s2_mean`` and
+        ``lam_mean``, whose ``f`` the scalar oracle
+        :func:`~gramspec.closed_forms.iid_noncentered_f` gives, mapped into
+        the iterate layout by one map application from the integrals ``A =
+        s2_mean f_tilde`` and ``[B; C] = s2_mean f``.  It lies in the
+        Stieltjes class, and on a constant profile with one offset it is
+        the answer itself."""
+        c, s2 = self.c, self.s2_mean
+        f = iid_noncentered_f(z, c, s2, [(self.lam_mean, 1.0)])
+        f_tilde = c * f - (1.0 - c) / z
+        return _weights_from_integrals(z, c, self.H.lam, self.num, s2 * f_tilde,
+                                       np.full(self.num.size - self.m, s2 * f))[0]
 
     def jacobian(self, z, g, one):
         """The ``2k x 2k`` Jacobian of ``F(x) = reduce(weights(x))`` at the
@@ -342,7 +378,11 @@ def _answer(z, stepper, g, residuals, iterations, **counts):
 
 def _solve(z, stepper, opts, start):
     """One solve at ``z`` on ``x = [alpha | beta]`` from the stacked iterate
-    ``start`` (the cold start ``-num / z`` when None).
+    ``start``.  When it is None the solve starts cold, from ``-num / z``,
+    at or above the contraction height, and below it from
+    :meth:`_Stepper.start`, whose one map application counts as the
+    solve's first, with no residual; a failure of the scalar oracle or of
+    that application fails the solve.
 
     Each map application at ``x`` gives the weights ``g`` and ``F(x)``, the
     reduced unknowns of ``g``; the change of the weights from one
@@ -360,14 +400,17 @@ def _solve(z, stepper, opts, start):
     Stieltjes class.  Returns the report and the converged stacked iterate;
     a failure carries its map applications as ``exc.iterations``."""
     newton = z.imag < stepper.height
-    prev = start
-    x = stepper.reduce(-stepper.num / z if start is None else start)
-    eye = np.eye(x.size)
     residuals = []
     iterations = steps = 0
     plain = True                   # x = F(prev): this change is prev's residual
     moved = last = math.inf        # weight changes of the last two Newton steps
     try:
+        if start is None and newton:
+            start = stepper.start(z)
+            iterations = 1
+        prev = start
+        x = stepper.reduce(-stepper.num / z if start is None else start)
+        eye = np.eye(x.size)
         while iterations < opts.max_iters:
             g, one = stepper.weights(z, x)
             iterations += 1
@@ -401,14 +444,18 @@ def _solve(z, stepper, opts, start):
 
 
 def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
-    """Solve at ``z`` once from ``start`` (the cold start when None); if that
-    fails, rescue it with a step-controlled ladder down the imaginary axis.
+    """Solve at ``z`` once from ``start`` (the solve's own start when None:
+    see :func:`_solve`).  If a solve from a given start fails below the
+    contraction height, retry once from the mean-field start at ``z``; if
+    that fails too, or the first solve had no given start, rescue it with
+    a step-controlled ladder down the imaginary axis.
 
     The top rung, at ``max(y_from, Im z)``, starts cold.  From each solved
     rung the next attempt goes straight to ``Im z``, warm-started from that
     rung; a failed attempt is retried at the geometric mean of its height
     and the last solved one.  Returns the report and its stacked iterate,
-    whose ``total_iterations`` counts every attempt, failed ones included.
+    whose ``total_iterations`` counts every attempt, failed ones included,
+    and whose ``rescued`` is set when the first attempt failed.
     Once a failed attempt was at least ``factor`` times the last solved
     height (or was the top rung), the rescue re-raises its error type with
     ``where`` and the attempt's height added.
@@ -416,11 +463,22 @@ def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
     try:
         return _solve(z, stepper, opts, start)
     except _SOLVE_FAILURES as exc:
-        spent = exc.iterations
-        y = max(y_from, z.imag)
-        if start is None and y == z.imag:
-            # the top rung would repeat this very solve
-            raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
+        spent, failure = exc.iterations, exc
+    if start is not None and z.imag < stepper.height:
+        # one retry from the mean-field start at the target
+        try:
+            report, s = _solve(z, stepper, opts, None)
+        except _SOLVE_FAILURES as exc:
+            spent, failure = spent + exc.iterations, exc
+        else:
+            report.total_iterations += spent
+            report.rescued = True
+            return report, s
+        start = None
+    y = max(y_from, z.imag)
+    if start is None and y == z.imag:
+        # the top rung would repeat this very solve
+        raise type(failure)(f"{where}: rung Im={y:.6g} failed: {failure}") from failure
     solved = start = None        # the last solved height, and its iterate
     while True:
         try:
@@ -445,9 +503,12 @@ def solve_master(z, c, H, profile, quad, opts=None, initial=None):
 
     ``initial`` optionally warm-starts the iteration from a (pi, pi_tilde)
     pair in the iterate layout, e.g. the kernels of a neighbouring solve;
-    without it the solve starts cold at z.  If that solve fails, the rescue
-    ladder of :func:`solve_with_continuation` runs from the contraction
-    height, and its report has ``rescued`` set.  Raises
+    without it the solve starts from the mean-field start below the
+    contraction height and cold at or above it.  If a warm-started solve
+    fails below the height, one solve from the mean-field start follows.
+    If the solve (or that retry) fails, the rescue ladder of
+    :func:`solve_with_continuation` runs from the contraction height; the
+    report of a retry or a rescue has ``rescued`` set.  Raises
     :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad`` is the
     quadrature on [c, 1].  A failed rescue raises :class:`NoConvergence`
     when the iteration budget runs out, :class:`DegenerateDenominator` on
@@ -467,13 +528,15 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     """Solve at each target z, by continuation down the imaginary axis
     where a direct solve fails.
 
-    Each target is first solved from the cold start at the target.  If that
-    fails, the rescue ladder solves it cold at Im(z) = max(y_start, Im z),
-    ``y_start`` (finite and > 0) being the contraction height by default,
-    then tries the target warm-started from there.  A failed attempt is
-    retried at the geometric mean of its height and the last solved one,
-    and every solved rung is the warm start of a new attempt at the target;
-    the report of a rescued target has ``rescued`` set.  ``factor`` in
+    Each target is first solved from its own start at the target: the
+    mean-field start below the contraction height, the cold start at or
+    above it.  If that fails, the rescue ladder solves it cold at Im(z) =
+    max(y_start, Im z), ``y_start`` (finite and > 0) being the contraction
+    height by default, then tries the target warm-started from there.  A
+    failed attempt is retried at the geometric mean of its height and the
+    last solved one, and every solved rung is the warm start of a new
+    attempt at the target; the report of a rescued target has ``rescued``
+    set.  ``factor`` in
     (0, 1) is the finest step the rescue tries: once a failed attempt was
     at least ``factor`` times the last solved height, the rescue gives up.
     Returns a dict mapping each target z to its SolveReport.  A failed
@@ -497,18 +560,21 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     """Solve along the horizontal line Im(z) = epsilon, starting each point
     from the linear extrapolation of the answers at the two points before it.
 
-    The first point starts cold and the second from the first's weights.
-    Each later point starts from ``s_{k-1} + min(r, 1) (s_{k-1} - s_{k-2})``,
-    a predictor step (Allgower & Georg, *Introduction to Numerical
-    Continuation Methods*, SIAM 2003) with ``r = (x_k - x_{k-1}) / (x_{k-1}
-    - x_{k-2})``, if ``0 < r <= _MAX_STEP_RATIO`` (1.25), else from
-    ``s_{k-1}`` alone.  The start is only a guess: the solve from it keeps
-    the stopping rule and the class check of every solve.
-    Points where that solve fails (no convergence, a degenerate
-    denominator, or an answer that fails its checks) are rescued by the
-    ladder of :func:`solve_with_continuation` from the contraction height,
-    with the finest step ``LADDER_FACTOR``; a failed rescue re-raises its
-    error type with x and the rung height added.  Returns the list of
+    The first point starts from its own start (the mean-field start below
+    the contraction height, the cold start at or above it) and the second
+    from the first's weights.  Each later point starts from ``s_{k-1} +
+    min(r, 1) (s_{k-1} - s_{k-2})``, a predictor step (Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, SIAM 2003) with ``r =
+    (x_k - x_{k-1}) / (x_{k-1} - x_{k-2})``, if ``0 < r <=
+    _MAX_STEP_RATIO`` (1.25), else from ``s_{k-1}`` alone.  The start is
+    only a guess: the solve from it keeps the stopping rule and the class
+    check of every solve.  A later point whose solve fails (no convergence,
+    a degenerate denominator, or an answer that fails its checks) below
+    the height is solved once more from the mean-field start at that
+    point.  Points that still fail are rescued by the ladder of
+    :func:`solve_with_continuation` from the contraction height, with the
+    finest step ``LADDER_FACTOR``; a failed rescue re-raises its error type
+    with x and the rung height added.  Returns the list of
     SolveReports in x order.  Raises :class:`InvalidInput` unless ``c``
     lies in (0, 1] and ``quad`` is the quadrature on [c, 1].
     """

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gramspec
-from gramspec import cli, simulator
+from gramspec import cli, master_solver, simulator
 from gramspec.closed_forms import centered_profile_k, iid_noncentered_f, mp_stieltjes
 from gramspec.errors import InvalidInput
 from gramspec.measures import VarianceProfile
@@ -89,9 +89,12 @@ class TestSolveCommand:
             assert int(row["total_iters"]) == int(row["iters"]) > 0
             assert row["rescued"] == "0"
 
-    def test_rescued_row_counts_every_attempt(self, tmp_path):
-        # the zgrid benchmark's system: from the cold start at 2.37+0.021i
-        # Newton converges outside the Stieltjes class, and the ladder serves it
+    def test_rescued_row_counts_every_attempt(self, tmp_path, monkeypatch):
+        # the zgrid benchmark's system: from the cold start -num/z at
+        # 2.37+0.021i Newton converges outside the Stieltjes class, and the
+        # ladder serves it.  The mean-field start there needs no rescue, so
+        # the solves below the height start from -num/z here.
+        monkeypatch.setattr(master_solver._Stepper, "start", lambda self, z: -self.num / z)
         cfg = write_config(tmp_path, {
             "c": 0.5,
             "profile": {"kind": "separable", "g_values": [0.5, 1.0, 1.5],
@@ -222,8 +225,11 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
     def test_no_convergence_exits_3(self, tmp_path):
-        cfg = write_config(tmp_path, dict(MP_SOLVE, solver={"tol": 1e-12,
-                                                            "max_iters": 2}))
+        # on a constant profile the mean-field start is the answer, found in
+        # 2 map applications; this profile's rows have different means
+        cfg = write_config(tmp_path, dict(
+            MP_SOLVE, profile={"kind": "bilinear", "values": [[0.5, 1.0], [0.2, 0.8]]},
+            solver={"tol": 1e-12, "max_iters": 2}))
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
     def test_numerical_failure_exits_4(self, tmp_path):

@@ -117,6 +117,17 @@ class TestIidNoncentered:
             f = iid_noncentered_f(z, c, s2, [(0, 1)])
             assert abs(f - mp_stieltjes(z, c, s2)) <= bound * max(1.0, abs(f))
 
+    @pytest.mark.parametrize("z, c, s2", [(1e-3j, 0.99, 0.25), (1e-4j, 1.0, 1.0),
+                                          (1e-4j, 0.99, 0.25), (1e-4 + 1e-3j, 0.99, 0.25)])
+    def test_large_f_near_the_origin_converges(self, monkeypatch, z, c, s2):
+        # |f| is 30-200 here: the Newton steps end in noise of a few ulps of
+        # f, 1e-14 to 3e-14, above an absolute stop of 1e-14, which used up
+        # all MAX_ITERS steps and raised NoConvergence
+        monkeypatch.setattr(closed_forms, "MAX_ITERS", 200)
+        f = iid_noncentered_f(z, c, s2, [(0.0, 1.0)])
+        assert abs(f) > 30
+        assert abs(f - mp_stieltjes(z, c, s2)) <= 1e-13 * abs(f)
+
     def test_matches_array_iteration(self):
         # the damped iteration alone on numpy arrays, as a reference: the
         # Newton finish lands on the same root to rounding

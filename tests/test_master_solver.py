@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_height, reference_jacobian, theta_bound
 from gramspec import master_solver
-from gramspec.closed_forms import mp_stieltjes
+from gramspec.closed_forms import iid_noncentered_f, mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
                              NumericalFailure, check_stieltjes, stieltjes_limits)
 from gramspec.master_solver import (LADDER_FACTOR, SolverOptions, _Stepper,
@@ -25,6 +25,19 @@ def tv(a, b):
 
 def two_atom_H():
     return JointLimitMeasure([0.5, 1.0], [0.0, 1.0], [0.5, 0.5])
+
+
+# sigma_max_sq 1, so with offsets 0 its contraction height is 6 as for the
+# constant profile 1; its row means differ, so below the height the
+# mean-field start is not its answer, as it is a constant profile's
+SKEWED = VarianceProfile.bilinear([[0.5, 1.0], [0.2, 0.8]])
+
+
+def cold_start(patch):
+    """Start every solve below the contraction height from ``-num / z``, as
+    above it, instead of the mean-field start: from there Newton can
+    converge outside the class, which the rescue ladder's tests need."""
+    patch.setattr(_Stepper, "start", lambda self, z: -self.num / z)
 
 
 class TestInitKernels:
@@ -320,10 +333,9 @@ class TestSolveMaster:
 
     def test_no_convergence_raises(self):
         H = uniform_H(16)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 16)
         with pytest.raises(NoConvergence):
-            solve_master(0.5j, 1.0, H, prof, quad, SolverOptions(max_iters=3))
+            solve_master(0.5j, 1.0, H, SKEWED, quad, SolverOptions(max_iters=3))
 
     def test_invalid_z_rejected(self):
         H = uniform_H(4)
@@ -402,11 +414,10 @@ class TestContinuation:
     def test_failed_rung_reports_target(self, monkeypatch, floor, opts, error):
         monkeypatch.setattr(master_solver, "MIN_DENOMINATOR", floor)
         H = uniform_H(16)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 0.5 + 0.1j
         with pytest.raises(error, match=r"target z=\(0\.5\+0\.1j\): rung Im=6 failed"):
-            solve_with_continuation([z], 1.0, H, prof, quad, opts)
+            solve_with_continuation([z], 1.0, H, SKEWED, quad, opts)
 
     @pytest.mark.parametrize("floor, opts, error", [
         (1e3, SolverOptions(), DegenerateDenominator),
@@ -415,10 +426,9 @@ class TestContinuation:
     def test_failed_rescue_reports_x(self, monkeypatch, floor, opts, error):
         monkeypatch.setattr(master_solver, "MIN_DENOMINATOR", floor)
         H = uniform_H(16)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         with pytest.raises(error, match=r"rescue at x=0\.25: rung Im=6 failed"):
-            sweep_line([0.25, 0.5], 0.05, 1.0, H, prof, quad, opts)
+            sweep_line([0.25, 0.5], 0.05, 1.0, H, SKEWED, quad, opts)
 
     def test_sweep_line_matches_continuation(self):
         H = uniform_H(32)
@@ -441,8 +451,8 @@ class TestContinuation:
         target = complex(1.0, eps)
         opts = SolverOptions(tol=1e-11, max_iters=50000)
         # the first check at the target rejects the answer warm-started from
-        # the left neighbour, the second the rescue's first attempt at the
-        # target, warm-started from the top rung
+        # the left neighbour, the second the retry from the mean-field start
+        # at the target; the ladder's attempt from the top rung serves it
         forced = fail_first_checks(monkeypatch, target, 2)
         reports = sweep_line([0.5, 1.0, 1.5], eps, 1.0, H, prof, quad, opts)
         assert forced == [target, target]
@@ -585,29 +595,28 @@ class TestNewtonBelowHeight:
 
     def test_newton_steps_reported(self):
         H = uniform_H(32)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
-        below = solve_master(0.5 + 0.1j, 1.0, H, prof, quad)
+        below = solve_master(0.5 + 0.1j, 1.0, H, SKEWED, quad)
         assert below.newton_steps > 0
         assert below.total_iterations == below.iterations == len(below.residuals) + 1
-        assert solve_master(8j, 1.0, H, prof, quad).newton_steps == 0   # above the height
+        assert solve_master(8j, 1.0, H, SKEWED, quad).newton_steps == 0   # above the height
 
     def test_iterations_count_every_map_application(self):
         H = uniform_H(16)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 16)
         z = 0.5 + 0.5j       # below the contraction height 6
-        rep = solve_master(z, 1.0, H, prof, quad)
-        assert rep.iterations == len(rep.residuals) + 1   # + the cold start
+        rep = solve_master(z, 1.0, H, SKEWED, quad)
+        assert rep.iterations == len(rep.residuals) + 1   # + the mean-field start
         # one application short of Newton's count fails the solve, and the
         # same budget fails the rescue's top rung
         for budget in (3, rep.iterations - 1):
             with pytest.raises(NoConvergence, match=f"rung Im=6 failed: .* after {budget} iterations"):
-                solve_master(z, 1.0, H, prof, quad, SolverOptions(max_iters=budget))
+                solve_master(z, 1.0, H, SKEWED, quad, SolverOptions(max_iters=budget))
 
     def test_cold_newton_outside_class_is_rescued(self, monkeypatch):
         # from the cold start at this target Newton converges to a root
         # outside the class
+        cold_start(monkeypatch)
         prof, H, quad = zgrid_system(256)
         z = ZGRID_OUTSIDE
         opts = SolverOptions(tol=1e-10, max_iters=60000)
@@ -638,7 +647,7 @@ class TestNewtonBelowHeight:
 
     def test_singular_newton_system_names_the_rung(self, monkeypatch):
         H = uniform_H(32)
-        prof = VarianceProfile.constant(1.0)
+        prof = SKEWED
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 0.5 + 0.1j
         # with J = I the Newton matrix J - I is zero, LAPACK reports an
@@ -659,20 +668,20 @@ class TestOneLoop:
     @pytest.mark.parametrize("k", [2, 5])
     def test_non_finite_weights_fail_the_solve(self, monkeypatch, where, k):
         H = uniform_H(32)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
-        stepper = _Stepper(H, prof, quad, 1.0)
+        stepper = _Stepper(H, SKEWED, quad, 1.0)
         z = complex(0.5, 0.1 if where == "below" else 1.5 * stepper.height)
-        weights = _Stepper.weights
+        weights_from_integrals = master_solver._weights_from_integrals
         calls = []
 
-        def poisoned(self, z, x):
-            # NaN weights from the k-th map application on
-            calls.append(z)
-            g, one = weights(self, z, x)
+        def poisoned(*args):
+            # NaN weights from the k-th map application on, the mean-field
+            # start's below the height included
+            calls.append(args[0])
+            g, one = weights_from_integrals(*args)
             return (np.full_like(g, np.nan) if len(calls) >= k else g), one
 
-        monkeypatch.setattr(_Stepper, "weights", poisoned)
+        monkeypatch.setattr(master_solver, "_weights_from_integrals", poisoned)
         with pytest.raises(NumericalFailure, match=r"weights not finite at z=") as info:
             master_solver._solve(z, stepper, SolverOptions(), None)
         assert info.value.iterations == len(calls) == k
@@ -726,14 +735,18 @@ _profiles = st.one_of(
 )
 _offset_laws = st.lists(st.tuples(st.floats(0.0, 25.0), st.floats(0.1, 1.0)),
                         min_size=1, max_size=3)
+_four_kinds = st.one_of(_profiles, st.builds(VarianceProfile.separable,
+                                             st.lists(_entries, min_size=2, max_size=3),
+                                             st.lists(_entries, min_size=2, max_size=3)))
 # every example of the tests below is a full sweep or a ladder reference, so
 # shrinking a failure takes minutes: they report the first failing example
 _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 class TestColdStartAtTarget:
-    """Each target is solved from the cold start at the target; the
-    continuation ladder only rescues a failed solve."""
+    """Each target is solved from its own start at the target, the
+    mean-field start below the contraction height and the cold start at or
+    above it; the continuation ladder only rescues a failed solve."""
 
     @settings(derandomize=True, deadline=None, max_examples=60, phases=_NO_SHRINK)
     @given(prof=_profiles, law=_offset_laws,
@@ -780,7 +793,7 @@ class TestColdStartAtTarget:
         np.testing.assert_array_equal(rep.pi.weights, warm.pi.weights)
         assert rep.iterations == warm.iterations
         assert abs(rep.f - ladder.f) <= 10 * opts.tol
-        # the failed cold attempt, the top rung and the attempt at the target
+        # the failed first attempt, the top rung and the attempt at the target
         assert rep.total_iterations == direct.iterations + top.iterations + warm.iterations
 
     def test_direct_solve_is_not_rescued(self):
@@ -897,6 +910,68 @@ class TestColdStartAtTarget:
         assert sum(rep.total_iterations for rep in reports.values()) <= 300
 
 
+class TestMeanFieldStart:
+    """Below the contraction height a solve without a start of its own
+    starts from the answer of the system with sigma2 and lambda replaced by
+    their means, which the scalar oracle gives."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("z", [0.5 + 0.1j, 2.0 + 1e-3j, -0.3 + 1.0j, 4.0 + 0.05j])
+    def test_constant_profile_one_offset_is_solved_by_the_start(self, c, z):
+        # the mean-field system is the system itself: the start is the
+        # answer, and the map application after it confirms it
+        H = uniform_H(32, 0.7)
+        prof = VarianceProfile.constant(1.3)
+        quad = QuadratureRule.midpoint(c, 32)
+        assert z.imag < _Stepper(H, prof, quad, c).height
+        opts = SolverOptions(tol=1e-10)
+        rep = solve_master(z, c, H, prof, quad, opts)
+        assert rep.iterations == rep.total_iterations == 2
+        assert len(rep.residuals) == 1 and rep.newton_steps == 0 and not rep.rescued
+        assert abs(rep.f - iid_noncentered_f(z, c, 1.3, [(0.7, 1.0)])) <= opts.tol
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(prof=_four_kinds, law=_offset_laws, count=st.integers(1, 40),
+           nodes=st.integers(1, 40), c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           x=st.floats(-2.0, 20.0), t=st.floats(0.0, 1.0, exclude_max=True))
+    def test_start_lies_in_the_class(self, prof, law, count, nodes, c, x, t):
+        total = sum(w for _, w in law)
+        H = product_H([(lam2, w / total) for lam2, w in law], max(count, len(law)))
+        stepper = _Stepper(H, prof, QuadratureRule.midpoint(c, nodes), c)
+        # log-uniform in [1e-3, height)
+        z = complex(x, 1e-3 * (stepper.height / 1e-3) ** t)
+        check_stieltjes(z, stepper.start(z), stepper.num)
+
+    def test_failed_start_goes_to_the_ladder(self, monkeypatch):
+        H, prof, quad = uniform_H(32), SKEWED, QuadratureRule.midpoint(1.0, 256)
+        z = 0.5 + 0.1j
+
+        def stalled(z, *args):
+            raise NoConvergence(f"scalar fixed point stalled at z={z}")
+
+        monkeypatch.setattr(master_solver, "iid_noncentered_f", stalled)
+        attempts = record_attempts(monkeypatch)
+        rep = solve_master(z, 1.0, H, prof, quad)
+        # the start failed before its map application counted; the top rung
+        # at the height starts cold and the target warm from it
+        assert attempts == [(z.imag, 0, False), (6.0, attempts[1][1], True),
+                            (z.imag, rep.iterations, True)]
+        assert rep.rescued and rep.total_iterations == attempts[1][1] + rep.iterations
+
+    def test_zgrid_targets_pinned(self):
+        # the zgrid benchmark's system at m = q = 64: from the cold start the
+        # eight targets took 60 map applications and ZGRID_OUTSIDE a rescue
+        # of 24; from the mean-field start they take 53, start included,
+        # and ZGRID_OUTSIDE 6 with no rescue
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        reports = solve_with_continuation(ZGRID_TARGETS + [ZGRID_OUTSIDE], 0.5, H, prof, quad,
+                                          opts)
+        assert sum(reports[z].total_iterations for z in ZGRID_TARGETS) == 53
+        assert reports[ZGRID_OUTSIDE].total_iterations == 6
+        assert sum(rep.rescued for rep in reports.values()) == 0
+
+
 class TestRescueLadder:
     """The one rescue of a failed solve, shared by the three entry points:
     a cold top rung, then the target warm-started from each solved rung,
@@ -976,7 +1051,48 @@ class TestRescueLadder:
         ref = ladder_reference(z, c, H, prof, quad, ref_opts)[-1]
         assert abs(rep.f - ref.f) <= 10 * opts.tol
 
-    def test_solve_master_rescues_zgrid_target(self):
+    @pytest.mark.parametrize("entry", ["solve_master", "sweep_line"])
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_failed_warm_start_retries_from_mean_field(self, monkeypatch, entry, failures):
+        # a solve from a caller's or a sweep's start fails below the height:
+        # one retry from the mean-field start at the target, and only if
+        # that fails too the ladder
+        H, prof, quad = uniform_H(32), SKEWED, QuadratureRule.midpoint(1.0, 256)
+        z = 0.5 + 0.1j
+        opts = SolverOptions(tol=1e-11)
+        neighbour = solve_master(0.4 + 0.1j, 1.0, H, prof, quad, opts)
+        forced = fail_first_checks(monkeypatch, z, failures)
+        solve = master_solver._solve
+        attempts = []
+
+        def recorded(zz, stepper, opts, start):
+            try:
+                report, s = solve(zz, stepper, opts, start)
+            except master_solver._SOLVE_FAILURES as exc:
+                attempts.append((zz.imag, start is None, exc.iterations, False))
+                raise
+            attempts.append((zz.imag, start is None, report.total_iterations, True))
+            return report, s
+
+        monkeypatch.setattr(master_solver, "_solve", recorded)
+        if entry == "solve_master":
+            rep = solve_master(z, 1.0, H, prof, quad, opts, (neighbour.pi, neighbour.pi_tilde))
+        else:
+            rep = sweep_line([0.4, 0.5], 0.1, 1.0, H, prof, quad, opts)[1]
+            del attempts[0]             # the first point's own solve
+        assert forced == [z] * failures
+        expected = [(z.imag, False, False), (z.imag, True, failures == 1)]
+        if failures == 2:               # the ladder: cold top rung, warm target
+            expected += [(6.0, True, True), (z.imag, False, True)]
+        assert [(y, cold, ok) for y, cold, _, ok in attempts] == expected
+        assert rep.rescued
+        assert rep.iterations == attempts[-1][2]
+        assert rep.total_iterations == sum(spent for _, _, spent, _ in attempts)
+        ref = solve_master(z, 1.0, H, prof, quad, SolverOptions(tol=1e-14))
+        assert abs(rep.f - ref.f) <= 10 * opts.tol
+
+    def test_solve_master_rescues_zgrid_target(self, monkeypatch):
+        cold_start(monkeypatch)
         prof, H, quad = zgrid_system(256)
         opts = SolverOptions(tol=1e-10, max_iters=60000)
         rep = solve_master(ZGRID_OUTSIDE, 0.5, H, prof, quad, opts)
@@ -986,8 +1102,9 @@ class TestRescueLadder:
         ref = ladder_reference(ZGRID_OUTSIDE, 0.5, H, prof, quad, opts)[-1]
         assert abs(rep.f - ref.f) <= 10 * opts.tol
 
-    def test_answers_below_height_within_one_tolerance(self):
+    def test_answers_below_height_within_one_tolerance(self, monkeypatch):
         # every answer below the height is a Newton answer, rescued or not
+        cold_start(monkeypatch)
         prof, H, quad = zgrid_system(64)
         opts = SolverOptions(tol=1e-10, max_iters=60000)
         targets = ZGRID_TARGETS + [ZGRID_OUTSIDE]
@@ -998,11 +1115,6 @@ class TestRescueLadder:
             ref_opts = SolverOptions(tol=1e-14 * max(1.0, 1.0 / z.imag), max_iters=60000)
             ref = ladder_reference(z, 0.5, H, prof, quad, ref_opts)[-1]
             assert abs(rep.f - ref.f) <= opts.tol
-
-
-_four_kinds = st.one_of(_profiles, st.builds(VarianceProfile.separable,
-                                             st.lists(_entries, min_size=2, max_size=3),
-                                             st.lists(_entries, min_size=2, max_size=3)))
 
 
 class TestSweepLine:

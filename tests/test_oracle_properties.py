@@ -35,7 +35,10 @@ from gramspec.master_solver import SolverOptions, solve_with_continuation
 from gramspec.measures import JointLimitMeasure, QuadratureRule, VarianceProfile, uniform_H
 
 TOL = 1e-10
-ORACLE_TOL = 1e-14     # closed_forms.TOL, the step size where the oracles stop
+# closed_forms.TOL, the step size where the oracles stop (a Newton step of
+# iid_noncentered_f stops at TOL |f| too, |f| at most 100 at the heights
+# drawn here)
+ORACLE_TOL = 1e-14
 BOUND = 10 * (TOL + 2 * ORACLE_TOL)
 OPTS = SolverOptions(tol=TOL, max_iters=60000)
 
