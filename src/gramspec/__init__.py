@@ -9,8 +9,7 @@ from .measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
                        lambda_moment, product_H, uniform_H)
 from .master_solver import (SolveReport, SolverOptions,
                             contraction_start_height, init_kernels,
-                            picard_step, solve_master,
-                            solve_with_continuation)
+                            picard_step, solve_with_continuation)
 from .closed_forms import (centered_profile_k, iid_noncentered_f, mp_cdf,
                            mp_density, mp_stieltjes)
 from .spectra import (DensityCurve, cdf_with_atom, density_from_stieltjes,

@@ -7,14 +7,15 @@ ensemble, noise, grids, solver options); subcommands run the workflows:
     gramspec density  --config cfg.json --out outdir
     gramspec simulate --config cfg.json --out outdir [--seeds 1,2,3]
     gramspec compare  --config cfg.json --out outdir [--sim-dir dir | --seeds 1,2]
-    gramspec capacity --config cfg.json --out outdir [--bits]
+    gramspec capacity --config cfg.json --out outdir [--bits] [--seeds 1,2]
 
 Every config field is read once, by one typed reader that names the
 field by its dotted path (``H.M``) in any error; a bool is only ever a
 flag, never a number.  The :class:`Model` and the fields the command reads
 are read before the output directory exists, so a bad field leaves none.
 ``--threads N`` draws up to N seeds at once (simulate, compare,
-capacity); solve and density run serially.
+capacity); solve and density run serially.  Only the commands that draw
+samples take ``--seeds``.
 
 This module owns every file format: CSV tables (one writer), JSON reports,
 and the eigenvalue files that ``compare --sim-dir`` reads back (one reader).
@@ -350,8 +351,7 @@ def _meta(cfg):
 
 def cmd_solve(model, zs, out_dir):
     # one stepper for all targets; each target is solved from its own start,
-    # the mean-field start below the contraction height and the cold start
-    # at or above it
+    # the mean-field start
     reports = master_solver.solve_with_continuation(zs, model.c, model.H, model.profile,
                                                     model.quad, model.opts)
     rows = []
@@ -496,7 +496,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seeds", help="comma-separated seed list")
+        if name in ("simulate", "compare", "capacity"):
+            p.add_argument("--seeds", help="comma-separated seed list")
         if name == "compare":
             p.add_argument("--sim-dir", help="reuse eigenvalue CSVs from a previous simulate run")
         if name == "capacity":
@@ -509,7 +510,7 @@ def run(argv=None):
     cfg = load_config(args.config)
     with _field("--threads"):
         check_count(args.threads, "threads", 1)
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else None
     model = build_model(cfg)
     command = _bind_command(args, model, seeds)
     out_dir = Path(args.out)

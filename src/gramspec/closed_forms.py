@@ -51,8 +51,12 @@ def mp_stieltjes(z, c, sigma_sq):
     a = z * c * sigma_sq
     b = z - (1.0 - c) * sigma_sq
     sq = np.sqrt(complex(b * b - 4.0 * a))
-    r1 = (-b + sq) / (2.0 * a)
-    r2 = (-b - sq) / (2.0 * a)
+    if (b.conjugate() * sq).real < 0.0:
+        sq = -sq
+    # b and sq point into one half plane, so -b - sq does not cancel; the
+    # other root follows from the product of the roots, 1/a
+    r1 = (-b - sq) / (2.0 * a)
+    r2 = 1.0 / (a * r1)
     # exactly one root lies in the upper half plane; prefer larger Im
     return complex(r1 if r1.imag >= r2.imag else r2)
 

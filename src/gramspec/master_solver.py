@@ -35,26 +35,24 @@ C] = Psi (Phi^T s[:m])``, complex matrix-vector products that cost O((m +
 q) k); the dense m x (m + q) profile matrix is never formed.  The
 residual and the masses are single expressions on ``s``.
 
-At or above the contraction height (see :func:`contraction_start_height`)
-the map G is iterated from the cold start ``s = -num / z``: each weight is
-its numerator ``num = [w | c w | omega]`` times ``-1/z``, so both kernels
-have mass ``-1/z`` and the start lies in the iterate layout.  Below the
-height it is iterated from the mean-field start
+Every solve without a start of its own starts from the mean-field start
 (:meth:`_Stepper.start`): the answer of the system with ``sigma2`` and
 ``lambda`` replaced by their means, which the scalar oracle
 :func:`~gramspec.closed_forms.iid_noncentered_f` gives, mapped into the
 layout by one application of the map.  It lies in the Stieltjes class,
-where the cold start often lets Newton converge to a root outside it.  The
-weights depend only on the ``2k`` reduced unknowns ``x = [alpha | beta]``,
-with ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``, and one loop
-(:func:`_solve`) iterates on ``x``.  Above the contraction height its
-every step is the plain step, so it is Picard, which contracts
-geometrically in total variation.  Below it the steps are Newton's: the
-map is holomorphic in ``x``, and its ``2k x 2k`` Jacobian has a closed
-form (:meth:`_Stepper.jacobian`).  At every height
-the solve stops once the undamped residual ``|G(s) - s|_1`` of
-weights ``s`` is at most ``tol`` and returns ``G(s)``.  A denominator of
-the map below ``MIN_DENOMINATOR`` in magnitude raises
+where the cold start ``s = -num / z`` (each weight its numerator ``num =
+[w | c w | omega]`` times ``-1/z``, so both kernels have mass ``-1/z``)
+often lets Newton converge to a root outside it.  The weights depend only
+on the ``2k`` reduced unknowns ``x = [alpha | beta]``, with ``alpha = Psi^T
+s[m:]`` and ``beta = Phi^T s[:m]``, and one loop (:func:`_solve`) iterates
+on ``x``.  At or above the contraction height (see
+:func:`contraction_start_height`) its every step is the plain step, so it
+is Picard, which contracts geometrically in total variation from any
+start.  Below it the steps are Newton's: the map is holomorphic in ``x``,
+and its ``2k x 2k`` Jacobian has a closed form (:meth:`_Stepper.jacobian`).
+At every height the solve stops once the undamped residual ``|G(s) -
+s|_1`` of weights ``s`` is at most ``tol`` and returns ``G(s)``.  A
+denominator of the map below ``MIN_DENOMINATOR`` in magnitude raises
 :class:`DegenerateDenominator`.
 
 A converged ``G(s)`` must lie in the Stieltjes class weight by weight
@@ -65,20 +63,19 @@ numerator ``num_k`` has ``Im s_k >= 0``, ``Im(z s_k) >= 0`` and
 each kernel's numerators sum to 1, so the weights' rules imply the same
 rules on the masses with numerator 1, up to rounding.
 
-Each target is solved once, straight from its own start at the target:
-the mean-field start below the height and the cold start at or above it
-(or from a caller's iterate, or along a sweep from a start extrapolated
-from the answers at its two left neighbours).  When a solve from a
-caller's or a sweep's start fails below the height, one retry from the
-mean-field start at the target comes first.  Only when that fails too,
-most often because Newton converged to a root outside the Stieltjes
-class, does the rescue run: a ladder down the imaginary axis whose top
-rung is a cold solve at the contraction height, where the contraction
-argument makes plain Picard safe.  From each solved rung the ladder tries
-the target itself, warm-started; a failed attempt is retried halfway (in
-log height) back to the last solved rung, and the rescue gives up once a
-failed attempt was within the factor ``LADDER_FACTOR`` of that rung.
-Every rung is one solve to full ``tol``.
+Each target is solved once, straight from its own start at the target,
+or along a sweep from a start extrapolated from the answers at its two
+left neighbours.  When a solve from a sweep's start fails, one retry from
+the target's own start comes first.  Only when that fails too, most often
+because Newton converged to a root outside the Stieltjes class, does the
+rescue run: a ladder down the imaginary axis whose top rung is a solve
+from the cold start at the contraction height (or at ``Im z``, if that
+is higher), where the contraction argument makes plain Picard safe and no
+oracle is called.  From each
+solved rung the ladder tries the target itself, warm-started; a failed
+attempt is retried halfway (in log height) back to the last solved rung,
+and the rescue gives up once a failed attempt was within the factor
+``LADDER_FACTOR`` of that rung.  Every rung is one solve to full ``tol``.
 """
 
 import math
@@ -94,7 +91,7 @@ from .measures import ComplexKernel, lambda_moment
 
 __all__ = [
     "SolverOptions", "SolveReport", "contraction_start_height", "init_kernels",
-    "picard_step", "solve_master", "solve_with_continuation", "sweep_line",
+    "picard_step", "solve_with_continuation", "sweep_line",
 ]
 
 # smallest magnitude a denominator of the map may take
@@ -134,20 +131,19 @@ class SolveReport:
 
     ``iterations``, ``residuals`` and ``newton_steps`` describe the
     iteration that produced the answer, at the answer's z.  ``iterations``
-    counts every application of the fixed-point map in it, the first one
-    from the cold start (or the one that makes the mean-field start below
-    the contraction height) and Newton steps included; ``residuals`` has
-    one entry per application after the first iterate: the change of the
-    weights, whose last entry is the undamped residual.  ``newton_steps``
-    counts the Newton steps (0 above the contraction height, where Picard
-    produced the answer).
+    counts every application of the fixed-point map in it, Newton steps
+    included, and the one that makes the mean-field start when the
+    iteration began from it; ``residuals`` has one entry per application
+    after the start: the change of the weights, whose last entry is the
+    undamped residual.  ``newton_steps`` counts the Newton steps (0 at or
+    above the contraction height, where Picard produced the answer).
 
     ``total_iterations`` counts every map application behind the answer:
     the same as ``iterations`` for a direct solve, and otherwise also the
     failed first attempt and every later attempt, failed ones included.
     ``rescued`` is True when the first attempt failed and the answer came
-    from the lifted retry (from the mean-field start at the target, after
-    a failed warm start below the height) or the ladder.
+    from the retry (from the mean-field start at the target, after a
+    failed start along a sweep) or the ladder.
     """
 
     pi: ComplexKernel
@@ -219,9 +215,9 @@ def init_kernels(H, quad, z, c):
     """The cold start ``s = -num / z`` as a (pi, pi_tilde) pair in the
     iterate layout: pi has weights ``-w/z`` on H's atoms, pi_tilde has
     ``-[c w | omega]/z`` on (c u_i, lambda_i) and (t_j, 0).  Each kernel
-    has mass ``-1/z``.  It is the solver's own start at or above the
-    contraction height; below it the solver starts from the mean-field
-    start instead.
+    has mass ``-1/z``.  It is the reference start of :func:`picard_step`,
+    and the rescue ladder's top rung starts from it; every other solve
+    starts from the mean-field start.
     """
     z = upper_half_plane(z)
     system = _System(H, quad, c)
@@ -378,11 +374,10 @@ def _answer(z, stepper, g, residuals, iterations, **counts):
 
 def _solve(z, stepper, opts, start):
     """One solve at ``z`` on ``x = [alpha | beta]`` from the stacked iterate
-    ``start``.  When it is None the solve starts cold, from ``-num / z``,
-    at or above the contraction height, and below it from
-    :meth:`_Stepper.start`, whose one map application counts as the
-    solve's first, with no residual; a failure of the scalar oracle or of
-    that application fails the solve.
+    ``start``, or from the mean-field start :meth:`_Stepper.start` when it
+    is None.  That start's one map application counts as the solve's
+    first, with no residual; a failure of the scalar oracle or of that
+    application fails the solve.
 
     Each map application at ``x`` gives the weights ``g`` and ``F(x)``, the
     reduced unknowns of ``g``; the change of the weights from one
@@ -405,25 +400,24 @@ def _solve(z, stepper, opts, start):
     plain = True                   # x = F(prev): this change is prev's residual
     moved = last = math.inf        # weight changes of the last two Newton steps
     try:
-        if start is None and newton:
+        if start is None:
             start = stepper.start(z)
             iterations = 1
         prev = start
-        x = stepper.reduce(-stepper.num / z if start is None else start)
+        x = stepper.reduce(start)
         eye = np.eye(x.size)
         while iterations < opts.max_iters:
             g, one = stepper.weights(z, x)
             iterations += 1
-            if prev is not None:
-                change = float(np.abs(g - prev).sum())
-                residuals.append(change)
-                if plain and change <= opts.tol:
-                    return _answer(z, stepper, g, residuals, iterations, newton_steps=steps,
-                                   total_iterations=iterations)
-                if not change < math.inf:
-                    raise NumericalFailure(f"weights not finite at z={z}")
-                if not plain:
-                    last, moved = moved, change
+            change = float(np.abs(g - prev).sum())
+            residuals.append(change)
+            if plain and change <= opts.tol:
+                return _answer(z, stepper, g, residuals, iterations, newton_steps=steps,
+                               total_iterations=iterations)
+            if not change < math.inf:
+                raise NumericalFailure(f"weights not finite at z={z}")
+            if not plain:
+                last, moved = moved, change
             y = stepper.reduce(g)
             plain = not (newton and (plain or not (
                 moved < last < math.inf and moved ** 3 <= opts.tol * last ** 2)))
@@ -444,42 +438,39 @@ def _solve(z, stepper, opts, start):
 
 
 def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
-    """Solve at ``z`` once from ``start`` (the solve's own start when None:
-    see :func:`_solve`).  If a solve from a given start fails below the
-    contraction height, retry once from the mean-field start at ``z``; if
-    that fails too, or the first solve had no given start, rescue it with
-    a step-controlled ladder down the imaginary axis.
+    """Solve at ``z`` once from ``start`` (the mean-field start when None:
+    see :func:`_solve`).  If a solve from a given start fails, retry once
+    from the mean-field start at ``z``; if that fails too, or the first
+    solve had no given start, rescue it with a step-controlled ladder down
+    the imaginary axis.
 
-    The top rung, at ``max(y_from, Im z)``, starts cold.  From each solved
-    rung the next attempt goes straight to ``Im z``, warm-started from that
-    rung; a failed attempt is retried at the geometric mean of its height
-    and the last solved one.  Returns the report and its stacked iterate,
-    whose ``total_iterations`` counts every attempt, failed ones included,
-    and whose ``rescued`` is set when the first attempt failed.
-    Once a failed attempt was at least ``factor`` times the last solved
-    height (or was the top rung), the rescue re-raises its error type with
-    ``where`` and the attempt's height added.
+    The top rung, at ``max(y_from, Im z)``, starts from the cold start
+    ``-num / z`` there, so the rescue never calls the scalar oracle.  From
+    each solved rung the next attempt goes straight to ``Im z``,
+    warm-started from that rung; a failed attempt is retried at the
+    geometric mean of its height and the last solved one.  Returns the
+    report and its stacked iterate, whose ``total_iterations`` counts every
+    attempt, failed ones included, and whose ``rescued`` is set when the
+    first attempt failed.  Once a failed attempt was at least ``factor``
+    times the last solved height (or was the top rung), the rescue
+    re-raises its error type with ``where`` and the attempt's height added.
     """
     try:
         return _solve(z, stepper, opts, start)
     except _SOLVE_FAILURES as exc:
-        spent, failure = exc.iterations, exc
-    if start is not None and z.imag < stepper.height:
+        spent = exc.iterations
+    if start is not None:
         # one retry from the mean-field start at the target
         try:
             report, s = _solve(z, stepper, opts, None)
         except _SOLVE_FAILURES as exc:
-            spent, failure = spent + exc.iterations, exc
+            spent += exc.iterations
         else:
             report.total_iterations += spent
             report.rescued = True
             return report, s
-        start = None
     y = max(y_from, z.imag)
-    if start is None and y == z.imag:
-        # the top rung would repeat this very solve
-        raise type(failure)(f"{where}: rung Im={y:.6g} failed: {failure}") from failure
-    solved = start = None        # the last solved height, and its iterate
+    solved, start = None, -stepper.num / complex(z.real, y)
     while True:
         try:
             report, s = _solve(complex(z.real, y), stepper, opts, start)
@@ -498,51 +489,28 @@ def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
     return report, s
 
 
-def solve_master(z, c, H, profile, quad, opts=None, initial=None):
-    """Solve the coupled system at one z in the upper half plane.
-
-    ``initial`` optionally warm-starts the iteration from a (pi, pi_tilde)
-    pair in the iterate layout, e.g. the kernels of a neighbouring solve;
-    without it the solve starts from the mean-field start below the
-    contraction height and cold at or above it.  If a warm-started solve
-    fails below the height, one solve from the mean-field start follows.
-    If the solve (or that retry) fails, the rescue ladder of
-    :func:`solve_with_continuation` runs from the contraction height; the
-    report of a retry or a rescue has ``rescued`` set.  Raises
-    :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad`` is the
-    quadrature on [c, 1].  A failed rescue raises :class:`NoConvergence`
-    when the iteration budget runs out, :class:`DegenerateDenominator` on
-    numerical breakdown and :class:`NumericalFailure` when the answer
-    leaves the Stieltjes class, each with z and the rung height added.
-    """
-    z = upper_half_plane(z)
-    opts = opts or SolverOptions()
-    stepper = _Stepper(H, profile, quad, c)
-    start = None if initial is None else stepper.unpack(*initial)
-    return _solve_or_climb(z, stepper, opts, start, stepper.height, LADDER_FACTOR,
-                           f"target z={z}")[0]
-
-
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
                             factor=LADDER_FACTOR, y_start=None):
     """Solve at each target z, by continuation down the imaginary axis
     where a direct solve fails.
 
-    Each target is first solved from its own start at the target: the
-    mean-field start below the contraction height, the cold start at or
-    above it.  If that fails, the rescue ladder solves it cold at Im(z) =
-    max(y_start, Im z), ``y_start`` (finite and > 0) being the contraction
-    height by default, then tries the target warm-started from there.  A
-    failed attempt is retried at the geometric mean of its height and the
-    last solved one, and every solved rung is the warm start of a new
-    attempt at the target; the report of a rescued target has ``rescued``
-    set.  ``factor`` in
-    (0, 1) is the finest step the rescue tries: once a failed attempt was
-    at least ``factor`` times the last solved height, the rescue gives up.
-    Returns a dict mapping each target z to its SolveReport.  A failed
-    rescue re-raises its error type with the target and the rung height
-    added.  Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and
-    ``quad`` is the quadrature on [c, 1].
+    Each target is first solved from its own start at the target, the
+    mean-field start.  If that fails, the rescue ladder solves it from the
+    cold start at Im(z) = max(y_start, Im z), ``y_start`` (finite and > 0)
+    being the contraction height by default, then tries the target
+    warm-started from there.  A failed attempt is retried at the geometric
+    mean of its height and the last solved one, and every solved rung is
+    the warm start of a new attempt at the target; the report of a rescued
+    target has ``rescued`` set.  ``factor`` in (0, 1) is the finest step
+    the rescue tries: once a failed attempt was at least ``factor`` times
+    the last solved height, the rescue gives up.  Returns a dict mapping
+    each target z to its SolveReport.  A failed rescue raises
+    :class:`NoConvergence` when the iteration budget runs out,
+    :class:`DegenerateDenominator` on numerical breakdown and
+    :class:`NumericalFailure` when the answer leaves the Stieltjes class,
+    each with the target and the rung height added.  Raises
+    :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad`` is the
+    quadrature on [c, 1].
     """
     targets = [upper_half_plane(zt, "target") for zt in z_targets]
     if not 0 < factor < 1:
@@ -560,23 +528,22 @@ def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     """Solve along the horizontal line Im(z) = epsilon, starting each point
     from the linear extrapolation of the answers at the two points before it.
 
-    The first point starts from its own start (the mean-field start below
-    the contraction height, the cold start at or above it) and the second
-    from the first's weights.  Each later point starts from ``s_{k-1} +
-    min(r, 1) (s_{k-1} - s_{k-2})``, a predictor step (Allgower & Georg,
-    *Introduction to Numerical Continuation Methods*, SIAM 2003) with ``r =
-    (x_k - x_{k-1}) / (x_{k-1} - x_{k-2})``, if ``0 < r <=
+    The first point starts from its own start, the mean-field start, and
+    the second from the first's weights.  Each later point starts from
+    ``s_{k-1} + min(r, 1) (s_{k-1} - s_{k-2})``, a predictor step (Allgower
+    & Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003)
+    with ``r = (x_k - x_{k-1}) / (x_{k-1} - x_{k-2})``, if ``0 < r <=
     _MAX_STEP_RATIO`` (1.25), else from ``s_{k-1}`` alone.  The start is
     only a guess: the solve from it keeps the stopping rule and the class
     check of every solve.  A later point whose solve fails (no convergence,
-    a degenerate denominator, or an answer that fails its checks) below
-    the height is solved once more from the mean-field start at that
-    point.  Points that still fail are rescued by the ladder of
-    :func:`solve_with_continuation` from the contraction height, with the
+    a degenerate denominator, or an answer that fails its checks) is solved
+    once more from the mean-field start at that point.  Points that still
+    fail are rescued by the ladder of :func:`solve_with_continuation` from
+    the contraction height (or from epsilon, if that is higher), with the
     finest step ``LADDER_FACTOR``; a failed rescue re-raises its error type
-    with x and the rung height added.  Returns the list of
-    SolveReports in x order.  Raises :class:`InvalidInput` unless ``c``
-    lies in (0, 1] and ``quad`` is the quadrature on [c, 1].
+    with x and the rung height added.  Returns the list of SolveReports in
+    x order.  Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and
+    ``quad`` is the quadrature on [c, 1].
     """
     epsilon = positive_height(epsilon, "epsilon")
     points = [upper_half_plane(complex(x, epsilon))

@@ -15,7 +15,7 @@ from gramspec.capacity import NoiseLevel, capacity_from_limit, capacity_from_spe
 from gramspec.closed_forms import (centered_profile_k, iid_noncentered_f,
                                    mp_cdf, mp_density, mp_stieltjes)
 from gramspec.master_solver import (SolverOptions, contraction_start_height,
-                                    solve_master, solve_with_continuation)
+                                    solve_with_continuation)
 from gramspec.measures import (QuadratureRule, VarianceProfile,
                                empirical_H_from_diagonal, lambda_moment,
                                product_H, uniform_H)
@@ -111,7 +111,7 @@ def test_criterion_04_degenerate_profile_exactness():
     quad = QuadratureRule.midpoint(1.0, 256)
     worst = 0.0
     for z in Z_GRID:
-        rep = solve_master(z, 1.0, H, prof, quad)
+        rep = solve_with_continuation([z], 1.0, H, prof, quad)[z]
         worst = max(worst, abs(rep.f - 1.0 / (1.0 - z)))
     assert worst <= 1e-12
     _report("degenerate-profile-exactness", f"max |f - 1/(1-z)| = {worst:.2e}")
@@ -135,7 +135,7 @@ def test_criterion_05_geometric_contraction():
         quad = QuadratureRule.midpoint(c, 64)
         m1 = lambda_moment(H)
         y = 1.1 * contraction_start_height(prof.sigma_max_sq, c, m1)
-        rep = solve_master(complex(0.0, y), c, H, prof, quad)
+        rep = solve_with_continuation([1j * y], c, H, prof, quad)[1j * y]
         res = np.asarray(rep.residuals)
         res = res[res > 0]
         ratios = res[1:] / res[:-1]
@@ -156,7 +156,7 @@ def test_criterion_06_total_mass_at_height(mp_solves, iid_solves, profile_solves
                     profile_solves["prof"], profile_solves["quad"]))
     worst = 0.0
     for c, H, prof, quad in configs:
-        f = solve_master(complex(0.0, y), c, H, prof, quad).f
+        f = solve_with_continuation([1j * y], c, H, prof, quad)[1j * y].f
         worst = max(worst, abs((-1j * y * f).real - 1.0))
     assert worst <= 1e-3
     _report("total-mass", f"max |(-iy f(iy)) - 1| = {worst:.2e} at y = 1e4")

@@ -57,7 +57,6 @@ BAD_HEIGHTS = [NAN, INF, 0.0, -1.0]
 Z_ENTRIES = {
     "init_kernels": lambda z: master_solver.init_kernels(X, X, z, 0.5),
     "picard_step": lambda z: master_solver.picard_step(z, 0.5, X, X, X, X, X),
-    "solve_master": lambda z: master_solver.solve_master(z, 0.5, X, X, X, X, X),
     "solve_with_continuation":
         lambda z: master_solver.solve_with_continuation([2j, z], 0.5, X, X, X, X),
     "sweep_line": lambda z: master_solver.sweep_line([0.0, z.real], z.imag, 0.5, X, X, X, X),
@@ -84,7 +83,6 @@ BAD_RATIOS = [NAN, 0.0, -0.1, 1.5, INF]
 RATIO_ENTRIES = {
     "init_kernels": lambda c: master_solver.init_kernels(X, X, 1j, c),
     "picard_step": lambda c: master_solver.picard_step(1j, c, X, X, X, X, X),
-    "solve_master": lambda c: master_solver.solve_master(1j, c, X, X, X, X, X),
     "solve_with_continuation":
         lambda c: master_solver.solve_with_continuation([2j], c, X, X, X, X),
     "sweep_line": lambda c: master_solver.sweep_line([0.5], 0.5, c, X, X, X, X),

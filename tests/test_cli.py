@@ -85,7 +85,7 @@ class TestSolveCommand:
         rows = read_rows(out / "solve.csv")
         assert len(rows) == 2
         for row in rows:
-            # both targets converge from the cold start at the target
+            # both targets converge from the mean-field start at the target
             assert int(row["total_iters"]) == int(row["iters"]) > 0
             assert row["rescued"] == "0"
 
@@ -93,7 +93,7 @@ class TestSolveCommand:
         # the zgrid benchmark's system: from the cold start -num/z at
         # 2.37+0.021i Newton converges outside the Stieltjes class, and the
         # ladder serves it.  The mean-field start there needs no rescue, so
-        # the solves below the height start from -num/z here.
+        # every solve without a start of its own starts from -num/z here.
         monkeypatch.setattr(master_solver._Stepper, "start", lambda self, z: -self.num / z)
         cfg = write_config(tmp_path, {
             "c": 0.5,
@@ -180,6 +180,19 @@ class TestSolveCommand:
         assert cli.main([command, "--config", str(cfg), "--out", str(out),
                          "--seeds", ","]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg", [("solve", MP_SOLVE), ("density", SIM_BASE)])
+    @pytest.mark.parametrize("seeds", ["5,6", ","])
+    def test_seeds_on_a_command_without_samples_exits_2(self, tmp_path, capsys, command,
+                                                        cfg, seeds):
+        # solve and density draw no sample: --seeds is not one of their flags
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(path), "--out", str(out), "--seeds", seeds])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+        assert "unrecognized arguments: --seeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,cfg_seeds,extra", [
         ("simulate", [-1], []),

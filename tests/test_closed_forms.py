@@ -8,7 +8,7 @@ from gramspec import closed_forms
 from gramspec.closed_forms import (centered_profile_k, iid_noncentered_f, mp_cdf,
                                    mp_density, mp_stieltjes)
 from gramspec.errors import DegenerateDenominator, InvalidInput, NoConvergence
-from gramspec.master_solver import solve_master
+from gramspec.master_solver import solve_with_continuation
 from gramspec.measures import QuadratureRule, VarianceProfile, product_H, uniform_H
 from gramspec.spectra import default_x_grid
 
@@ -39,6 +39,20 @@ class TestMpStieltjes:
             assert f.imag > 0
             assert (z * f).imag > 0
             assert abs(f) <= 1 / z.imag + 1e-12
+
+    @pytest.mark.parametrize("z, c, s2", [
+        (1e-6j, 0.5, 2.0), (1e-6j, 0.25, 1.0), (1e-8j, 0.1, 1.0),
+        (-1e-4 + 1e-9j, 0.5, 1.0), (1e-3 + 1e-7j, 0.25, 1.0),
+        (1e4 + 1j, 0.5, 1.0), (1e5 + 1e-2j, 0.5, 1.0)])
+    def test_small_imaginary_part_outside_the_bulk_keeps_its_digits(self, z, c, s2):
+        # near the origin below a bulk that starts at s2 (1 - sqrt(c))^2 > 0,
+        # and far beyond its upper edge, f is nearly real: the root with the
+        # other sign of the square root lost Im f to cancellation (relative
+        # error 2.2e-5 at the first point, 1 at the third, 1.9e-12 at the last)
+        f = mp_stieltjes(z, c, s2)
+        ref = iid_noncentered_f(z, c, s2, [(0.0, 1.0)])
+        assert abs(f.imag - ref.imag) <= 1e-12 * ref.imag
+        assert abs(f - ref) <= 1e-12 * abs(ref)
 
 
 class TestMpDensity:
@@ -201,7 +215,7 @@ class TestCenteredProfileK:
     def test_square_profile_matches_solver(self, z):
         prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
         H = uniform_H(64)
-        rep = solve_master(z, 1.0, H, prof, QuadratureRule.midpoint(1.0, 64))
+        rep = solve_with_continuation([z], 1.0, H, prof, QuadratureRule.midpoint(1.0, 64))[z]
         k = centered_profile_k(z, 1.0, prof, H.u)
         assert abs(rep.f - complex(k.mean())) <= 1e-12
 

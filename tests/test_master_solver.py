@@ -10,8 +10,8 @@ from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
                              NumericalFailure, check_stieltjes, stieltjes_limits)
 from gramspec.master_solver import (LADDER_FACTOR, SolverOptions, _Stepper,
                                     contraction_start_height,
-                                    init_kernels, picard_step, solve_master,
-                                    solve_with_continuation, sweep_line)
+                                    init_kernels, picard_step, solve_with_continuation,
+                                    sweep_line)
 from gramspec.measures import (ComplexKernel, JointLimitMeasure, QuadratureRule,
                                VarianceProfile, empirical_H_from_diagonal,
                                lambda_moment, product_H, uniform_H)
@@ -33,10 +33,16 @@ def two_atom_H():
 SKEWED = VarianceProfile.bilinear([[0.5, 1.0], [0.2, 0.8]])
 
 
+def solve_at(z, c, H, prof, quad, opts=None):
+    """The report at the one target ``z`` of :func:`solve_with_continuation`."""
+    return solve_with_continuation([z], c, H, prof, quad, opts)[z]
+
+
 def cold_start(patch):
-    """Start every solve below the contraction height from ``-num / z``, as
-    above it, instead of the mean-field start: from there Newton can
-    converge outside the class, which the rescue ladder's tests need."""
+    """Start every solve without a start of its own from ``-num / z``
+    instead of the mean-field start: from there Newton can converge
+    outside the class below the contraction height, which the rescue
+    ladder's tests need."""
     patch.setattr(_Stepper, "start", lambda self, z: -self.num / z)
 
 
@@ -67,7 +73,7 @@ class TestOneLayout:
     layout: pi_tilde on (c u_i, lambda_i) and the quadrature nodes (t_j, 0)."""
 
     @pytest.mark.parametrize("c", [0.5, 1.0])
-    def test_init_kernels_is_the_solver_start(self, c):
+    def test_init_kernels_is_the_cold_start(self, c):
         H = empirical_H_from_diagonal(np.linspace(-1.5, 1.5, 12))
         quad = QuadratureRule.midpoint(c, 9)
         z = 0.4 + 0.7j
@@ -107,10 +113,9 @@ class TestOneLayout:
         with pytest.raises(InvalidInput, match="kernels do not match the system layout"):
             picard_step(1j, 0.5, H, VarianceProfile.constant(1.0), quad, pi0, off)
 
-    @pytest.mark.parametrize("entry", ["solve_master", "picard_step"])
     @pytest.mark.parametrize("kernel", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_non_finite_kernels_rejected(self, monkeypatch, entry, kernel, bad):
+    def test_non_finite_kernels_rejected(self, monkeypatch, kernel, bad):
         # above (1 + 12j) and below (1 + 0.3j) the contraction height 6
         H = uniform_H(32, 0.5)
         prof = VarianceProfile.constant(1.0)
@@ -128,10 +133,7 @@ class TestOneLayout:
             kernels[kernel].weights[3] = bad
             with pytest.raises(InvalidInput, match=r"kernel weights \|pi\|, \|pi_tilde\| must "
                                r"be finite"):
-                if entry == "solve_master":
-                    solve_master(z, 0.5, H, prof, quad, initial=kernels)
-                else:
-                    picard_step(z, 0.5, H, prof, quad, *kernels)
+                picard_step(z, 0.5, H, prof, quad, *kernels)
         assert applied == []
 
 
@@ -257,19 +259,19 @@ class TestContractionHeight:
                 assert theta_bound(s2, c, m1, y * (1 + 1e-12)) <= 0.5
 
 
-class TestSolveMaster:
+class TestSingleTarget:
     def test_degenerate_profile_exact(self):
         H = uniform_H(64, lam=1.0)
         prof = VarianceProfile.constant(0.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         for z in (1j, 2 + 3j, 0.5 + 0.25j):
-            rep = solve_master(z, 1.0, H, prof, quad)
+            rep = solve_at(z, 1.0, H, prof, quad)
             assert abs(rep.f - 1 / (1 - z)) <= 1e-12
 
     def test_mp_value_at_i(self):
         H = uniform_H(64)
-        rep = solve_master(1j, 1.0, H, VarianceProfile.constant(1.0),
-                           QuadratureRule.midpoint(1.0, 256))
+        rep = solve_at(1j, 1.0, H, VarianceProfile.constant(1.0),
+                       QuadratureRule.midpoint(1.0, 256))
         assert rep.f == pytest.approx(0.30024 + 0.62481j, abs=1e-5)
         assert abs(rep.f - mp_stieltjes(1j, 1.0, 1.0)) <= 1e-10
 
@@ -292,7 +294,7 @@ class TestSolveMaster:
         prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(0.5, 32)
         opts = SolverOptions(tol=1e-13)
-        rep = solve_master(2j, 0.5, H, prof, quad, opts)
+        rep = solve_at(2j, 0.5, H, prof, quad, opts)
         pi2, pit2 = picard_step(2j, 0.5, H, prof, quad, rep.pi, rep.pi_tilde)
         moved = tv(rep.pi, pi2) + tv(rep.pi_tilde, pit2)
         assert moved <= 10 * opts.tol
@@ -305,18 +307,16 @@ class TestSolveMaster:
         y = 1.2 * contraction_start_height(prof.sigma_max_sq, 0.5, m1)
         z = complex(0.0, y)
         opts = SolverOptions(tol=1e-13)
-        rep_cold = solve_master(z, 0.5, H, prof, quad, opts)
-        # a deliberately skewed start in the iterate layout
-        t = rep_cold.pi_tilde.t
-        zeta = rep_cold.pi_tilde.zeta
-        m = H.u.size
-        skew_pi = ComplexKernel(H.u, H.lam, (-H.w / z) * (1.0 + 0.4j))
-        skew_wt = np.concatenate([(-0.5 * H.w / z) * 0.7, np.full(len(t) - m, 0.05j)])
-        skew_pit = ComplexKernel(t, zeta, skew_wt)
-        rep_warm = solve_master(z, 0.5, H, prof, quad, opts,
-                                initial=(skew_pi, skew_pit))
-        assert tv(rep_cold.pi, rep_warm.pi) <= 10 * opts.tol
-        assert tv(rep_cold.pi_tilde, rep_warm.pi_tilde) <= 10 * opts.tol
+        rep_own = solve_at(z, 0.5, H, prof, quad, opts)
+        # the cold start and a deliberately skewed start in the iterate layout
+        stepper = _Stepper(H, prof, quad, 0.5)
+        skew = np.concatenate([(-H.w / z) * (1.0 + 0.4j), (-0.5 * H.w / z) * 0.7,
+                               np.full(len(quad), 0.05j)])
+        for start in (-stepper.num / z, skew):
+            rep = master_solver._solve(z, stepper, opts, start)[0]
+            assert rep.iterations == len(rep.residuals)
+            assert tv(rep_own.pi, rep.pi) <= 10 * opts.tol
+            assert tv(rep_own.pi_tilde, rep.pi_tilde) <= 10 * opts.tol
 
     def test_geometric_contraction_above_height(self):
         rng = np.random.default_rng(11)
@@ -325,7 +325,7 @@ class TestSolveMaster:
         quad = QuadratureRule.midpoint(0.5, 48)
         m1 = lambda_moment(H)
         y = 1.1 * contraction_start_height(prof.sigma_max_sq, 0.5, m1)
-        rep = solve_master(1j * y, 0.5, H, prof, quad)
+        rep = solve_at(1j * y, 0.5, H, prof, quad)
         res = np.asarray(rep.residuals)
         res = res[res > 0]
         slope = np.polyfit(np.arange(res.size), np.log(res), 1)[0]
@@ -335,17 +335,16 @@ class TestSolveMaster:
         H = uniform_H(16)
         quad = QuadratureRule.midpoint(1.0, 16)
         with pytest.raises(NoConvergence):
-            solve_master(0.5j, 1.0, H, SKEWED, quad, SolverOptions(max_iters=3))
+            solve_at(0.5j, 1.0, H, SKEWED, quad, SolverOptions(max_iters=3))
 
     def test_invalid_z_rejected(self):
         H = uniform_H(4)
         with pytest.raises(InvalidInput):
-            solve_master(1.0, 1.0, H, VarianceProfile.constant(1.0),
-                         QuadratureRule.midpoint(1.0, 256))
+            solve_at(1.0, 1.0, H, VarianceProfile.constant(1.0),
+                     QuadratureRule.midpoint(1.0, 256))
 
 
 ENTRY_POINTS = {
-    "solve_master": lambda c, H, prof, quad: solve_master(1j, c, H, prof, quad),
     "solve_with_continuation":
         lambda c, H, prof, quad: solve_with_continuation([1j], c, H, prof, quad),
     "sweep_line": lambda c, H, prof, quad: sweep_line([0.5], 0.1, c, H, prof, quad),
@@ -369,13 +368,14 @@ def test_ratio_and_quadrature_validated(entry, c, quad_c, message):
 class TestContinuation:
     def test_high_target_matches_plain_solve(self):
         H = uniform_H(32)
-        prof = VarianceProfile.constant(1.0)
+        prof = SKEWED
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 8j  # above the contraction height 6
-        direct = solve_master(z, 1.0, H, prof, quad)
+        direct = master_solver._solve(z, _Stepper(H, prof, quad, 1.0), SolverOptions(), None)[0]
         cont = solve_with_continuation([z], 1.0, H, prof, quad)[z]
         assert cont.f == direct.f
-        assert cont.iterations == direct.iterations
+        assert cont.iterations == cont.total_iterations == direct.iterations > 2
+        assert cont.newton_steps == 0 and not cont.rescued
 
     def test_mp_near_axis(self):
         H = uniform_H(64)
@@ -482,8 +482,6 @@ ZGRID_OUTSIDE = 2.37 + 0.021j
 def solve_alone(entry, z, c, H, prof, quad, opts=None):
     """The report at ``z`` from the entry point named ``entry``, called with
     z as its only target."""
-    if entry == "solve_master":
-        return solve_master(z, c, H, prof, quad, opts)
     if entry == "sweep_line":
         return sweep_line([z.real], z.imag, c, H, prof, quad, opts)[0]
     return solve_with_continuation([z], c, H, prof, quad, opts)[z]
@@ -596,22 +594,22 @@ class TestNewtonBelowHeight:
     def test_newton_steps_reported(self):
         H = uniform_H(32)
         quad = QuadratureRule.midpoint(1.0, 256)
-        below = solve_master(0.5 + 0.1j, 1.0, H, SKEWED, quad)
+        below = solve_at(0.5 + 0.1j, 1.0, H, SKEWED, quad)
         assert below.newton_steps > 0
         assert below.total_iterations == below.iterations == len(below.residuals) + 1
-        assert solve_master(8j, 1.0, H, SKEWED, quad).newton_steps == 0   # above the height
+        assert solve_at(8j, 1.0, H, SKEWED, quad).newton_steps == 0   # above the height
 
     def test_iterations_count_every_map_application(self):
         H = uniform_H(16)
         quad = QuadratureRule.midpoint(1.0, 16)
         z = 0.5 + 0.5j       # below the contraction height 6
-        rep = solve_master(z, 1.0, H, SKEWED, quad)
+        rep = solve_at(z, 1.0, H, SKEWED, quad)
         assert rep.iterations == len(rep.residuals) + 1   # + the mean-field start
         # one application short of Newton's count fails the solve, and the
         # same budget fails the rescue's top rung
         for budget in (3, rep.iterations - 1):
             with pytest.raises(NoConvergence, match=f"rung Im=6 failed: .* after {budget} iterations"):
-                solve_master(z, 1.0, H, SKEWED, quad, SolverOptions(max_iters=budget))
+                solve_at(z, 1.0, H, SKEWED, quad, SolverOptions(max_iters=budget))
 
     def test_cold_newton_outside_class_is_rescued(self, monkeypatch):
         # from the cold start at this target Newton converges to a root
@@ -657,7 +655,7 @@ class TestNewtonBelowHeight:
                             lambda self, z, g, one: np.eye(2 * self.Phi.shape[1], dtype=complex))
         with pytest.raises(NumericalFailure, match=r"target z=\(0\.5\+0\.1j\): rung Im=[0-9.]+ "
                            r"failed: singular Newton system at z=\(0\.5\+[0-9.]+j\)"):
-            solve_master(z, 1.0, H, prof, quad)
+            solve_at(z, 1.0, H, prof, quad)
 
 
 class TestOneLoop:
@@ -676,7 +674,7 @@ class TestOneLoop:
 
         def poisoned(*args):
             # NaN weights from the k-th map application on, the mean-field
-            # start's below the height included
+            # start's included
             calls.append(args[0])
             g, one = weights_from_integrals(*args)
             return (np.full_like(g, np.nan) if len(calls) >= k else g), one
@@ -689,14 +687,16 @@ class TestOneLoop:
     @pytest.mark.parametrize("kind", ["constant", "separable", "bilinear", "blocks"])
     @pytest.mark.parametrize("c", [0.3, 1.0])
     def test_above_height_is_plain_picard(self, c, kind):
-        # picard_step iterated from the cold start, stopped on the same rule
+        # picard_step iterated from the mean-field start, stopped on the same
+        # rule; the start's own map application is the solve's first
         prof = STEP_PROFILES[kind]
         H = empirical_H_from_diagonal(np.random.default_rng(7).uniform(-1.5, 1.5, 12))
         quad = QuadratureRule.midpoint(c, 9)
-        z = complex(0.4, 1.2 * _Stepper(H, prof, quad, c).height)
+        stepper = _Stepper(H, prof, quad, c)
+        z = complex(0.4, 1.2 * stepper.height)
         opts = SolverOptions(tol=1e-10)
-        rep = solve_master(z, c, H, prof, quad, opts)
-        pi, pit = picard_step(z, c, H, prof, quad, *init_kernels(H, quad, z, c))
+        rep = solve_at(z, c, H, prof, quad, opts)
+        pi, pit = stepper.pack(stepper.start(z))
         for iterations in range(2, opts.max_iters + 1):
             new_pi, new_pit = picard_step(z, c, H, prof, quad, pi, pit)
             moved = tv(pi, new_pi) + tv(pit, new_pit)
@@ -711,14 +711,18 @@ class TestOneLoop:
 
 
 def ladder_reference(z, c, H, prof, quad, opts):
-    """A fixed continuation ladder: warm-started solve_master calls from the
-    contraction height down to Im z, each rung ``LADDER_FACTOR`` times the
-    one above and the last at Im z."""
-    y = max(contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H)), z.imag)
-    reports, state = [], None
+    """A fixed continuation ladder from the contraction height down to Im z,
+    each rung ``LADDER_FACTOR`` times the one above and the last at Im z:
+    the top rung from the cold start, each later one warm-started from the
+    rung above it, and each solved, or retried and rescued, as a sweep
+    solves a point from a given start."""
+    stepper = _Stepper(H, prof, quad, c)
+    y = max(stepper.height, z.imag)
+    reports, state = [], -stepper.num / complex(z.real, y)
     while True:
-        reports.append(solve_master(complex(z.real, y), c, H, prof, quad, opts, state))
-        state = (reports[-1].pi, reports[-1].pi_tilde)
+        report, state = master_solver._solve_or_climb(
+            complex(z.real, y), stepper, opts, state, stepper.height, LADDER_FACTOR, "reference")
+        reports.append(report)
         if y <= z.imag * (1 + 1e-12):
             return reports
         y = max(z.imag, LADDER_FACTOR * y)
@@ -745,8 +749,8 @@ _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 class TestColdStartAtTarget:
     """Each target is solved from its own start at the target, the
-    mean-field start below the contraction height and the cold start at or
-    above it; the continuation ladder only rescues a failed solve."""
+    mean-field start at every height; the continuation ladder only rescues
+    a failed solve."""
 
     @settings(derandomize=True, deadline=None, max_examples=60, phases=_NO_SHRINK)
     @given(prof=_profiles, law=_offset_laws,
@@ -780,11 +784,12 @@ class TestColdStartAtTarget:
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 0.5 + 0.1j      # below the contraction height 6
         opts = SolverOptions(tol=1e-11)
-        direct = solve_master(z, 1.0, H, prof, quad, opts)
-        # the rescue as it runs: a cold solve at the height, then the target
-        # warm-started from it
-        top = solve_master(6j + z.real, 1.0, H, prof, quad, opts)
-        warm = solve_master(z, 1.0, H, prof, quad, opts, (top.pi, top.pi_tilde))
+        direct = solve_at(z, 1.0, H, prof, quad, opts)
+        # the rescue as it runs: a solve from the cold start at the height,
+        # then the target warm-started from it
+        stepper = _Stepper(H, prof, quad, 1.0)
+        top, s = master_solver._solve(6j + z.real, stepper, opts, -stepper.num / (6j + z.real))
+        warm = master_solver._solve(z, stepper, opts, s)[0]
         ladder = ladder_reference(z, 1.0, H, prof, quad, opts)[-1]
         forced = fail_first_checks(monkeypatch, z, 1)
         rep = solve_alone(entry, z, 1.0, H, prof, quad, opts)
@@ -805,22 +810,25 @@ class TestColdStartAtTarget:
         assert not rep.rescued
         assert rep.total_iterations == rep.iterations
 
-    def test_failure_above_height_is_not_repeated(self, monkeypatch):
-        # above the contraction height the ladder is the cold solve itself
+    def test_cold_top_rung_at_target_is_a_second_attempt(self, monkeypatch):
+        # above the contraction height the ladder's top rung is the target
+        # itself, solved from the cold start after the mean-field start
         H = uniform_H(16)
-        prof = VarianceProfile.constant(1.0)
         quad = QuadratureRule.midpoint(1.0, 256)
         solve = master_solver._solve
-        calls = []
+        calls, starts = [], []
 
-        def counted(*args):
-            calls.append(args[0])
-            return solve(*args)
+        def counted(z, stepper, opts, start):
+            calls.append(z)
+            starts.append(start)
+            return solve(z, stepper, opts, start)
 
         monkeypatch.setattr(master_solver, "_solve", counted)
-        with pytest.raises(NoConvergence, match=r"target z=8j: rung Im=8 failed"):
-            solve_with_continuation([8j], 1.0, H, prof, quad, SolverOptions(max_iters=2))
-        assert calls == [8j]
+        with pytest.raises(NoConvergence, match=r"target z=8j: rung Im=8 failed: .* after 2 "):
+            solve_with_continuation([8j], 1.0, H, SKEWED, quad, SolverOptions(max_iters=2))
+        assert calls == [8j, 8j]
+        assert starts[0] is None
+        np.testing.assert_array_equal(starts[1], -_Stepper(H, SKEWED, quad, 1.0).num / 8j)
 
     def test_negative_weight_raises(self):
         z = 0.3 + 0.5j
@@ -910,22 +918,44 @@ class TestColdStartAtTarget:
         assert sum(rep.total_iterations for rep in reports.values()) <= 300
 
 
+ABOVE_KINDS = ["constant", "separable", "bilinear", "blocks"]
+ABOVE_LAWS = [[(0.0, 1.0)], [(1.0, 1.0)], [(0.0, 0.5), (4.0, 0.5)],
+              [(0.5, 0.2), (2.0, 0.3), (9.0, 0.5)]]
+
+
+def above_height_pairs(kind, c, opts):
+    """For each offset law of ``ABOVE_LAWS`` and six targets at 1 to 3
+    times the contraction height, the report from the target's own start
+    and the report of a solve from the cold start ``-num / z``."""
+    prof = STEP_PROFILES[kind]
+    quad = QuadratureRule.midpoint(c, 32)
+    for law in ABOVE_LAWS:
+        H = product_H(law, 32)
+        stepper = _Stepper(H, prof, quad, c)
+        for x, k in zip((-1.0, 0.5, 3.0, 0.0, 2.0, 8.0), (1.0, 1.2, 1.5, 2.0, 2.5, 3.0)):
+            z = complex(x, k * stepper.height)
+            yield (solve_at(z, c, H, prof, quad, opts),
+                   master_solver._solve(z, stepper, opts, -stepper.num / z)[0])
+
+
 class TestMeanFieldStart:
-    """Below the contraction height a solve without a start of its own
-    starts from the answer of the system with sigma2 and lambda replaced by
-    their means, which the scalar oracle gives."""
+    """At every height a solve without a start of its own starts from the
+    answer of the system with sigma2 and lambda replaced by their means,
+    which the scalar oracle gives."""
 
     @pytest.mark.parametrize("c", [0.5, 1.0])
-    @pytest.mark.parametrize("z", [0.5 + 0.1j, 2.0 + 1e-3j, -0.3 + 1.0j, 4.0 + 0.05j])
+    @pytest.mark.parametrize("z", [0.5 + 0.1j, 2.0 + 1e-3j, -0.3 + 1.0j, 4.0 + 0.05j,
+                                   1.0 + 12j])
     def test_constant_profile_one_offset_is_solved_by_the_start(self, c, z):
         # the mean-field system is the system itself: the start is the
-        # answer, and the map application after it confirms it
+        # answer, and the map application after it confirms it, below the
+        # contraction height 7.8 and above it
         H = uniform_H(32, 0.7)
         prof = VarianceProfile.constant(1.3)
         quad = QuadratureRule.midpoint(c, 32)
-        assert z.imag < _Stepper(H, prof, quad, c).height
+        assert (z.imag < _Stepper(H, prof, quad, c).height) == (z.imag < 7.8)
         opts = SolverOptions(tol=1e-10)
-        rep = solve_master(z, c, H, prof, quad, opts)
+        rep = solve_at(z, c, H, prof, quad, opts)
         assert rep.iterations == rep.total_iterations == 2
         assert len(rep.residuals) == 1 and rep.newton_steps == 0 and not rep.rescued
         assert abs(rep.f - iid_noncentered_f(z, c, 1.3, [(0.7, 1.0)])) <= opts.tol
@@ -938,9 +968,30 @@ class TestMeanFieldStart:
         total = sum(w for _, w in law)
         H = product_H([(lam2, w / total) for lam2, w in law], max(count, len(law)))
         stepper = _Stepper(H, prof, QuadratureRule.midpoint(c, nodes), c)
-        # log-uniform in [1e-3, height)
-        z = complex(x, 1e-3 * (stepper.height / 1e-3) ** t)
+        # log-uniform in [1e-3, 100 height)
+        z = complex(x, 1e-3 * (100 * stepper.height / 1e-3) ** t)
         check_stieltjes(z, stepper.start(z), stepper.num)
+
+    @pytest.mark.parametrize("kind", ABOVE_KINDS)
+    @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+    def test_above_height_agrees_with_the_cold_start(self, c, kind):
+        # Picard contracts from any start above the height: the mean-field
+        # start moves no answer by more than tol, and needs no Newton step
+        opts = SolverOptions(tol=1e-10)
+        for own, cold in above_height_pairs(kind, c, opts):
+            assert abs(own.f - cold.f) <= opts.tol
+            assert own.newton_steps == cold.newton_steps == 0
+            assert not own.rescued and own.total_iterations == own.iterations
+
+    def test_above_height_work_does_not_grow(self):
+        # over the whole set the mean-field start, its own map application
+        # included, takes no more map applications than the cold start
+        opts = SolverOptions(tol=1e-10)
+        pairs = [pair for kind in ABOVE_KINDS for c in (0.25, 0.5, 1.0)
+                 for pair in above_height_pairs(kind, c, opts)]
+        assert len(pairs) == 288
+        assert sum(own.total_iterations for own, _ in pairs) <= sum(
+            cold.iterations for _, cold in pairs)
 
     def test_failed_start_goes_to_the_ladder(self, monkeypatch):
         H, prof, quad = uniform_H(32), SKEWED, QuadratureRule.midpoint(1.0, 256)
@@ -951,7 +1002,7 @@ class TestMeanFieldStart:
 
         monkeypatch.setattr(master_solver, "iid_noncentered_f", stalled)
         attempts = record_attempts(monkeypatch)
-        rep = solve_master(z, 1.0, H, prof, quad)
+        rep = solve_at(z, 1.0, H, prof, quad)
         # the start failed before its map application counted; the top rung
         # at the height starts cold and the target warm from it
         assert attempts == [(z.imag, 0, False), (6.0, attempts[1][1], True),
@@ -973,7 +1024,7 @@ class TestMeanFieldStart:
 
 
 class TestRescueLadder:
-    """The one rescue of a failed solve, shared by the three entry points:
+    """The one rescue of a failed solve, shared by the two entry points:
     a cold top rung, then the target warm-started from each solved rung,
     a failed attempt retried at the geometric mean of its height and the
     last solved one."""
@@ -983,7 +1034,7 @@ class TestRescueLadder:
         # contraction height 6
         return uniform_H(32), VarianceProfile.constant(1.0), QuadratureRule.midpoint(1.0, 256)
 
-    @pytest.mark.parametrize("entry", ["solve_master", "solve_with_continuation", "sweep_line"])
+    @pytest.mark.parametrize("entry", ["solve_with_continuation", "sweep_line"])
     def test_failed_attempt_is_retried_at_geometric_mean(self, monkeypatch, entry):
         H, prof, quad = self.constant_system()
         z = 0.5 + 0.1j
@@ -1002,7 +1053,6 @@ class TestRescueLadder:
         assert abs(rep.f - ladder.f) <= 10 * opts.tol
 
     @pytest.mark.parametrize("entry, where", [
-        ("solve_master", r"target z=\(0\.5\+0\.1j\)"),
         ("solve_with_continuation", r"target z=\(0\.5\+0\.1j\)"),
         ("sweep_line", r"rescue at x=0\.5"),
     ])
@@ -1051,16 +1101,13 @@ class TestRescueLadder:
         ref = ladder_reference(z, c, H, prof, quad, ref_opts)[-1]
         assert abs(rep.f - ref.f) <= 10 * opts.tol
 
-    @pytest.mark.parametrize("entry", ["solve_master", "sweep_line"])
     @pytest.mark.parametrize("failures", [1, 2])
-    def test_failed_warm_start_retries_from_mean_field(self, monkeypatch, entry, failures):
-        # a solve from a caller's or a sweep's start fails below the height:
-        # one retry from the mean-field start at the target, and only if
-        # that fails too the ladder
+    def test_failed_warm_start_retries_from_mean_field(self, monkeypatch, failures):
+        # a solve from a sweep's start fails: one retry from the mean-field
+        # start at the target, and only if that fails too the ladder
         H, prof, quad = uniform_H(32), SKEWED, QuadratureRule.midpoint(1.0, 256)
         z = 0.5 + 0.1j
         opts = SolverOptions(tol=1e-11)
-        neighbour = solve_master(0.4 + 0.1j, 1.0, H, prof, quad, opts)
         forced = fail_first_checks(monkeypatch, z, failures)
         solve = master_solver._solve
         attempts = []
@@ -1075,27 +1122,30 @@ class TestRescueLadder:
             return report, s
 
         monkeypatch.setattr(master_solver, "_solve", recorded)
-        if entry == "solve_master":
-            rep = solve_master(z, 1.0, H, prof, quad, opts, (neighbour.pi, neighbour.pi_tilde))
-        else:
-            rep = sweep_line([0.4, 0.5], 0.1, 1.0, H, prof, quad, opts)[1]
-            del attempts[0]             # the first point's own solve
+        rep = sweep_line([0.4, 0.5], 0.1, 1.0, H, prof, quad, opts)[1]
+        del attempts[0]                 # the first point's own solve
         assert forced == [z] * failures
         expected = [(z.imag, False, False), (z.imag, True, failures == 1)]
         if failures == 2:               # the ladder: cold top rung, warm target
-            expected += [(6.0, True, True), (z.imag, False, True)]
-        assert [(y, cold, ok) for y, cold, _, ok in attempts] == expected
+            expected += [(6.0, False, True), (z.imag, False, True)]
+        assert [(y, own, ok) for y, own, _, ok in attempts] == expected
         assert rep.rescued
         assert rep.iterations == attempts[-1][2]
         assert rep.total_iterations == sum(spent for _, _, spent, _ in attempts)
-        ref = solve_master(z, 1.0, H, prof, quad, SolverOptions(tol=1e-14))
+        ref = solve_at(z, 1.0, H, prof, quad, SolverOptions(tol=1e-14))
         assert abs(rep.f - ref.f) <= 10 * opts.tol
 
-    def test_solve_master_rescues_zgrid_target(self, monkeypatch):
+    def test_sweep_rescues_zgrid_target(self, monkeypatch):
+        # the first point of a sweep has no given start: its failed solve
+        # goes straight to the ladder
         cold_start(monkeypatch)
         prof, H, quad = zgrid_system(256)
         opts = SolverOptions(tol=1e-10, max_iters=60000)
-        rep = solve_master(ZGRID_OUTSIDE, 0.5, H, prof, quad, opts)
+        z = ZGRID_OUTSIDE
+        attempts = record_attempts(monkeypatch)
+        rep = sweep_line([z.real], z.imag, 0.5, H, prof, quad, opts)[0]
+        assert attempts[0][0] == z.imag and not attempts[0][2]
+        assert attempts[1][0] == _Stepper(H, prof, quad, 0.5).height
         assert rep.rescued and rep.newton_steps > 0
         check_stieltjes(ZGRID_OUTSIDE, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]),
                         _Stepper(H, prof, quad, 0.5).num)

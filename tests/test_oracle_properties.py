@@ -1,8 +1,8 @@
 """The kernel solver against the closed-form oracles, under hypothesis.
 
-Each case is solved by ``solve_with_continuation`` from the cold start at
-the target, so every draw at c < 1 goes through the cold start in the
-iterate layout.  Both reduced cases discretize exactly:
+Each case is solved by ``solve_with_continuation`` from the mean-field
+start at the target, so every draw at c < 1 goes through that start in
+the iterate layout.  Both reduced cases discretize exactly:
 
 * a constant profile makes every integral of the system a multiple of a
   total mass, so the atoms of H need not approximate anything, and the

@@ -15,7 +15,7 @@ PUBLIC = [
     "contraction_start_height", "density_from_stieltjes", "empirical_H_from_diagonal",
     "empirical_stieltjes", "gram_eigenvalues", "iid_noncentered_f", "init_kernels",
     "ks_compare", "lambda_moment", "limit_density", "mp_cdf", "mp_density", "mp_stieltjes",
-    "picard_step", "product_H", "sample_sigma_matrix", "sample_spectrum", "solve_master",
+    "picard_step", "product_H", "sample_sigma_matrix", "sample_spectrum",
     "solve_with_continuation", "stieltjes_pair", "uniform_H",
 ]
 
