@@ -76,6 +76,20 @@ solved rung the ladder tries the target itself, warm-started; a failed
 attempt is retried halfway (in log height) back to the last solved rung,
 and the rescue gives up once a failed attempt was within the factor
 ``LADDER_FACTOR`` of that rung.  Every rung is one solve to full ``tol``.
+
+One solve iterates a stack of points in lockstep (:func:`_solve`): each
+step applies the map, the reduction, the Jacobians and one batched Newton
+solve to all the points still in the stack, as products on arrays with
+one row per point, written into buffers that the stack allocates once
+(:class:`_Stack`).  Each point keeps its own plain/Newton choice, stop,
+residuals, budget and class check, in Python scalars, and leaves the
+stack when it converges or fails; a failure fails only its own point.
+:func:`solve_with_continuation` sends its distinct targets through stacks
+of up to ``_STACK_SIZE`` points and rescues the failed ones one at a
+time.  The points of a sweep and the rungs of a ladder each start from
+the answer before them, so they are stacks of one point; every product
+keeps the profile's factor on the left, so a stack of one takes the
+arithmetic of a single vector and gives the same answer bit for bit.
 """
 
 import math
@@ -102,6 +116,13 @@ LADDER_FACTOR = 0.7
 # sweep_line extrapolates only while a step is at most this many times the
 # one before it: past that the secant misses, costing steps and rescues
 _MAX_STEP_RATIO = 1.25
+# the most targets solve_with_continuation iterates in one lockstep stack.
+# Its buffers grow by about 60 KB per point at m = q = 256, while the time
+# per point falls little past 8: on 64 targets of the zgrid benchmark
+# (rank-1 profile, one BLAS thread, medians of five rounds) it took 279,
+# 274 and 264 us per target with 8, 16 and 32 points per stack, against
+# about 390 us one at a time, for a traced peak of 1.6, 2.1 and 3.2 MB
+_STACK_SIZE = 8
 
 
 @dataclass
@@ -224,9 +245,45 @@ def init_kernels(H, quad, z, c):
     return system.pack(-system.num / z)
 
 
+class _Parts:
+    """The pieces of a map buffer ``[1 + A | 1 + c B | den]`` along its last
+    axis, where ``den = [d_big | d_big_tilde | kappa]`` holds every
+    denominator.  On arrival ``A`` is in ``one_a`` and ``[B; C]`` in
+    ``buf[..., 3m:]``: ``B`` in ``b``, the span that ``d_big_tilde`` takes
+    once ``B`` is read, and ``C`` in ``kappa``."""
+
+    def __init__(self, buf, m):
+        self.one, self.den = buf[..., :2 * m], buf[..., 2 * m:]
+        self.one_a, self.one_b = buf[..., :m], buf[..., m:2 * m]
+        self.den_pp = buf[..., 2 * m:4 * m]
+        self.den_p, self.den_pa = buf[..., 2 * m:3 * m], buf[..., 3 * m:4 * m]
+        self.b, self.kappa = buf[..., 3 * m:4 * m], buf[..., 4 * m:]
+
+
+def _denominators(z, mz, mcz, c, lam, parts, scratch=None):
+    """Fill the map buffer of :class:`_Parts` ``parts`` in place, from the
+    integrals ``A`` and ``[B; C]`` in it.  ``mz = -z`` and ``mcz = -c z``;
+    ``z`` and they are scalars, or columns holding one point's value per
+    row of the buffer.  ``scratch`` takes the quotients ``lam / (1 + ...)``
+    when given."""
+    np.multiply(parts.b, c, out=parts.one_b)
+    parts.one += 1.0
+    np.multiply(parts.kappa, mcz, out=parts.kappa)
+    parts.kappa -= z             # kappa = -z (1 + c C)
+    np.multiply(parts.one, mz, out=parts.den_pp)
+    parts.den_p += np.divide(lam, parts.one_b, out=scratch)
+    parts.den_pa += np.divide(lam, parts.one_a, out=scratch)
+
+
+def _degenerate(z, floor):
+    return DegenerateDenominator(
+        f"denominator magnitude {floor:.3e} below floor {MIN_DENOMINATOR:.3e} at z={z}")
+
+
 def _weights_from_integrals(z, c, lam, num, A, BC):
     """One application of the fixed-point map given the integrals ``A`` and
-    ``BC = [B; C]``; ``num = [w | c w | omega]`` holds the numerators.
+    ``BC = [B; C]``, each an array or one value for every weight; ``num =
+    [w | c w | omega]`` holds the numerators.
 
     Returns the new weights stacked as ``[p | pa | r]``, and ``[1 + A | 1 +
     c B]``.  The floor ``MIN_DENOMINATOR`` applies to ``1 + A``, ``1 + c B``
@@ -234,32 +291,27 @@ def _weights_from_integrals(z, c, lam, num, A, BC):
     """
     m = lam.size
     buf = np.empty(2 * m + num.size, complex)
-    one = buf[:2 * m]            # [1 + A | 1 + c B]
-    den = buf[2 * m:]            # [d_big | d_big_tilde | kappa]
-    one[:m] = A
-    np.multiply(BC[:m], c, out=one[m:])
-    one += 1.0
-    np.multiply(one, -z, out=den[:2 * m])
-    np.multiply(BC[m:], -c * z, out=den[2 * m:])
-    den[2 * m:] -= z             # kappa = -z (1 + c C)
-    den[:m] += lam / one[m:]
-    den[m:2 * m] += lam / one[:m]
+    buf[:m] = A
+    buf[3 * m:] = BC
+    parts = _Parts(buf, m)
+    _denominators(z, -z, -c * z, c, lam, parts)
     floor = np.abs(buf).min()
     if floor < MIN_DENOMINATOR:
-        raise DegenerateDenominator(
-            f"denominator magnitude {floor:.3e} below floor {MIN_DENOMINATOR:.3e} at z={z}")
-    return num / den, one
+        raise _degenerate(z, floor)
+    return num / parts.den, parts.one
 
 
 class _Stepper(_System):
-    """The fixed-point map on the stacked iterate of a :class:`_System`, its
-    Jacobian in the reduced unknowns, and the system's contraction
-    ``height``.
+    """The fixed-point map of a :class:`_System` on the rows of a
+    :class:`_Stack`, its Jacobian in the reduced unknowns, the mean-field
+    start and the system's contraction ``height``.
 
     Holds the profile as the thin factors ``Phi`` (m x k) and ``Psi``
     ((m + q) x k) of the module docstring and their transposes, each a
     contiguous complex copy, so every product of a step is one complex
-    matrix product and no array it keeps grows like m (m + q).
+    matrix product and no array it keeps grows like m (m + q).  Every
+    product keeps the factor on the left, so that a stack of one point
+    takes the same matrix-vector product as a single vector would.
     """
 
     def __init__(self, H, profile, quad, c):
@@ -275,21 +327,22 @@ class _Stepper(_System):
         self.Psi = np.ascontiguousarray(Psi, dtype=complex)
         self.PhiT = np.ascontiguousarray(self.Phi.T)
         self.PsiT = np.ascontiguousarray(self.Psi.T)
-        # [c lam; lam]: the offsets of the dp/dB and dpa/dA coefficients
-        self.lam2 = np.array([c * H.lam, H.lam], dtype=complex)
+        self.PsiT_m, self.Psi_m = self.PsiT[:, :self.m], self.Psi[:self.m]
+        self.k = self.Phi.shape[1]
+        # c lam and lam: the offsets of the dp/dB and dpa/dA coefficients
+        self.lam_p = np.asarray(c * H.lam, dtype=complex)
+        self.lam_pa = np.asarray(H.lam, dtype=complex)
+        self._stacks = {}
 
-    def reduce(self, s):
-        """The reduced unknowns ``x = [alpha | beta]`` of the stacked weights
-        ``s``: ``alpha = Psi^T s[m:]`` and ``beta = Phi^T s[:m]``."""
-        m = self.m
-        return np.concatenate([self.PsiT @ s[m:], self.PhiT @ s[:m]])
-
-    def weights(self, z, x):
-        """The map at the reduced unknowns ``x``: the weights from ``A = Phi
-        alpha`` and ``[B; C] = Psi beta``, and ``[1 + A | 1 + c B]``."""
-        k = self.Phi.shape[1]
-        return _weights_from_integrals(z, self.c, self.H.lam, self.num,
-                                       self.Phi @ x[:k], self.Psi @ x[k:])
+    def stack(self, size):
+        """An empty :class:`_Stack` for up to ``size`` points.  It reuses
+        the buffers and views of the last stack of that size, so a sweep or
+        a ladder, one point at a time, allocates them once."""
+        stack = self._stacks.get(size)
+        if stack is None:
+            stack = self._stacks[size] = _Stack(self.m, self.k, self.num.size, size)
+        stack.points, stack.outcomes = [], [None] * size
+        return stack
 
     def start(self, z):
         """The mean-field start at ``z``: the answer of the system with
@@ -303,12 +356,43 @@ class _Stepper(_System):
         c, s2 = self.c, self.s2_mean
         f = iid_noncentered_f(z, c, s2, [(self.lam_mean, 1.0)])
         f_tilde = c * f - (1.0 - c) / z
-        return _weights_from_integrals(z, c, self.H.lam, self.num, s2 * f_tilde,
-                                       np.full(self.num.size - self.m, s2 * f))[0]
+        return _weights_from_integrals(z, c, self.H.lam, self.num, s2 * f_tilde, s2 * f)[0]
 
-    def jacobian(self, z, g, one):
-        """The ``2k x 2k`` Jacobian of ``F(x) = reduce(weights(x))`` at the
-        point where :meth:`weights` returned ``(g, one)``.
+    def reduce(self, src, alpha, beta):
+        """The reduced unknowns ``x = [alpha | beta]`` of the weights in
+        the :class:`_WeightRows` ``src``, ``alpha = Psi^T s[m:]`` and
+        ``beta = Phi^T s[:m]``, into the transposed views ``alpha`` and
+        ``beta`` of a stack's rows."""
+        np.matmul(self.PsiT, src.alpha_src, out=alpha)
+        np.matmul(self.PhiT, src.beta_src, out=beta)
+
+    def weights(self, stack):
+        """The map at the live rows of the stack's ``x``: the weights into
+        the step's half of ``gs``, from ``A = Phi alpha`` and ``[B; C] = Psi
+        beta``, and ``[1 + A | 1 + c B]`` into ``buf``.  A point with a
+        denominator (or ``1 + A``, ``1 + c B``) below ``MIN_DENOMINATOR`` in
+        magnitude leaves with :class:`DegenerateDenominator` before the
+        division."""
+        v = stack.rows()
+        np.matmul(self.Phi, v.xa, out=v.a_out)
+        np.matmul(self.Psi, v.xb, out=v.bc_out)
+        _denominators(v.z, v.mz, v.mcz, self.c, self.H.lam, v.parts,
+                      v.weights[stack.flip].head)
+        if np.abs(v.buf, out=v.mag).min() < MIN_DENOMINATOR:
+            floors = v.mag.min(axis=1).tolist()
+            for r in reversed(range(v.n)):
+                if floors[r] < MIN_DENOMINATOR:
+                    stack.drop(r, _degenerate(stack.points[r].z, floors[r]))
+            if not stack.points:
+                return
+            v = stack.rows()
+        np.divide(self.num, v.parts.den, out=v.weights[stack.flip].all)
+
+    def jacobian(self, stack):
+        """The ``2k x 2k`` Jacobians of ``F(x) = reduce(weights(x))`` at the
+        live rows of the stack, where :meth:`weights` wrote the step's
+        weights ``g`` and ``buf``, into ``jac``; ``buf`` and the other half
+        of ``gs`` are spent.
 
         Each weight is ``num / den``, so ``dg = -(g^2 / num) dden``, and
         ``dden`` is diagonal in ``(A, B, C)``; with ``h = g^2 / num`` the
@@ -319,21 +403,28 @@ class _Stepper(_System):
             dbeta/dalpha  = z Phi^T diag(h_p) Phi
             dbeta/dbeta   = Phi^T diag(c lam h_p / (1 + c B)^2) Psi[:m]
 
-        O((m + q) k^2) in all.
+        O((m + q) k^2) per point in all.
         """
-        m, k = self.m, self.Phi.shape[1]
-        h = g * g
+        v = stack.rows()
+        g, spare = v.weights[stack.flip].all, v.weights[1 - stack.flip]
+        h = np.multiply(g, g, out=v.parts.den)
         h /= self.num
-        # rows [c lam h_p / (1 + c B)^2; lam h_pa / (1 + A)^2]
-        off = self.lam2 * h[:2 * m].reshape(2, m) / one.reshape(2, m)[::-1] ** 2
-        J = np.empty((2 * k, 2 * k), complex)
-        J[:k, :k] = (self.PsiT[:, :m] * off[1]) @ self.Phi
-        J[:k, k:] = (self.PsiT * h[m:]) @ self.Psi
-        J[:k, k:] *= z * self.c
-        J[k:, :k] = (self.PhiT * h[:m]) @ self.Phi
-        J[k:, :k] *= z
-        J[k:, k:] = (self.PhiT * off[0]) @ self.Psi[:m]
-        return J
+        np.multiply(self.PsiT, v.h_tilde3, out=v.w)
+        np.matmul(v.w, self.Psi, out=v.j_ab)
+        v.j_ab *= v.zc3
+        np.multiply(self.PhiT, v.h_p3, out=v.w_m)
+        np.matmul(v.w_m, self.Phi, out=v.j_ba)
+        v.j_ba *= v.z3
+        # c lam h_p / (1 + c B)^2 and lam h_pa / (1 + A)^2
+        np.square(v.parts.one, out=v.parts.one)
+        np.multiply(self.lam_p, v.h_p, out=spare.head)
+        spare.head /= v.parts.one_b
+        np.multiply(self.lam_pa, v.h_pa, out=spare.mid)
+        spare.mid /= v.parts.one_a
+        np.multiply(self.PsiT_m, spare.mid3, out=v.w_m)
+        np.matmul(v.w_m, self.Phi, out=v.j_aa)
+        np.multiply(self.PhiT, spare.head3, out=v.w_m)
+        np.matmul(v.w_m, self.Psi_m, out=v.j_bb)
 
 
 def picard_step(z, c, H, profile, quad, pi_prev, pi_tilde_prev):
@@ -362,87 +453,295 @@ def _no_convergence(z, iterations, residuals, opts):
                          f"last residual {last}, tol {opts.tol:.1e}")
 
 
-def _answer(z, stepper, g, residuals, iterations, **counts):
-    """The report of a converged solve whose last map application gave the
-    weights ``g``, once they pass the Stieltjes-class rule."""
-    check_stieltjes(z, g, stepper.num)
+class _Point:
+    """The bookkeeping of one point of a :class:`_Stack`, in Python
+    scalars: where its outcome goes (``index``), its map applications,
+    residuals and Newton steps, whether it iterates by Newton (below the
+    contraction height), and its plain/Newton choice."""
+
+    __slots__ = ("index", "z", "newton", "iterations", "residuals", "steps", "plain",
+                 "moved", "last")
+
+    def __init__(self, index, z, newton, iterations):
+        self.index, self.z, self.newton, self.iterations = index, z, newton, iterations
+        self.residuals = []
+        self.steps = 0
+        self.plain = True            # x = F(prev): this change is prev's residual
+        self.moved = self.last = math.inf   # weight changes of the last two Newton steps
+
+
+class _WeightRows:
+    """Views of one weight buffer of a stack on its first n rows: all of
+    them, their ``[:m]`` and ``[m:2m]`` columns, as rows and as (n, 1,
+    columns) for the Jacobian's broadcasts, and the transposed ``[m:]`` and
+    ``[:m]`` columns that the reduction takes."""
+
+    def __init__(self, weights, n, m):
+        self.all = weights[:n]
+        self.head, self.mid = self.all[:, :m], self.all[:, m:2 * m]
+        self.head3, self.mid3 = self.head[:, None, :], self.mid[:, None, :]
+        self.alpha_src, self.beta_src = self.all[:, m:].T, self.all[:, :m].T
+
+
+class _Rows:
+    """Views of a stack's buffers on their first ``n`` rows, the live ones.
+    They are built once for each count of live points, so that a step
+    slices no array: numpy takes about as long to make a view as to apply
+    a small operation to it."""
+
+    def __init__(self, stack, n):
+        m, k = stack.m, stack.k
+        self.n = n
+        self.x, self.y = stack.x[:n], stack.y[:n]
+        self.xa, self.xb = self.x[:, :k].T, self.x[:, k:].T
+        self.ya, self.yb = self.y[:, :k].T, self.y[:, k:].T
+        self.rhs = np.empty((n, 2 * k, 1), complex)
+        self.rhs2 = self.rhs[:, :, 0]
+        zeta = stack.zeta[:n]
+        self.z, self.mz, self.mcz = zeta[:, :1], zeta[:, 1:2], zeta[:, 2:3]
+        self.z3, self.zc3 = zeta[:, 0, None, None], zeta[:, 3, None, None]
+        self.buf = stack.buf[:n]
+        self.parts = _Parts(self.buf, m)
+        self.a_out, self.bc_out = self.parts.one_a.T, self.buf[:, 3 * m:].T
+        width, n_weights = stack.buf.shape[1], stack.gs.shape[2]
+        self.mag = stack.mag[:n * width].reshape(n, width)
+        self.mag_w = stack.mag[:n * n_weights].reshape(n, n_weights)
+        h = self.parts.den
+        self.h_p, self.h_pa = h[:, :m], h[:, m:2 * m]
+        self.h_p3, self.h_tilde3 = self.h_p[:, None, :], h[:, None, m:]
+        self.w, self.w_m = stack.w[:n], stack.w[:n, :, :m]
+        self.jac = stack.jac[:n]
+        self.j_aa, self.j_ab = self.jac[:, :k, :k], self.jac[:, :k, k:]
+        self.j_ba, self.j_bb = self.jac[:, k:, :k], self.jac[:, k:, k:]
+        self.weights = [_WeightRows(g, n, m) for g in stack.gs]
+
+
+class _Stack:
+    """Up to ``size`` points of one system with ``m`` atoms, rank ``k``
+    and ``n_weights`` weights, iterated in lockstep by :func:`_solve`: row
+    r of every buffer belongs to ``points[r]``, and the rows of the live
+    points come first.
+
+    The buffers are allocated once and every step writes into them: the
+    reduced unknowns ``x`` and their image ``y`` (2k each), the weights of
+    the step and of the step before in the two halves of ``gs`` (``flip``
+    is the half of the step's), ``buf``, the map buffer of :class:`_Parts`,
+    the magnitudes ``mag``, the Jacobians ``jac`` and their factor products
+    ``w``.  ``zeta`` holds each row's ``[z, -z, -c z, z c]``.  A point that
+    leaves hands its row to the last live one (:meth:`drop`), and its
+    outcome goes to ``outcomes``.
+    """
+
+    def __init__(self, m, k, n_weights, size):
+        self.m, self.k = m, k
+        self.points = []
+        self.outcomes = [None] * size
+        self.zeta = np.empty((size, 4), complex)
+        self.x = np.empty((size, 2 * k), complex)
+        self.y = np.empty_like(self.x)
+        self.gs = np.empty((2, size, n_weights), complex)
+        self.flip = 0
+        self.buf = np.empty((size, 2 * m + n_weights), complex)
+        self.mag = np.empty(self.buf.size)
+        self.w = np.empty((size, k, n_weights - m), complex)
+        self.jac = np.empty((size, 2 * k, 2 * k), complex)
+        self._rows = None
+
+    def rows(self):
+        """The :class:`_Rows` of the live points."""
+        if self._rows is None or self._rows.n != len(self.points):
+            self._rows = _Rows(self, len(self.points))
+        return self._rows
+
+    def add(self, point, c, start):
+        """A new live row for ``point``, of a system with ratio ``c``, whose
+        weights before the first step are ``start``."""
+        r, z = len(self.points), point.z
+        self.points.append(point)
+        self.zeta[r] = (z, -z, -c * z, z * c)
+        self.gs[1 - self.flip, r] = start
+
+    def drop(self, r, outcome):
+        """Row r's point leaves with ``outcome``: its report and iterate, or
+        its failure, which then carries the map applications it spent as
+        ``exc.iterations``.  The last live row moves into row r."""
+        point = self.points[r]
+        if isinstance(outcome, _SOLVE_FAILURES):
+            outcome.iterations = point.iterations
+        self.outcomes[point.index] = outcome
+        last = self.points.pop()
+        if r < len(self.points):
+            self.points[r] = last
+            n = len(self.points)
+            self.zeta[r], self.x[r], self.y[r] = self.zeta[n], self.x[n], self.y[n]
+            self.gs[:, r], self.buf[r] = self.gs[:, n], self.buf[n]
+
+    def change(self):
+        """``|g - prev|_1`` of each live row, with ``g`` the step's weights
+        and ``prev`` those of the step before, as a list; ``prev`` is
+        spent."""
+        v = self.rows()
+        g, prev = v.weights[self.flip].all, v.weights[1 - self.flip].all
+        np.subtract(g, prev, out=prev)
+        np.abs(prev, out=v.mag_w)
+        return np.add.reduce(v.mag_w, axis=1).tolist()
+
+
+def _finish(stepper, stack, r):
+    """Row r's point converged with the weights in its row of the step's
+    half of ``gs``: it leaves with its report and a copy of them, once they
+    pass the Stieltjes-class rule, or with the rule's failure."""
+    point = stack.points[r]
+    g = stack.gs[stack.flip, r].copy()
+    try:
+        check_stieltjes(point.z, g, stepper.num)
+    except _SOLVE_FAILURES as exc:
+        stack.drop(r, exc.with_traceback(None))
+        return
     m = stepper.m
     pi, pi_tilde = stepper.pack(g)
-    return SolveReport(pi, pi_tilde, complex(g[:m].sum()), complex(g[m:].sum()), residuals,
-                       iterations, **counts), g
+    stack.drop(r, (SolveReport(pi, pi_tilde, complex(g[:m].sum()), complex(g[m:].sum()),
+                               point.residuals, point.iterations,
+                               total_iterations=point.iterations,
+                               newton_steps=point.steps), g))
 
 
-def _solve(z, stepper, opts, start):
-    """One solve at ``z`` on ``x = [alpha | beta]`` from the stacked iterate
-    ``start``, or from the mean-field start :meth:`_Stepper.start` when it
-    is None.  That start's one map application counts as the solve's
-    first, with no residual; a failure of the scalar oracle or of that
-    application fails the solve.
-
-    Each map application at ``x`` gives the weights ``g`` and ``F(x)``, the
-    reduced unknowns of ``g``; the change of the weights from one
-    application to the next is the residual history.  A plain step ``x =
-    F(x)`` makes the next change the undamped residual ``|G(s) - s|_1`` of
-    the weights ``s``, and at most ``tol`` it ends the solve.  At or above
-    the contraction height every step is plain: Picard.  Below it the next
-    ``x`` solves ``(J - I) (x_new - x) = F(x) - x`` (Newton), until the last
-    two Newton steps predict, at quadratic convergence, a next change of at
-    most ``tol``; then one step is plain, and Newton goes on after it if
-    the residual is above ``tol``.
-
-    A singular Newton system or weights that are not finite fail the solve
-    with :class:`NumericalFailure`; so does a converged answer outside the
-    Stieltjes class.  Returns the report and the converged stacked iterate;
-    a failure carries its map applications as ``exc.iterations``."""
-    newton = z.imag < stepper.height
-    residuals = []
-    iterations = steps = 0
-    plain = True                   # x = F(prev): this change is prev's residual
-    moved = last = math.inf        # weight changes of the last two Newton steps
+def _newton(stepper, stack, eye):
+    """The Newton steps ``delta`` of the stack's live rows, ``(J - I)
+    delta = x - y``, solved as one stack.  A singular system fails only its
+    own point, and only if that point takes a Newton step.  Returns the
+    steps and the rows whose Newton system is singular, each with its
+    error."""
+    v = stack.rows()
+    stepper.jacobian(stack)
+    np.subtract(v.jac, eye, out=v.jac)
+    np.subtract(v.x, v.y, out=v.rhs2)
     try:
+        return np.linalg.solve(v.jac, v.rhs)[:, :, 0], []
+    except np.linalg.LinAlgError:
+        pass
+    delta, singular = np.zeros_like(v.rhs2), []
+    for r, point in enumerate(stack.points):
+        if not point.plain:
+            try:
+                delta[r] = np.linalg.solve(v.jac[r], v.rhs2[r])
+            except np.linalg.LinAlgError as exc:
+                err = NumericalFailure(f"singular Newton system at z={point.z}")
+                err.__cause__ = exc
+                singular.append((r, err))
+    return delta, singular
+
+
+def _solve(zs, stepper, opts, starts):
+    """Solve at each point of ``zs`` from its stacked iterate in
+    ``starts``, or from the mean-field start :meth:`_Stepper.start` where
+    that is None, with all points iterated in lockstep on one
+    :class:`_Stack`.  Each step applies the map, the reduction to ``x =
+    [alpha | beta]``, the Jacobians and the Newton solves once to all the
+    points still in the stack; each point keeps its own plain/Newton
+    choice, stop, residuals, map applications, ``max_iters`` budget and
+    class check, and leaves the stack when it converges or fails.  A stack
+    of one point takes the same arithmetic as a single vector, so it is the
+    single solve.
+
+    A mean-field start's one map application counts as its solve's first,
+    with no residual; a failure of the scalar oracle or of that application
+    fails the point with no map application counted.  Each map application
+    at ``x`` gives the weights ``g`` and ``F(x)``, the reduced unknowns of
+    ``g``; the change of the weights from one application to the next is
+    the residual history.  A plain step ``x = F(x)`` makes the next change
+    the undamped residual ``|G(s) - s|_1`` of the weights ``s``, and at most
+    ``tol`` it ends the solve.  At or above the contraction height every
+    step is plain: Picard.  Below it the next ``x`` solves ``(J - I) (x_new
+    - x) = F(x) - x`` (Newton), until the last two Newton steps predict, at
+    quadratic convergence, a next change of at most ``tol``; then one step
+    is plain, and Newton goes on after it if the residual is above ``tol``.
+
+    A denominator below ``MIN_DENOMINATOR`` fails a point with
+    :class:`DegenerateDenominator`; a singular Newton system, weights that
+    are not finite and a converged answer outside the Stieltjes class fail
+    it with :class:`NumericalFailure`, and the budget with
+    :class:`NoConvergence`.  Returns one outcome per point, in the order of
+    ``zs``: the report and a copy of the converged stacked iterate, or the
+    failure, which carries its map applications as ``exc.iterations``."""
+    stack = stepper.stack(len(zs))
+    for index, (z, start) in enumerate(zip(zs, starts)):
+        iterations = 0
         if start is None:
-            start = stepper.start(z)
+            try:
+                start = stepper.start(z)
+            except _SOLVE_FAILURES as exc:
+                exc.iterations = 0
+                stack.outcomes[index] = exc.with_traceback(None)
+                continue
             iterations = 1
-        prev = start
-        x = stepper.reduce(start)
-        eye = np.eye(x.size)
-        while iterations < opts.max_iters:
-            g, one = stepper.weights(z, x)
-            iterations += 1
-            change = float(np.abs(g - prev).sum())
-            residuals.append(change)
-            if plain and change <= opts.tol:
-                return _answer(z, stepper, g, residuals, iterations, newton_steps=steps,
-                               total_iterations=iterations)
+        stack.add(_Point(index, z, z.imag < stepper.height, iterations), stepper.c, start)
+    if stack.points:
+        v = stack.rows()
+        stepper.reduce(v.weights[1 - stack.flip], v.xa, v.xb)
+    eye = np.eye(2 * stepper.k)
+    tol = opts.tol
+    while stack.points:
+        for r in reversed(range(len(stack.points))):
+            point = stack.points[r]
+            if point.iterations >= opts.max_iters:
+                stack.drop(r, _no_convergence(point.z, point.iterations, point.residuals,
+                                              opts))
+        if not stack.points:
+            break
+        stepper.weights(stack)
+        if not stack.points:
+            break
+        changes = stack.change()
+        # rows leave from the end first, so a row that moves in is done
+        for r in reversed(range(len(changes))):
+            point, change = stack.points[r], changes[r]
+            point.iterations += 1
+            point.residuals.append(change)
+            if point.plain and change <= tol:
+                _finish(stepper, stack, r)
+                continue
             if not change < math.inf:
-                raise NumericalFailure(f"weights not finite at z={z}")
-            if not plain:
-                last, moved = moved, change
-            y = stepper.reduce(g)
-            plain = not (newton and (plain or not (
-                moved < last < math.inf and moved ** 3 <= opts.tol * last ** 2)))
-            if plain:
-                x = y
+                stack.drop(r, NumericalFailure(f"weights not finite at z={point.z}"))
+                continue
+            if not point.plain:
+                point.last, point.moved = point.moved, change
+            point.plain = not (point.newton and (point.plain or not (
+                point.moved < point.last < math.inf
+                and point.moved ** 3 <= tol * point.last ** 2)))
+        if not stack.points:
+            break
+        v = stack.rows()
+        steps = [not point.plain for point in stack.points]
+        if not any(steps):
+            stepper.reduce(v.weights[stack.flip], v.xa, v.xb)
+        else:
+            stepper.reduce(v.weights[stack.flip], v.ya, v.yb)
+            delta, singular = _newton(stepper, stack, eye)
+            if all(steps):
+                v.x += delta
             else:
-                try:
-                    delta = np.linalg.solve(stepper.jacobian(z, g, one) - eye, x - y)
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalFailure(f"singular Newton system at z={z}") from exc
-                x = x + delta
-                steps += 1
-            prev = g
-        raise _no_convergence(z, iterations, residuals, opts)
-    except _SOLVE_FAILURES as exc:
-        exc.iterations = iterations
-        raise
+                for r, step in enumerate(steps):
+                    if step:
+                        v.x[r] += delta[r]
+                    else:
+                        v.x[r] = v.y[r]
+            for point, step in zip(stack.points, steps):
+                point.steps += step
+            for r, err in reversed(singular):
+                stack.drop(r, err)
+        stack.flip = 1 - stack.flip
+    # the stack outlives the solve on its stepper, the outcomes need not
+    outcomes, stack.outcomes = stack.outcomes, None
+    return outcomes
 
 
-def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
-    """Solve at ``z`` once from ``start`` (the mean-field start when None:
-    see :func:`_solve`).  If a solve from a given start fails, retry once
-    from the mean-field start at ``z``; if that fails too, or the first
-    solve had no given start, rescue it with a step-controlled ladder down
-    the imaginary axis.
+def _rescue(z, stepper, opts, spent, retry, y_from, factor, where):
+    """Rescue a failed solve at ``z`` that spent ``spent`` map
+    applications: first, if ``retry``, one solve from the mean-field start
+    at ``z``; if that fails too, or without ``retry``, a step-controlled
+    ladder down the imaginary axis.  Every attempt is a stack of one point
+    (see :func:`_solve`).
 
     The top rung, at ``max(y_from, Im z)``, starts from the cold start
     ``-num / z`` there, so the rescue never calls the scalar oracle.  From
@@ -450,36 +749,29 @@ def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
     warm-started from that rung; a failed attempt is retried at the
     geometric mean of its height and the last solved one.  Returns the
     report and its stacked iterate, whose ``total_iterations`` counts every
-    attempt, failed ones included, and whose ``rescued`` is set when the
-    first attempt failed.  Once a failed attempt was at least ``factor``
-    times the last solved height (or was the top rung), the rescue
-    re-raises its error type with ``where`` and the attempt's height added.
+    attempt, failed ones included, and whose ``rescued`` is set.  Once a
+    failed attempt was at least ``factor`` times the last solved height (or
+    was the top rung), the rescue re-raises its error type with ``where``
+    and the attempt's height added.
     """
-    try:
-        return _solve(z, stepper, opts, start)
-    except _SOLVE_FAILURES as exc:
-        spent = exc.iterations
-    if start is not None:
-        # one retry from the mean-field start at the target
-        try:
-            report, s = _solve(z, stepper, opts, None)
-        except _SOLVE_FAILURES as exc:
-            spent += exc.iterations
-        else:
-            report.total_iterations += spent
-            report.rescued = True
-            return report, s
+    if retry:
+        outcome, = _solve([z], stepper, opts, [None])
+        if not isinstance(outcome, _SOLVE_FAILURES):
+            outcome[0].total_iterations += spent
+            outcome[0].rescued = True
+            return outcome
+        spent += outcome.iterations
     y = max(y_from, z.imag)
     solved, start = None, -stepper.num / complex(z.real, y)
     while True:
-        try:
-            report, s = _solve(complex(z.real, y), stepper, opts, start)
-        except _SOLVE_FAILURES as exc:
+        outcome, = _solve([complex(z.real, y)], stepper, opts, [start])
+        if isinstance(outcome, _SOLVE_FAILURES):
             if solved is None or y >= factor * solved:
-                raise type(exc)(f"{where}: rung Im={y:.6g} failed: {exc}") from exc
-            spent += exc.iterations
+                raise type(outcome)(f"{where}: rung Im={y:.6g} failed: {outcome}") from outcome
+            spent += outcome.iterations
             y = math.sqrt(y * solved)
             continue
+        report, s = outcome
         spent += report.total_iterations
         if y == z.imag:
             break
@@ -489,39 +781,63 @@ def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
     return report, s
 
 
+def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
+    """Solve at ``z`` once from ``start`` (the mean-field start when None),
+    as a stack of one point (see :func:`_solve`).  If a solve from a given
+    start fails, retry once from the mean-field start at ``z``; if that
+    fails too, or the first solve had no given start, rescue it with the
+    ladder of :func:`_rescue`.  Returns the report and its stacked
+    iterate."""
+    outcome, = _solve([z], stepper, opts, [start])
+    if isinstance(outcome, _SOLVE_FAILURES):
+        return _rescue(z, stepper, opts, outcome.iterations, start is not None, y_from,
+                       factor, where)
+    return outcome
+
+
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
                             factor=LADDER_FACTOR, y_start=None):
     """Solve at each target z, by continuation down the imaginary axis
     where a direct solve fails.
 
-    Each target is first solved from its own start at the target, the
-    mean-field start.  If that fails, the rescue ladder solves it from the
-    cold start at Im(z) = max(y_start, Im z), ``y_start`` (finite and > 0)
-    being the contraction height by default, then tries the target
-    warm-started from there.  A failed attempt is retried at the geometric
-    mean of its height and the last solved one, and every solved rung is
-    the warm start of a new attempt at the target; the report of a rescued
-    target has ``rescued`` set.  ``factor`` in (0, 1) is the finest step
-    the rescue tries: once a failed attempt was at least ``factor`` times
-    the last solved height, the rescue gives up.  Returns a dict mapping
-    each target z to its SolveReport.  A failed rescue raises
-    :class:`NoConvergence` when the iteration budget runs out,
+    Each distinct target is first solved from its own start at the target,
+    the mean-field start, with up to ``_STACK_SIZE`` targets iterated in
+    lockstep (see :func:`_solve`); a repeated target is solved once.  Only
+    a target whose solve fails is rescued, one at a time in the order of
+    the targets: the rescue ladder solves it from the cold start at Im(z)
+    = max(y_start, Im z), ``y_start`` (finite and > 0) being the
+    contraction height by default, then tries the target warm-started from
+    there.  A failed attempt is retried at the geometric mean of its height
+    and the last solved one, and every solved rung is the warm start of a
+    new attempt at the target; the report of a rescued target has
+    ``rescued`` set, and its ``total_iterations`` counts the failed first
+    solve too.  ``factor`` in (0, 1) is the finest step the rescue tries:
+    once a failed attempt was at least ``factor`` times the last solved
+    height, the rescue gives up.  Returns a dict mapping each target z to
+    its SolveReport.  The first target, in order, whose rescue fails
+    raises :class:`NoConvergence` when the iteration budget runs out,
     :class:`DegenerateDenominator` on numerical breakdown and
     :class:`NumericalFailure` when the answer leaves the Stieltjes class,
     each with the target and the rung height added.  Raises
     :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad`` is the
     quadrature on [c, 1].
     """
-    targets = [upper_half_plane(zt, "target") for zt in z_targets]
+    targets = list(dict.fromkeys(upper_half_plane(zt, "target") for zt in z_targets))
     if not 0 < factor < 1:
         raise InvalidInput("factor must lie in (0, 1)")
     y_start = None if y_start is None else positive_height(y_start, "y_start")
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
     y_from = stepper.height if y_start is None else y_start
-    return {zt: _solve_or_climb(zt, stepper, opts, None, y_from, factor,
-                                f"target z={zt}")[0]
-            for zt in targets}
+    reports = {}
+    for first in range(0, len(targets), _STACK_SIZE):
+        chunk = targets[first:first + _STACK_SIZE]
+        for zt, outcome in zip(chunk, _solve(chunk, stepper, opts, [None] * len(chunk))):
+            if isinstance(outcome, _SOLVE_FAILURES):
+                outcome = _rescue(zt, stepper, opts, outcome.iterations, False, y_from,
+                                  factor, f"target z={zt}")
+            reports[zt] = outcome[0]
+    return reports
 
 
 def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_height, reference_jacobian, theta_bound
+from conftest import peak_bytes, reference_height, reference_jacobian, theta_bound
 from gramspec import master_solver
 from gramspec.closed_forms import iid_noncentered_f, mp_stieltjes
 from gramspec.errors import (DegenerateDenominator, InvalidInput, NoConvergence,
@@ -180,10 +182,44 @@ STEP_PROFILES = {
 }
 
 
+def stack_of_one(stepper, z, s):
+    """A stack of the one point ``z`` whose weights are ``s``, with its
+    reduced unknowns ``x`` those of ``s``."""
+    stack = master_solver._Stack(stepper.m, stepper.k, stepper.num.size, 1)
+    stack.add(master_solver._Point(0, z, True, 0), stepper.c, s)
+    rows = stack.rows()
+    stepper.reduce(rows.weights[1 - stack.flip], rows.xa, rows.xb)
+    return stack
+
+
+def map_at(stepper, z, x):
+    """The solver's map at the reduced unknowns ``x`` of the point ``z``,
+    as a stack of one point applies it: the weights ``g``, ``[1 + A | 1 + c
+    B]``, the reduced unknowns ``F(x)`` of ``g``, and the Jacobian of ``F``
+    at ``x``, each a copy."""
+    stack = stack_of_one(stepper, z, np.zeros(stepper.num.size, complex))
+    stack.x[0] = x
+    stepper.weights(stack)
+    rows = stack.rows()
+    stepper.reduce(rows.weights[stack.flip], rows.ya, rows.yb)
+    g, one = stack.gs[stack.flip, 0].copy(), stack.buf[0, :2 * stepper.m].copy()
+    stepper.jacobian(stack)
+    return g, one, stack.y[0].copy(), stack.jac[0].copy()
+
+
 def solver_map(stepper, z, s):
     """One application of the map to the stacked weights ``s``, as the
     solver applies it: through the reduced unknowns of ``s``."""
-    return stepper.weights(z, stepper.reduce(s))[0]
+    return map_at(stepper, z, stack_of_one(stepper, z, s).x[0])[0]
+
+
+def solve_one(z, stepper, opts, start):
+    """The report and iterate of :func:`master_solver._solve` at the one
+    point ``z``; raises its failure."""
+    outcome, = master_solver._solve([z], stepper, opts, [start])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class TestStepperAgainstReference:
@@ -313,7 +349,7 @@ class TestSingleTarget:
         skew = np.concatenate([(-H.w / z) * (1.0 + 0.4j), (-0.5 * H.w / z) * 0.7,
                                np.full(len(quad), 0.05j)])
         for start in (-stepper.num / z, skew):
-            rep = master_solver._solve(z, stepper, opts, start)[0]
+            rep = solve_one(z, stepper, opts, start)[0]
             assert rep.iterations == len(rep.residuals)
             assert tv(rep_own.pi, rep.pi) <= 10 * opts.tol
             assert tv(rep_own.pi_tilde, rep.pi_tilde) <= 10 * opts.tol
@@ -371,7 +407,7 @@ class TestContinuation:
         prof = SKEWED
         quad = QuadratureRule.midpoint(1.0, 256)
         z = 8j  # above the contraction height 6
-        direct = master_solver._solve(z, _Stepper(H, prof, quad, 1.0), SolverOptions(), None)[0]
+        direct = solve_one(z, _Stepper(H, prof, quad, 1.0), SolverOptions(), None)[0]
         cont = solve_with_continuation([z], 1.0, H, prof, quad)[z]
         assert cont.f == direct.f
         assert cont.iterations == cont.total_iterations == direct.iterations > 2
@@ -504,19 +540,20 @@ def fail_first_checks(patch, target, count):
 
 
 def record_attempts(patch):
-    """Wrap ``_solve`` so that every solve attempt is recorded as ``(Im z,
-    map applications spent, converged)``.  Returns the list of attempts."""
+    """Wrap ``_solve`` so that every solve attempt, each point of a stack,
+    is recorded as ``(Im z, map applications spent, converged)``.  Returns
+    the list of attempts."""
     solve = master_solver._solve
     attempts = []
 
-    def recorded(z, stepper, opts, start):
-        try:
-            report, s = solve(z, stepper, opts, start)
-        except master_solver._SOLVE_FAILURES as exc:
-            attempts.append((z.imag, exc.iterations, False))
-            raise
-        attempts.append((z.imag, report.total_iterations, True))
-        return report, s
+    def recorded(zs, stepper, opts, starts):
+        outcomes = solve(zs, stepper, opts, starts)
+        for z, outcome in zip(zs, outcomes):
+            if isinstance(outcome, Exception):
+                attempts.append((z.imag, outcome.iterations, False))
+            else:
+                attempts.append((z.imag, outcome[0].total_iterations, True))
+        return outcomes
 
     patch.setattr(master_solver, "_solve", recorded)
     return attempts
@@ -540,12 +577,12 @@ class TestNewtonBelowHeight:
         s = solver_map(stepper, z, -stepper.num / z)
         for _ in range(3):
             s = solver_map(stepper, z, s)
-        x = stepper.reduce(s)
-        jac = stepper.jacobian(z, *stepper.weights(z, x))
+        x = stack_of_one(stepper, z, s).x[0].copy()
+        jac = map_at(stepper, z, x)[3]
         assert jac.shape == (x.size, x.size)
 
         def reduced_map(v):
-            return stepper.reduce(stepper.weights(z, v)[0])
+            return map_at(stepper, z, v)[2]
 
         # the map is holomorphic: a real and an imaginary difference step
         # both give the complex derivative
@@ -567,8 +604,7 @@ class TestNewtonBelowHeight:
         s = solver_map(stepper, z, -stepper.num / z)
         for _ in range(3):
             s = solver_map(stepper, z, s)
-        g, one = stepper.weights(z, stepper.reduce(s))
-        jac = stepper.jacobian(z, g, one)
+        g, one, _, jac = map_at(stepper, z, stack_of_one(stepper, z, s).x[0])
         ref = reference_jacobian(stepper, prof, z, g, one)
         assert jac.shape == ref.shape
         assert np.abs(jac - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -623,11 +659,9 @@ class TestNewtonBelowHeight:
         failures = []
 
         def spy(*args):
-            try:
-                return solve(*args)
-            except NumericalFailure as exc:
-                failures.append(exc)
-                raise
+            outcomes = solve(*args)
+            failures.extend(o for o in outcomes if isinstance(o, NumericalFailure))
+            return outcomes
 
         monkeypatch.setattr(master_solver, "_solve", spy)
         attempts = record_attempts(monkeypatch)
@@ -651,8 +685,10 @@ class TestNewtonBelowHeight:
         # with J = I the Newton matrix J - I is zero, LAPACK reports an
         # exactly singular factor, so every Newton solve fails and the
         # ladder gives up below the height
-        monkeypatch.setattr(_Stepper, "jacobian",
-                            lambda self, z, g, one: np.eye(2 * self.Phi.shape[1], dtype=complex))
+        def identity(self, stack):
+            stack.rows().jac[:] = np.eye(2 * self.k)
+
+        monkeypatch.setattr(_Stepper, "jacobian", identity)
         with pytest.raises(NumericalFailure, match=r"target z=\(0\.5\+0\.1j\): rung Im=[0-9.]+ "
                            r"failed: singular Newton system at z=\(0\.5\+[0-9.]+j\)"):
             solve_at(z, 1.0, H, prof, quad)
@@ -670,18 +706,25 @@ class TestOneLoop:
         stepper = _Stepper(H, SKEWED, quad, 1.0)
         z = complex(0.5, 0.1 if where == "below" else 1.5 * stepper.height)
         weights_from_integrals = master_solver._weights_from_integrals
+        stack_weights = _Stepper.weights
         calls = []
 
-        def poisoned(*args):
+        def start_counted(*args):
+            calls.append(args[0])
+            return weights_from_integrals(*args)
+
+        def poisoned(self, stack):
             # NaN weights from the k-th map application on, the mean-field
             # start's included
-            calls.append(args[0])
-            g, one = weights_from_integrals(*args)
-            return (np.full_like(g, np.nan) if len(calls) >= k else g), one
+            calls.append(stack.points[0].z)
+            stack_weights(self, stack)
+            if len(calls) >= k:
+                stack.gs[stack.flip] = np.nan
 
-        monkeypatch.setattr(master_solver, "_weights_from_integrals", poisoned)
+        monkeypatch.setattr(master_solver, "_weights_from_integrals", start_counted)
+        monkeypatch.setattr(_Stepper, "weights", poisoned)
         with pytest.raises(NumericalFailure, match=r"weights not finite at z=") as info:
-            master_solver._solve(z, stepper, SolverOptions(), None)
+            solve_one(z, stepper, SolverOptions(), None)
         assert info.value.iterations == len(calls) == k
 
     @pytest.mark.parametrize("kind", ["constant", "separable", "bilinear", "blocks"])
@@ -788,8 +831,8 @@ class TestColdStartAtTarget:
         # the rescue as it runs: a solve from the cold start at the height,
         # then the target warm-started from it
         stepper = _Stepper(H, prof, quad, 1.0)
-        top, s = master_solver._solve(6j + z.real, stepper, opts, -stepper.num / (6j + z.real))
-        warm = master_solver._solve(z, stepper, opts, s)[0]
+        top, s = solve_one(6j + z.real, stepper, opts, -stepper.num / (6j + z.real))
+        warm = solve_one(z, stepper, opts, s)[0]
         ladder = ladder_reference(z, 1.0, H, prof, quad, opts)[-1]
         forced = fail_first_checks(monkeypatch, z, 1)
         rep = solve_alone(entry, z, 1.0, H, prof, quad, opts)
@@ -818,10 +861,10 @@ class TestColdStartAtTarget:
         solve = master_solver._solve
         calls, starts = [], []
 
-        def counted(z, stepper, opts, start):
-            calls.append(z)
-            starts.append(start)
-            return solve(z, stepper, opts, start)
+        def counted(zs, stepper, opts, starts_):
+            calls.extend(zs)
+            starts.extend(starts_)
+            return solve(zs, stepper, opts, starts_)
 
         monkeypatch.setattr(master_solver, "_solve", counted)
         with pytest.raises(NoConvergence, match=r"target z=8j: rung Im=8 failed: .* after 2 "):
@@ -935,7 +978,7 @@ def above_height_pairs(kind, c, opts):
         for x, k in zip((-1.0, 0.5, 3.0, 0.0, 2.0, 8.0), (1.0, 1.2, 1.5, 2.0, 2.5, 3.0)):
             z = complex(x, k * stepper.height)
             yield (solve_at(z, c, H, prof, quad, opts),
-                   master_solver._solve(z, stepper, opts, -stepper.num / z)[0])
+                   solve_one(z, stepper, opts, -stepper.num / z)[0])
 
 
 class TestMeanFieldStart:
@@ -1112,14 +1155,15 @@ class TestRescueLadder:
         solve = master_solver._solve
         attempts = []
 
-        def recorded(zz, stepper, opts, start):
-            try:
-                report, s = solve(zz, stepper, opts, start)
-            except master_solver._SOLVE_FAILURES as exc:
-                attempts.append((zz.imag, start is None, exc.iterations, False))
-                raise
-            attempts.append((zz.imag, start is None, report.total_iterations, True))
-            return report, s
+        def recorded(zs, stepper, opts, starts):
+            outcomes = solve(zs, stepper, opts, starts)
+            for zz, start, outcome in zip(zs, starts, outcomes):
+                if isinstance(outcome, Exception):
+                    attempts.append((zz.imag, start is None, outcome.iterations, False))
+                else:
+                    attempts.append((zz.imag, start is None, outcome[0].total_iterations,
+                                     True))
+            return outcomes
 
         monkeypatch.setattr(master_solver, "_solve", recorded)
         rep = sweep_line([0.4, 0.5], 0.1, 1.0, H, prof, quad, opts)[1]
@@ -1232,3 +1276,265 @@ class TestSweepLine:
             assert abs(rep.f - ref.f) <= 10 * opts.tol
             assert abs(rep.f_tilde - ref.f_tilde) <= 10 * opts.tol
             check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]), num)
+
+
+def alone(targets, c, H, prof, quad, opts):
+    """Each target's report from its own solve_with_continuation call."""
+    return {z: solve_with_continuation([z], c, H, prof, quad, opts)[z] for z in targets}
+
+
+def assert_same_answers(stacked, single, counts=True, atol=1e-13):
+    """Stacked and one-at-a-time reports agree: in every count, when
+    ``counts``, and in ``f`` and ``f_tilde`` within ``atol``."""
+    assert list(stacked) == list(single)
+    for z, rep in stacked.items():
+        ref = single[z]
+        if counts:
+            assert (rep.iterations, rep.total_iterations, rep.newton_steps, rep.rescued) == (
+                ref.iterations, ref.total_iterations, ref.newton_steps, ref.rescued), z
+        assert abs(rep.f - ref.f) <= atol, z
+        assert abs(rep.f_tilde - ref.f_tilde) <= atol, z
+
+
+def inject(patch, kind, target):
+    """Make the solve at ``target`` fail in the way ``kind`` names, and only
+    in a stack of more than one point, so its rescue runs as usual."""
+    if kind == "start":
+        start = _Stepper.start
+
+        def failing_start(self, z):
+            if z == target:
+                raise NoConvergence(f"scalar fixed point stalled at z={z}")
+            return start(self, z)
+
+        patch.setattr(_Stepper, "start", failing_start)
+    elif kind == "denominator":
+        denominators = master_solver._denominators
+
+        def zero_denominator(z, *args):
+            denominators(z, *args)
+            if np.ndim(z) and z.shape[0] > 1:
+                args[4].den[z[:, 0] == target] = 0.0
+
+        patch.setattr(master_solver, "_denominators", zero_denominator)
+    elif kind == "not finite":
+        weights = _Stepper.weights
+
+        def nan_weights(self, stack):
+            weights(self, stack)
+            for r, point in enumerate(stack.points):
+                if point.z == target and len(stack.points) > 1:
+                    stack.gs[stack.flip, r] = np.nan
+
+        patch.setattr(_Stepper, "weights", nan_weights)
+    elif kind == "singular":
+        jacobian = _Stepper.jacobian
+
+        def singular(self, stack):
+            jacobian(self, stack)
+            for r, point in enumerate(stack.points):
+                if point.z == target and len(stack.points) > 1:
+                    stack.jac[r] = np.eye(2 * self.k)
+
+        patch.setattr(_Stepper, "jacobian", singular)
+    else:
+        fail_first_checks(patch, target, 1)
+
+
+class TestLockstepStack:
+    """solve_with_continuation solves its distinct targets in lockstep
+    stacks of at most _STACK_SIZE points: the answers are the ones a solve
+    of each target alone gives, and a point that fails leaves the stack
+    alone, to be rescued one at a time."""
+
+    def test_zgrid_stack_matches_one_at_a_time(self):
+        # the nine targets make a full stack and a stack of one
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        targets = ZGRID_TARGETS + [ZGRID_OUTSIDE]
+        assert len(targets) > master_solver._STACK_SIZE
+        assert_same_answers(solve_with_continuation(targets, 0.5, H, prof, quad, opts),
+                            alone(targets, 0.5, H, prof, quad, opts))
+
+    def test_zgrid_outside_fails_alone_from_the_cold_start(self, monkeypatch):
+        # from the cold start Newton converges outside the class at
+        # ZGRID_OUTSIDE: that point alone leaves the stack and is rescued
+        cold_start(monkeypatch)
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        targets = ZGRID_TARGETS[:4] + [ZGRID_OUTSIDE] + ZGRID_TARGETS[4:7]
+        assert len(targets) == master_solver._STACK_SIZE
+        attempts = record_attempts(monkeypatch)
+        reports = solve_with_continuation(targets, 0.5, H, prof, quad, opts)
+        assert [ok for _, _, ok in attempts[:len(targets)]] == [z != ZGRID_OUTSIDE
+                                                               for z in targets]
+        assert [z for z, rep in reports.items() if rep.rescued] == [ZGRID_OUTSIDE]
+        # its failed attempt in the stack, then its rescue's attempts
+        rescue = attempts[4:5] + attempts[len(targets):]
+        assert reports[ZGRID_OUTSIDE].total_iterations == sum(spent for _, spent, _ in rescue)
+        assert_same_answers(reports, alone(targets, 0.5, H, prof, quad, opts))
+
+    @pytest.mark.parametrize("kind", ["start", "denominator", "not finite", "singular",
+                                      "class"])
+    def test_one_point_fails_alone(self, kind):
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        stepper = _Stepper(H, prof, quad, 0.5)
+        targets = ZGRID_TARGETS
+        bad = targets[3]
+        single = [solve_one(z, stepper, opts, None) for z in targets]
+        with pytest.MonkeyPatch.context() as patch:
+            inject(patch, kind, bad)
+            outcomes = master_solver._solve(targets, stepper, opts, [None] * len(targets))
+        spent = {"start": 0, "denominator": 1, "not finite": 2, "singular": 2,
+                 "class": single[3][0].iterations}[kind]
+        error = {"start": NoConvergence, "denominator": DegenerateDenominator}.get(
+            kind, NumericalFailure)
+        assert isinstance(outcomes[3], error)
+        assert outcomes[3].iterations == spent
+        for z, outcome, ref in zip(targets, outcomes, single):
+            if z != bad:
+                rep = outcome[0]
+                assert (rep.iterations, rep.newton_steps) == (ref[0].iterations,
+                                                              ref[0].newton_steps)
+                assert abs(rep.f - ref[0].f) <= 1e-13
+        # the rescue of the failed point counts the map applications it spent
+        with pytest.MonkeyPatch.context() as patch:
+            inject(patch, kind, bad)
+            reports = solve_with_continuation(targets, 0.5, H, prof, quad, opts)
+        assert [z for z, rep in reports.items() if rep.rescued] == [bad]
+        ladder = master_solver._rescue(bad, stepper, opts, spent, False, stepper.height,
+                                       LADDER_FACTOR, "reference")[0]
+        assert reports[bad].total_iterations == ladder.total_iterations
+        assert abs(reports[bad].f - ladder.f) <= 1e-13
+
+    def test_one_point_runs_out_of_budget_alone(self):
+        # a point above the contraction height takes more plain steps than
+        # the Newton points below it take map applications
+        prof, H, quad = zgrid_system(64)
+        stepper = _Stepper(H, prof, quad, 0.5)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        high = complex(1.0, 1.05 * stepper.height)
+        targets = ZGRID_TARGETS[:3] + [high]
+        single = [solve_one(z, stepper, opts, None)[0] for z in targets]
+        budget = max(rep.iterations for rep in single[:3])
+        assert single[3].iterations > budget
+        tight = SolverOptions(tol=1e-10, max_iters=budget)
+        outcomes = master_solver._solve(targets, stepper, tight, [None] * len(targets))
+        assert isinstance(outcomes[3], NoConvergence)
+        assert outcomes[3].iterations == budget
+        for outcome, ref in zip(outcomes[:3], single):
+            assert outcome[0].iterations == ref.iterations
+            assert abs(outcome[0].f - ref.f) <= 1e-13
+
+    def test_finished_report_owns_its_weights(self, monkeypatch):
+        # a report that leaves the stack early keeps its weights while the
+        # stack runs on and writes its buffers
+        prof, H, quad = zgrid_system(64)
+        stepper = _Stepper(H, prof, quad, 0.5)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        drop = master_solver._Stack.drop
+        left = []
+
+        def recorded(stack, r, outcome):
+            rep, s = outcome
+            left.append((stack.points[r].index, len(stack.points), rep.pi.weights.copy(),
+                         rep.pi_tilde.weights.copy(), s.copy()))
+            drop(stack, r, outcome)
+
+        monkeypatch.setattr(master_solver._Stack, "drop", recorded)
+        outcomes = master_solver._solve(ZGRID_TARGETS, stepper, opts,
+                                        [None] * len(ZGRID_TARGETS))
+        assert left[0][1] > 1                          # it left a running stack
+        for index, _, pi, pi_tilde, s in left:
+            np.testing.assert_array_equal(outcomes[index][0].pi.weights, pi)
+            np.testing.assert_array_equal(outcomes[index][0].pi_tilde.weights, pi_tilde)
+            np.testing.assert_array_equal(outcomes[index][1], s)
+        stack = stepper.stack(len(ZGRID_TARGETS))
+        for rep, s in outcomes:
+            for a in (rep.pi.weights, rep.pi_tilde.weights, s):
+                for buffer in (stack.gs, stack.buf, stack.x, stack.y):
+                    assert not np.shares_memory(a, buffer)
+
+    def test_first_failing_target_raises(self, monkeypatch):
+        H, prof = uniform_H(32), VarianceProfile.constant(1.0)
+        quad = QuadratureRule.midpoint(1.0, 256)
+
+        def fail_below_height(zz, s, num):
+            if zz.imag < 6.0:
+                raise NumericalFailure(f"forced failure at z={zz}")
+            check_stieltjes(zz, s, num)
+
+        monkeypatch.setattr(master_solver, "check_stieltjes", fail_below_height)
+        for targets in ([8j, 0.5 + 0.1j, 1.5 + 0.2j], [8j, 1.5 + 0.2j, 0.5 + 0.1j]):
+            first = str(targets[1]).replace("+", r"\+").replace("(", r"\(").replace(")", r"\)")
+            with pytest.raises(NumericalFailure, match=rf"target z={first}: rung"):
+                solve_with_continuation(targets, 1.0, H, prof, quad)
+
+    def test_no_targets_build_no_stack(self, monkeypatch):
+        def no_stack(*args):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr(_Stepper, "stack", no_stack)
+        prof, H, quad = zgrid_system(16)
+        assert solve_with_continuation([], 0.5, H, prof, quad) == {}
+
+    def test_repeated_target_solved_once(self, monkeypatch):
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        a, b = ZGRID_TARGETS[1], ZGRID_TARGETS[5]
+        attempts = record_attempts(monkeypatch)
+        reports = solve_with_continuation([a, b, a, complex(a), b], 0.5, H, prof, quad, opts)
+        assert list(reports) == [a, b]
+        assert [y for y, _, _ in attempts] == [a.imag, b.imag]
+        assert_same_answers(reports, alone([a, b], 0.5, H, prof, quad, opts))
+
+    def test_working_set_bounded_by_the_stack(self, monkeypatch):
+        # the traced peak less what the returned reports hold is the solver's
+        # working set: one stack's buffers and the rescue's stack of one,
+        # whatever the number of targets
+        prof, H, quad = zgrid_system(64)
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        rng = np.random.default_rng(29)
+
+        def working_set(count):
+            targets = [complex(x, 0.02 * 100.0 ** t)
+                       for x, t in zip(rng.uniform(-0.5, 6.0, count), rng.random(count))]
+            # a rescue in both runs, so both build the stack of one
+            fail_first_checks(monkeypatch, targets[0], 1)
+            held = []
+
+            def solve():
+                reports = solve_with_continuation(targets, 0.5, H, prof, quad, opts)
+                held.append(tracemalloc.get_traced_memory()[0])
+                return reports
+
+            reports, peak = peak_bytes(solve)
+            assert len(reports) == count
+            weights = sum(rep.pi.weights.nbytes + rep.pi_tilde.weights.nbytes
+                          for rep in reports.values())
+            assert held[0] >= weights
+            return peak - held[0]
+
+        small, large = working_set(16), working_set(256)
+        # the slack covers the list of targets itself, about 40 bytes each;
+        # one report's weights take 3 KB at m = q = 64, and one more point
+        # of a stack 15 KB
+        assert large <= small + 64 * (256 - 16)
+
+    @settings(derandomize=True, deadline=None, max_examples=40, phases=_NO_SHRINK)
+    @given(prof=_four_kinds, law=_offset_laws, c=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           points=st.lists(st.tuples(st.floats(-2.0, 20.0), st.floats(0.0, 1.0, exclude_max=True),
+                                     st.booleans()), min_size=1, max_size=20))
+    def test_stacks_match_one_at_a_time(self, prof, law, c, points):
+        total = sum(w for _, w in law)
+        H = product_H([(lam2, w / total) for lam2, w in law], 16)
+        quad = QuadratureRule.midpoint(c, 16)
+        height = contraction_start_height(prof.sigma_max_sq, c, lambda_moment(H))
+        # log-uniform in [1e-2, height) below the height, in [height, 2 height) above
+        targets = [complex(x, height * (1.0 + t) if above else 1e-2 * (height / 1e-2) ** t)
+                   for x, t, above in points]
+        opts = SolverOptions(tol=1e-10, max_iters=60000)
+        stacked = solve_with_continuation(targets, c, H, prof, quad, opts)
+        assert_same_answers(stacked, alone(stacked, c, H, prof, quad, opts), counts=False,
+                            atol=opts.tol)
