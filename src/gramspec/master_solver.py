@@ -86,10 +86,13 @@ residuals, budget and class check, in Python scalars, and leaves the
 stack when it converges or fails; a failure fails only its own point.
 :func:`solve_with_continuation` sends its distinct targets through stacks
 of up to ``_STACK_SIZE`` points and rescues the failed ones one at a
-time.  The points of a sweep and the rungs of a ladder each start from
-the answer before them, so they are stacks of one point; every product
-keeps the profile's factor on the left, so a stack of one takes the
-arithmetic of a single vector and gives the same answer bit for bit.
+time.  A sweep (:func:`sweep_line`) cuts its points into up to
+``_STACK_SIZE`` contiguous segments, each started from the answers before
+it, and solves the next point of every segment in one stack.  The rungs of
+a ladder each start from the answer before them, so they are stacks of one
+point; every product keeps the profile's factor on the left, so a stack of
+one takes the arithmetic of a single vector and gives the same answer bit
+for bit.
 """
 
 import math
@@ -332,15 +335,16 @@ class _Stepper(_System):
         # c lam and lam: the offsets of the dp/dB and dpa/dA coefficients
         self.lam_p = np.asarray(c * H.lam, dtype=complex)
         self.lam_pa = np.asarray(H.lam, dtype=complex)
-        self._stacks = {}
+        self._stack = None
 
     def stack(self, size):
-        """An empty :class:`_Stack` for up to ``size`` points.  It reuses
-        the buffers and views of the last stack of that size, so a sweep or
-        a ladder, one point at a time, allocates them once."""
-        stack = self._stacks.get(size)
-        if stack is None:
-            stack = self._stacks[size] = _Stack(self.m, self.k, self.num.size, size)
+        """An empty :class:`_Stack` for ``size`` points.  The stepper keeps
+        one stack and reuses its buffers and views while it has room for
+        ``size`` points, so a sweep, whose rounds shrink, and the ladders
+        that rescue its points allocate them once."""
+        stack = self._stack
+        if stack is None or stack.size < size:
+            stack = self._stack = _Stack(self.m, self.k, self.num.size, size)
         stack.points, stack.outcomes = [], [None] * size
         return stack
 
@@ -533,7 +537,7 @@ class _Stack:
     """
 
     def __init__(self, m, k, n_weights, size):
-        self.m, self.k = m, k
+        self.m, self.k, self.size = m, k, size
         self.points = []
         self.outcomes = [None] * size
         self.zeta = np.empty((size, 4), complex)
@@ -545,13 +549,13 @@ class _Stack:
         self.mag = np.empty(self.buf.size)
         self.w = np.empty((size, k, n_weights - m), complex)
         self.jac = np.empty((size, 2 * k, 2 * k), complex)
-        self._rows = None
+        # views for every count of live points, which falls each time a
+        # point leaves
+        self._rows = [_Rows(self, n) for n in range(size + 1)]
 
     def rows(self):
         """The :class:`_Rows` of the live points."""
-        if self._rows is None or self._rows.n != len(self.points):
-            self._rows = _Rows(self, len(self.points))
-        return self._rows
+        return self._rows[len(self.points)]
 
     def add(self, point, c, start):
         """A new live row for ``point``, of a system with ratio ``c``, whose
@@ -781,20 +785,6 @@ def _rescue(z, stepper, opts, spent, retry, y_from, factor, where):
     return report, s
 
 
-def _solve_or_climb(z, stepper, opts, start, y_from, factor, where):
-    """Solve at ``z`` once from ``start`` (the mean-field start when None),
-    as a stack of one point (see :func:`_solve`).  If a solve from a given
-    start fails, retry once from the mean-field start at ``z``; if that
-    fails too, or the first solve had no given start, rescue it with the
-    ladder of :func:`_rescue`.  Returns the report and its stacked
-    iterate."""
-    outcome, = _solve([z], stepper, opts, [start])
-    if isinstance(outcome, _SOLVE_FAILURES):
-        return _rescue(z, stepper, opts, outcome.iterations, start is not None, y_from,
-                       factor, where)
-    return outcome
-
-
 def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
                             factor=LADDER_FACTOR, y_start=None):
     """Solve at each target z, by continuation down the imaginary axis
@@ -840,43 +830,75 @@ def solve_with_continuation(z_targets, c, H, profile, quad, opts=None, *,
     return reports
 
 
+def _segments(n):
+    """The contiguous, near-equal segments, as lists of indices, that
+    :func:`sweep_line` cuts ``n`` points into: ``min(_STACK_SIZE, ceil(n /
+    _STACK_SIZE))`` of them, the longer ones first, so that one point of
+    each fills a stack and a grid of at most ``_STACK_SIZE`` points is one
+    segment."""
+    count = max(1, min(_STACK_SIZE, -(-n // _STACK_SIZE)))
+    return [segment.tolist() for segment in np.array_split(np.arange(n), count)]
+
+
 def sweep_line(x_values, epsilon, c, H, profile, quad, opts=None):
     """Solve along the horizontal line Im(z) = epsilon, starting each point
     from the linear extrapolation of the answers at the two points before it.
 
-    The first point starts from its own start, the mean-field start, and
-    the second from the first's weights.  Each later point starts from
-    ``s_{k-1} + min(r, 1) (s_{k-1} - s_{k-2})``, a predictor step (Allgower
-    & Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003)
-    with ``r = (x_k - x_{k-1}) / (x_{k-1} - x_{k-2})``, if ``0 < r <=
-    _MAX_STEP_RATIO`` (1.25), else from ``s_{k-1}`` alone.  The start is
+    The n points are cut into ``min(_STACK_SIZE, ceil(n / _STACK_SIZE))``
+    contiguous segments of near-equal length, so a grid of at most
+    ``_STACK_SIZE`` (8) points is one segment, and each segment is swept on
+    its own.  Its first point starts from its own start, the mean-field
+    start, and its second from the first's weights.  Each later point
+    starts from ``s_{k-1} + min(r, 1) (s_{k-1} - s_{k-2})``, a predictor
+    step (Allgower & Georg, *Introduction to Numerical Continuation
+    Methods*, SIAM 2003) with ``r = (x_k - x_{k-1}) / (x_{k-1} -
+    x_{k-2})``, if ``0 < r <= _MAX_STEP_RATIO`` (1.25), else from
+    ``s_{k-1}`` alone.  The start is
     only a guess: the solve from it keeps the stopping rule and the class
-    check of every solve.  A later point whose solve fails (no convergence,
-    a degenerate denominator, or an answer that fails its checks) is solved
-    once more from the mean-field start at that point.  Points that still
-    fail are rescued by the ladder of :func:`solve_with_continuation` from
-    the contraction height (or from epsilon, if that is higher), with the
-    finest step ``LADDER_FACTOR``; a failed rescue re-raises its error type
-    with x and the rung height added.  Returns the list of SolveReports in
-    x order.  Raises :class:`InvalidInput` unless ``c`` lies in (0, 1] and
-    ``quad`` is the quadrature on [c, 1].
+    check of every solve.
+
+    The segments advance in rounds: round j solves the j-th point of every
+    segment that has one, in one lockstep stack (see :func:`_solve`), so
+    the answers are those of sweeping each segment alone, within rounding.
+    Then the points of the round whose solve failed (no convergence, a
+    degenerate denominator, or an answer that fails its checks) are
+    rescued one at a time in x order: a point with a given start is solved
+    once more from the mean-field start at that point, and points that
+    still fail are rescued by the ladder of :func:`solve_with_continuation`
+    from the contraction height (or from epsilon, if that is higher), with
+    the finest step ``LADDER_FACTOR``.  A failed rescue re-raises its error
+    type with x and the rung height added, and ends the sweep: when
+    several points would fail, the one that raises is the first in the
+    order the rescues run, the lowest round first and the smallest x
+    within a round.  Returns the list of SolveReports in x order.  Raises
+    :class:`InvalidInput` unless ``c`` lies in (0, 1] and ``quad`` is the
+    quadrature on [c, 1].
     """
     epsilon = positive_height(epsilon, "epsilon")
     points = [upper_half_plane(complex(x, epsilon))
               for x in np.asarray(x_values, dtype=float).tolist()]
     opts = opts or SolverOptions()
     stepper = _Stepper(H, profile, quad, c)
-    reports = []
-    prev = last = None           # the answers at the two left neighbours
-    for k, z in enumerate(points):
-        start = last
-        if prev is not None:
-            before = points[k - 1].real - points[k - 2].real
-            ratio = (z.real - points[k - 1].real) / before if before else 0.0
-            if 0 < ratio <= _MAX_STEP_RATIO:
-                start = last + min(1.0, ratio) * (last - prev)
-        report, state = _solve_or_climb(z, stepper, opts, start, stepper.height,
-                                        LADDER_FACTOR, f"rescue at x={z.real!r}")
-        reports.append(report)
-        prev, last = last, state
+    # the iterate of each answer: its report's kernels are views of it, so
+    # keeping it costs no memory
+    reports, states = [None] * len(points), [None] * len(points)
+    segments = _segments(len(points))
+    for j in range(len(segments[0])):
+        ks = [segment[j] for segment in segments if j < len(segment)]
+        starts = []
+        for k in ks:
+            start = states[k - 1] if j else None
+            if j > 1:
+                before = points[k - 1].real - points[k - 2].real
+                ratio = (points[k].real - points[k - 1].real) / before if before else 0.0
+                if 0 < ratio <= _MAX_STEP_RATIO:
+                    start = start + min(1.0, ratio) * (start - states[k - 2])
+            starts.append(start)
+        outcomes = _solve([points[k] for k in ks], stepper, opts, starts)
+        for k, start, outcome in zip(ks, starts, outcomes):
+            if isinstance(outcome, _SOLVE_FAILURES):
+                z = points[k]
+                outcome = _rescue(z, stepper, opts, outcome.iterations, start is not None,
+                                  stepper.height, LADDER_FACTOR, f"rescue at x={z.real!r}")
+            reports[k], states[k] = outcome
     return reports

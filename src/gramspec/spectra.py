@@ -88,8 +88,10 @@ def limit_density(H, profile, quad, c, x_grid, epsilon, opts=None, transpose=Fal
     """Density curve of the limiting spectrum via the kernel solver.
 
     Sweeps the solver along Im(z) = epsilon with
-    :func:`~gramspec.master_solver.sweep_line`, which starts each point from
-    the linear extrapolation of the answers at its two left neighbours.
+    :func:`~gramspec.master_solver.sweep_line`, which cuts the grid into up
+    to eight contiguous segments, starts each point of a segment from the
+    linear extrapolation of the answers at its two left neighbours, and
+    solves the next point of every segment in one lockstep stack.
     With ``transpose=True`` the curve describes the transposed Gram side:
     its absolutely continuous part is c times the primal density and it
     carries the analytic point mass 1-c at zero.  Height, ratio, then grid are

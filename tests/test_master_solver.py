@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,19 @@ def solve_one(z, stepper, opts, start):
     outcome, = master_solver._solve([z], stepper, opts, [start])
     if isinstance(outcome, Exception):
         raise outcome
+    return outcome
+
+
+def solve_or_climb(z, stepper, opts, start, where):
+    """Solve at ``z`` once from ``start`` (the mean-field start when None),
+    as a stack of one point; if that fails, rescue it with
+    :func:`master_solver._rescue`, which first retries from the mean-field
+    start when ``start`` was given.  A sweep of one segment solves each
+    point so before the next starts."""
+    outcome, = master_solver._solve([z], stepper, opts, [start])
+    if isinstance(outcome, Exception):
+        return master_solver._rescue(z, stepper, opts, outcome.iterations, start is not None,
+                                     stepper.height, LADDER_FACTOR, where)
     return outcome
 
 
@@ -525,15 +539,17 @@ def solve_alone(entry, z, c, H, prof, quad, opts=None):
 
 def fail_first_checks(patch, target, count):
     """Make the first ``count`` Stieltjes checks of answers at ``target``
-    fail, so each of those solves fails after all its map applications.
-    Returns the list of forced failures."""
+    fail, so each of those solves fails after all its map applications;
+    every other check is the one in place, so that calls for several
+    targets add up.  Returns the list of forced failures."""
     forced = []
+    inner = master_solver.check_stieltjes
 
     def check(z, s, num):
         if z == target and len(forced) < count:
             forced.append(z)
             raise NumericalFailure(f"forced failure at z={z}")
-        check_stieltjes(z, s, num)
+        inner(z, s, num)
 
     patch.setattr(master_solver, "check_stieltjes", check)
     return forced
@@ -620,11 +636,14 @@ class TestNewtonBelowHeight:
         ref = sweep_line(xs, 1e-3, 0.5, H, prof, quad, SolverOptions(tol=1e-13, max_iters=60000))
         f = np.array([rep.f for rep in reports])
         assert np.max(np.abs(f - [rep.f for rep in ref])) <= opts.tol
-        # Newton serves every point, with no rescue; only the first starts
-        # cold, so its first map application has no residual
+        # Newton serves every point, with no rescue; only the first point of
+        # each segment starts from the mean-field start, so only its first
+        # map application has no residual
+        firsts = {segment[0] for segment in master_solver._segments(len(xs))}
+        assert len(firsts) == master_solver._STACK_SIZE
         for k, rep in enumerate(reports):
             assert rep.newton_steps > 0
-            assert rep.total_iterations == rep.iterations == len(rep.residuals) + (k == 0)
+            assert rep.total_iterations == rep.iterations == len(rep.residuals) + (k in firsts)
             assert not rep.rescued
 
     def test_newton_steps_reported(self):
@@ -763,8 +782,7 @@ def ladder_reference(z, c, H, prof, quad, opts):
     y = max(stepper.height, z.imag)
     reports, state = [], -stepper.num / complex(z.real, y)
     while True:
-        report, state = master_solver._solve_or_climb(
-            complex(z.real, y), stepper, opts, state, stepper.height, LADDER_FACTOR, "reference")
+        report, state = solve_or_climb(complex(z.real, y), stepper, opts, state, "reference")
         reports.append(report)
         if y <= z.imag * (1 + 1e-12):
             return reports
@@ -1278,6 +1296,155 @@ class TestSweepLine:
             check_stieltjes(z, np.concatenate([rep.pi.weights, rep.pi_tilde.weights]), num)
 
 
+def density_system(m):
+    """The profile ``1 + xy``, offset law and quadrature of the density
+    benchmark, with m atoms and m nodes at c = 1/2."""
+    prof = VarianceProfile.bilinear([[1.0, 1.0], [1.0, 2.0]])
+    H = product_H([(0.0, 0.5), (1.0, 0.5)], m)
+    return prof, H, QuadratureRule.midpoint(0.5, m)
+
+
+def sequential_sweep(xs, eps, c, H, prof, quad, opts):
+    """The reference of a sweep of one segment: one point at a time in x
+    order, each solved by :func:`solve_or_climb` from the clipped secant
+    through its two left neighbours' answers before the next starts."""
+    stepper = _Stepper(H, prof, quad, c)
+    points = [complex(x, eps) for x in xs]
+    reports, prev, last = [], None, None
+    for k, z in enumerate(points):
+        start = last
+        if prev is not None:
+            before = points[k - 1].real - points[k - 2].real
+            ratio = (z.real - points[k - 1].real) / before if before else 0.0
+            if 0 < ratio <= master_solver._MAX_STEP_RATIO:
+                start = last + min(1.0, ratio) * (last - prev)
+        report, state = solve_or_climb(z, stepper, opts, start, f"rescue at x={z.real!r}")
+        reports.append(report)
+        prev, last = last, state
+    return reports
+
+
+class TestSegmentedSweep:
+    """sweep_line cuts its grid into contiguous segments and solves the
+    next point of every segment in one lockstep stack: each segment's
+    answers are those of sweeping it alone, and a failed point is rescued
+    alone, in x order, before the next round."""
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (8, 1), (9, 2), (16, 2), (64, 8),
+                                          (65, 8), (2000, 8)])
+    def test_segment_count(self, n, count):
+        segments = master_solver._segments(n)
+        assert len(segments) == count
+        assert sum(segments, []) == list(range(n))
+        lengths = [len(segment) for segment in segments]
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[0] - lengths[-1] <= 1
+
+    def test_segments_equal_their_own_sweeps(self):
+        prof, H, quad = density_system(64)
+        xs = default_x_grid(prof, H, 0.5, points=40)
+        opts = SolverOptions(tol=1e-9, max_iters=60000)
+        reports = sweep_line(xs, 1e-3, 0.5, H, prof, quad, opts)
+        segments = master_solver._segments(len(xs))
+        assert len(segments) == 5
+        for segment in segments:
+            own = sweep_line(xs[segment], 1e-3, 0.5, H, prof, quad, opts)
+            for k, ref in zip(segment, own):
+                rep = reports[k]
+                assert (rep.iterations, rep.total_iterations, rep.newton_steps, rep.rescued) == (
+                    ref.iterations, ref.total_iterations, ref.newton_steps, ref.rescued), k
+                assert abs(rep.f - ref.f) <= 1e-13, k
+                assert abs(rep.f_tilde - ref.f_tilde) <= 1e-13, k
+
+    @pytest.mark.parametrize("n", range(2, master_solver._STACK_SIZE + 1))
+    def test_short_grid_is_the_sequential_sweep(self, n):
+        # at most _STACK_SIZE points make one segment: every round is a
+        # stack of one, bit for bit the sweep one point at a time
+        prof, H, quad = density_system(64)
+        xs = default_x_grid(prof, H, 0.5, points=n)
+        opts = SolverOptions(tol=1e-9, max_iters=60000)
+        reports = sweep_line(xs, 1e-3, 0.5, H, prof, quad, opts)
+        for rep, ref in zip(reports, sequential_sweep(xs, 1e-3, 0.5, H, prof, quad, opts),
+                            strict=True):
+            np.testing.assert_array_equal(rep.pi.weights, ref.pi.weights)
+            np.testing.assert_array_equal(rep.pi_tilde.weights, ref.pi_tilde.weights)
+            assert (rep.f, rep.f_tilde, rep.residuals) == (ref.f, ref.f_tilde, ref.residuals)
+            assert (rep.iterations, rep.total_iterations, rep.newton_steps, rep.rescued) == (
+                ref.iterations, ref.total_iterations, ref.newton_steps, ref.rescued)
+
+    def test_failure_in_a_round_fails_only_its_point(self, monkeypatch):
+        prof, H, quad = density_system(64)
+        xs = default_x_grid(prof, H, 0.5, points=24)
+        eps, opts = 1e-3, SolverOptions(tol=1e-9, max_iters=60000)
+        unforced = sweep_line(xs, eps, 0.5, H, prof, quad, opts)
+        # the last point of the middle segment, solved in the last round
+        # beside the last points of the other two
+        segments = master_solver._segments(len(xs))
+        bad = segments[1][-1]
+        target = complex(xs[bad], eps)
+        forced = fail_first_checks(monkeypatch, target, 2)
+        solve, attempts = master_solver._solve, []
+
+        def recorded(zs, stepper, opts, starts):
+            outcomes = solve(zs, stepper, opts, starts)
+            attempts.extend((zz, start is None, not isinstance(outcome, Exception))
+                            for zz, start, outcome in zip(zs, starts, outcomes)
+                            if zz.real == target.real)
+            return outcomes
+
+        monkeypatch.setattr(master_solver, "_solve", recorded)
+        stack, stacks = _Stepper.stack, []
+        monkeypatch.setattr(_Stepper, "stack",
+                            lambda self, size: stacks.append(stack(self, size)) or stacks[-1])
+        reports = sweep_line(xs, eps, 0.5, H, prof, quad, opts)
+        assert forced == [target, target]
+        # from the secant (failed), from the mean-field start (failed),
+        # then the ladder: its cold top rung and the target from it
+        height = _Stepper(H, prof, quad, 0.5).height
+        assert attempts == [(target, False, False), (target, True, False),
+                            (complex(target.real, height), False, True), (target, False, True)]
+        assert reports[bad].rescued
+        assert abs(reports[bad].f - unforced[bad].f) <= 10 * opts.tol
+        # the rounds and the rescue share one stack, sized for one round
+        assert {id(s) for s in stacks} == {id(stacks[0])}
+        assert stacks[0].size == len(segments)
+        for k, (rep, ref) in enumerate(zip(reports, unforced)):
+            if k != bad:
+                np.testing.assert_array_equal(rep.pi.weights, ref.pi.weights)
+                np.testing.assert_array_equal(rep.pi_tilde.weights, ref.pi_tilde.weights)
+                assert (rep.iterations, rep.total_iterations, rep.newton_steps,
+                        rep.rescued) == (ref.iterations, ref.total_iterations,
+                                         ref.newton_steps, ref.rescued)
+
+    @pytest.mark.parametrize("failing, named", [({15}, 15), ({15, 17}, 17), ({9, 17}, 9)],
+                             ids=["one point", "earlier round first", "smaller x first"])
+    def test_failed_rescue_names_its_x(self, monkeypatch, failing, named):
+        # 24 points make the segments 0-7, 8-15 and 16-23: points 9 and 17
+        # are solved in the second round, point 15 in the last.  A failed
+        # rescue ends the sweep, so the first in the order rescues run
+        # raises: the lowest round first, then the smallest x
+        prof, H, quad = density_system(64)
+        xs = default_x_grid(prof, H, 0.5, points=24)
+        eps, opts = 1e-3, SolverOptions(tol=1e-9, max_iters=60000)
+        assert [segment[0] for segment in master_solver._segments(len(xs))] == [0, 8, 16]
+        targets = {complex(xs[k], eps) for k in failing}
+        for target in targets:
+            fail_first_checks(monkeypatch, target, 1)
+        rescue = master_solver._rescue
+
+        def hopeless(z, *args):
+            # in the rescue of a forced point every denominator is below the
+            # floor: its retry and its ladder's top rung fail
+            if z in targets:
+                monkeypatch.setattr(master_solver, "MIN_DENOMINATOR", 1e3)
+            return rescue(z, *args)
+
+        monkeypatch.setattr(master_solver, "_rescue", hopeless)
+        x = re.escape(repr(float(xs[named])))
+        with pytest.raises(DegenerateDenominator, match=rf"rescue at x={x}: rung Im=\S+ failed"):
+            sweep_line(xs, eps, 0.5, H, prof, quad, opts)
+
+
 def alone(targets, c, H, prof, quad, opts):
     """Each target's report from its own solve_with_continuation call."""
     return {z: solve_with_continuation([z], c, H, prof, quad, opts)[z] for z in targets}
@@ -1491,8 +1658,8 @@ class TestLockstepStack:
 
     def test_working_set_bounded_by_the_stack(self, monkeypatch):
         # the traced peak less what the returned reports hold is the solver's
-        # working set: one stack's buffers and the rescue's stack of one,
-        # whatever the number of targets
+        # working set: one stack's buffers, which the rescue reuses, whatever
+        # the number of targets
         prof, H, quad = zgrid_system(64)
         opts = SolverOptions(tol=1e-10, max_iters=60000)
         rng = np.random.default_rng(29)
@@ -1500,7 +1667,7 @@ class TestLockstepStack:
         def working_set(count):
             targets = [complex(x, 0.02 * 100.0 ** t)
                        for x, t in zip(rng.uniform(-0.5, 6.0, count), rng.random(count))]
-            # a rescue in both runs, so both build the stack of one
+            # a rescue in both runs, so both run a ladder on the stack
             fail_first_checks(monkeypatch, targets[0], 1)
             held = []
 
