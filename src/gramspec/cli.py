@@ -156,23 +156,24 @@ def build_H(cfg):
 
 
 def resolve_ratio(cfg, dims):
-    """Ratio c in (0, 1]; c > 1 needs an explicit transpose directive.
-    ``dims`` are the ensemble's (N, n), or None."""
+    """The paper's ratio c = N/n > 0: the config's ``c``, which must agree
+    with the ensemble's ``dims`` (N, n) when both are given, or N/n.
+    ``dims`` is None without an ensemble."""
+    if "transpose" in cfg:
+        # an older version read c > 1 as the ratio of the relabelled Gram
+        # sides with the profile kept: never run such a config silently
+        raise ConfigError("transpose", "no longer read; every c > 0 is the paper's "
+                                       "N/n, so drop the field")
     c = _require(cfg, "c", "number", None)
-    transpose = _require(cfg, "transpose", "flag", False)
     if c is None:
         if dims is None:
             raise ConfigError("c", "missing (give c or an ensemble)")
-        c = dims[0] / dims[1]
-        return 1.0 / c if c > 1.0 else c
+        return dims[0] / dims[1]
     with _field("c"):
         c = check_range(c, "c", open_low=True)
-    if c > 1.0 and not transpose:
-        raise ConfigError("c", f"c={c} > 1; set \"transpose\": true to relabel "
-                               "the two Gram sides")
-    c = 1.0 / c if c > 1.0 else c
-    if dims is not None and abs(c - min(dims) / max(dims)) > 1e-12:
-        raise ConfigError("c", f"c={c} conflicts with ensemble N/n={min(dims) / max(dims)}")
+    if dims is not None and not math.isclose(c, dims[0] / dims[1], rel_tol=1e-12,
+                                             abs_tol=1e-12):
+        raise ConfigError("c", f"c={c} conflicts with ensemble N/n={dims[0] / dims[1]}")
     return c
 
 
@@ -247,7 +248,8 @@ class Sampling:
 def build_sampling(model, seeds_override):
     law = _require(model.cfg, "ensemble.entry_law", "text")
     seeds = _checked_seeds(_require(model.cfg, "seeds", "list", [0]), "seeds")
-    # the entry law is present, so the model read the ensemble's dims too
+    # the entry law is present, so the model read the ensemble's dims too;
+    # at N > n the draw is of the transposed model, whose rows are the fewer
     with _field("ensemble"):
         specs = [simulator.EnsembleSpec(law, seed, min(model.dims), max(model.dims))
                  for seed in sorted(seeds if seeds_override is None else seeds_override)]
@@ -257,14 +259,17 @@ def build_sampling(model, seeds_override):
     with _field("H"):
         lambda_diag = model.offsets(specs[0].N)
     if lambda_diag.size != specs[0].N:
-        raise ConfigError("H.lambda_diag", f"length {lambda_diag.size} != N={specs[0].N}")
+        raise ConfigError("H.lambda_diag", f"length {lambda_diag.size} != min(N, n)="
+                                           f"{specs[0].N}, the diagonal's length")
     return Sampling(specs, lambda_diag)
 
 
 @dataclasses.dataclass(frozen=True)
 class Model:
     """What every command reads from the config, built once: ``meta`` is the
-    output header, ``dims`` (N, n) or None, ``offsets`` from :func:`build_H`."""
+    output header, ``dims`` the ensemble's (N, n) or None, ``offsets`` from
+    :func:`build_H`.  ``c``, ``profile`` and ``quad`` are those of the
+    model that every command solves and samples, see :func:`build_model`."""
 
     cfg: dict
     profile: measures.VarianceProfile
@@ -278,6 +283,12 @@ class Model:
 
 
 def build_model(cfg):
+    """The config's model.  At c = N/n > 1 it is the transposed model, of
+    the n x N matrix ``Sigma^T``: ratio 1/c, profile
+    ``profile.transposed(c)``, the same limit measure H, the quadrature of
+    ratio 1/c and one offset for each of its n rows.  Its Gram side is the
+    n x n ``Sigma^T Sigma``, which holds the nonzero eigenvalues of the
+    paper's N x N ``Sigma Sigma^T``."""
     profile = build_profile(cfg)
     H, offsets = build_H(cfg)
     dims = None
@@ -286,6 +297,9 @@ def build_model(cfg):
         with _field("ensemble"):
             check_count(dims, "dimensions (N, n)", 1)
     c = resolve_ratio(cfg, dims)
+    if c > 1.0:
+        profile = profile.transposed(c)
+        c = 1.0 / c
     return Model(cfg, profile, H, c, build_quad(cfg, c), build_solver_opts(cfg),
                  _meta(cfg), dims, offsets)
 
@@ -486,7 +500,10 @@ def _parse_seeds(text):
     return _checked_seeds(seeds, "--seeds")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process: ``parse_args``
+    reads it and never changes it, and a build costs about 15 parses."""
     parser = argparse.ArgumentParser(prog="gramspec",
                                      description="limiting Gram-matrix spectra: "
                                                  "solve, invert, simulate, compare")

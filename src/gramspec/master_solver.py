@@ -550,8 +550,8 @@ class _Stack:
         self.w = np.empty((size, k, n_weights - m), complex)
         self.jac = np.empty((size, 2 * k, 2 * k), complex)
         # views for every count of live points, which falls each time a
-        # point leaves
-        self._rows = [_Rows(self, n) for n in range(size + 1)]
+        # point leaves; rows() runs only while points are live
+        self._rows = [None] + [_Rows(self, n) for n in range(1, size + 1)]
 
     def rows(self):
         """The :class:`_Rows` of the live points."""

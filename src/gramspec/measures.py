@@ -111,6 +111,26 @@ class VarianceProfile:
             out = v[_cell(x, v.shape[0])[0], _cell(y, v.shape[1])[0]]
         return out if out.shape else float(out)
 
+    def transposed(self, scale):
+        """The profile ``scale * sigma2(y, x)``, of the same kind.
+
+        An N x n matrix with entries ``sigma(i/N, j/n) X_ij / sqrt(n)`` has
+        as its transpose the n x N matrix with entries ``sigma'(j/n, i/N)
+        X_ij / sqrt(N)``, where ``sigma'^2 = transposed(N / n)``.  Each kind
+        has one exact rule: a constant is scaled, the factors of a
+        separable profile swap (``g' = scale h``, ``h' = g``), and a
+        bilinear or block grid is transposed and scaled.  ``scale`` is
+        finite and > 0.
+        """
+        scale = check_range(scale, "scale", open_low=True)
+        if self.kind == "constant":
+            return type(self).constant(scale * self._params[0])
+        if self.kind == "separable":
+            g, _, h, _ = self._params
+            return type(self).separable(scale * h, g)
+        grid = scale * self._params[0].T
+        return type(self).bilinear(grid) if self.kind == "bilinear" else type(self).blocks(grid)
+
     def factors(self, x, y):
         """Separable factors ``(phi(x), V, psi(y))`` of the profile on two
         point sets, with

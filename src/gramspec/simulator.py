@@ -59,7 +59,10 @@ class EnsembleSpec:
 
     All built-in laws are centered with unit (absolute) second moment and
     have all moments finite.  The seed is required and passes
-    :func:`check_seed`; the dimensions are integers under the same rule.
+    :func:`check_seed`; the dimensions are integers under the same rule,
+    with N <= n.  An N x n matrix with N > n is drawn as its transpose,
+    the n x N matrix with profile ``profile.transposed(N / n)``, which has
+    the same law.
     """
 
     entry_law: str
@@ -73,7 +76,8 @@ class EnsembleSpec:
         check_seed(self.seed)
         check_count((self.N, self.n), "dimensions (N, n)", 1)
         if self.N > self.n:
-            raise InvalidInput("N must not exceed n (transpose the model first)")
+            raise InvalidInput(f"N={self.N} must not exceed n={self.n}: draw the n x N "
+                               "transpose instead, with the profile's transposed(N/n)")
 
 
 @dataclass

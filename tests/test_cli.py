@@ -217,16 +217,17 @@ class TestSolveCommand:
         assert not out.exists()
 
     def test_invalid_ratio_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, dict(MP_SOLVE, c=1.5))
+        cfg = write_config(tmp_path, dict(MP_SOLVE, c=0.0))
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
-    def test_transpose_directive_allows_big_ratio(self, tmp_path):
-        cfg = write_config(tmp_path, dict(MP_SOLVE, c=2.0, transpose=True))
+    def test_big_ratio_solves_the_transposed_model(self, tmp_path):
+        # c = 2 is solved as the ratio-1/2 model with profile 2 sigma2(y, x)
+        cfg = write_config(tmp_path, dict(MP_SOLVE, c=2.0))
         out = tmp_path / "out"
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "solve.csv")
         f = complex(float(rows[0]["f_re"]), float(rows[0]["f_im"]))
-        assert abs(f - mp_stieltjes(1j, 0.5, 1.0)) <= 1e-8
+        assert abs(f - mp_stieltjes(1j, 0.5, 2.0)) <= 1e-8
 
     def test_missing_field_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"c": 1.0, "z_grid": [[0, 1]]})
@@ -441,6 +442,45 @@ class TestCompareCommand:
         assert report["median_ks"] <= 0.2
 
 
+class TestTallEnsemble:
+    """At c = N/n > 1 every command solves and samples the transposed
+    model, whose Gram side is the n x n ``Sigma^T Sigma``."""
+
+    CFG = {
+        "profile": {"kind": "separable", "g_values": [0.5, 1.0, 2.0], "h_values": [1.5, 0.7]},
+        "H": {"type": "product", "h_lambda": [[0.0, 0.5], [4.0, 0.5]], "M": 200},
+        "quadrature_nodes": 256,
+        "ensemble": {"entry_law": "gaussian", "N": 400, "n": 200},
+        "solver": {"tol": 1e-12},
+    }
+
+    def test_limit_matches_the_papers_matrix(self):
+        model = cli.build_model(self.CFG)
+        (N, n), z = model.dims, 1.0 + 0.3j
+        assert model.c == 0.5
+        report = master_solver.solve_with_continuation([z], model.c, model.H, model.profile,
+                                                       model.quad, model.opts)[z]
+        # Sigma_ij = sigma(i/N, j/n) X_ij / sqrt(n) + Lambda_ii 1{i = j}, drawn
+        # here as the paper's N x n matrix with the config's own profile
+        sigma_sq = cli.build_profile(self.CFG).evaluate(np.arange(1, N + 1)[:, None] / N,
+                                                        np.arange(1, n + 1)[None, :] / n)
+        lam = model.offsets(n)
+        seeds = range(8)
+        papers = []
+        for seed in seeds:
+            sigma = (np.sqrt(sigma_sq) * np.random.default_rng(seed).standard_normal((N, n))
+                     / np.sqrt(n))
+            sigma[np.arange(n), np.arange(n)] += lam
+            papers.append(np.linalg.eigvalsh(sigma.T @ sigma))
+        # the sampler draws the transposed model's n x N matrix
+        sampled = [simulator.sample_spectrum(spec, model.profile, lam).eigenvalues
+                   for spec in cli.build_sampling(model, list(seeds)).specs]
+        for draws in (papers, sampled):
+            fs = np.array([np.mean(1.0 / (ev - z)) for ev in draws])
+            stderr = np.sqrt((fs.real.var(ddof=1) + fs.imag.var(ddof=1)) / fs.size)
+            assert abs(fs.mean() - report.f) <= 3.0 * stderr
+
+
 class TestEigenvalueFiles:
     """``simulate`` writes each sample with the CLI's one CSV writer, and
     ``compare --sim-dir`` reads it back with the CLI's one reader."""
@@ -564,6 +604,12 @@ CONFIG_ERRORS = {
                           [], "H.lambda_diag"),
     "sim-dir-without-csvs": ("compare", SIM_BASE, ["--sim-dir", "EMPTY"], "sim-dir"),
     "seeds-not-integers": ("simulate", SIM_BASE, ["--seeds", "1,x"], "--seeds"),
+    # c is the paper's N/n, checked against the ensemble before any transpose
+    "c-below-tall-ensemble": ("simulate", dict(SIM_BASE, c=0.5, ensemble={
+        "entry_law": "gaussian", "N": 120, "n": 60}), [], "c"),
+    # an older version read c > 1 under this field with the profile kept
+    "transpose-directive": ("solve", dict(MP_SOLVE, c=2.0, transpose=True), [], "transpose"),
+    "transpose-off": ("solve", dict(MP_SOLVE, c=0.5, transpose=False), [], "transpose"),
 }
 
 
@@ -686,6 +732,33 @@ class TestImportBoundary:
         assert not solver_path
         # the probe sees the import once the simulator does linear algebra
         assert simulator_path
+
+
+class TestParser:
+    def test_consecutive_calls_parse_independently(self, tmp_path):
+        # one parser serves every call in the process; no option of a call
+        # reaches the next
+        assert cli.build_parser() is cli.build_parser()
+        cfg = write_config(tmp_path, dict(SIM_BASE, seeds=[1]))
+
+        def run(command, *extra):
+            out = tmp_path / f"{command}{len(list(tmp_path.iterdir()))}"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+            return out
+
+        sims = run("simulate", "--seeds", "4", "--threads", "2")
+        assert [p.name for p in sims.iterdir()] == ["eigenvalues_seed4.csv"]
+        loaded = json.loads((run("compare", "--sim-dir", str(sims)) / "compare.json")
+                            .read_text())
+        assert [r["seed"] for r in loaded["per_seed"]] == [4]
+        # with --sim-dir left over, --seeds would be an error
+        fresh = json.loads((run("compare", "--seeds", "5") / "compare.json").read_text())
+        assert [r["seed"] for r in fresh["per_seed"]] == [5]
+        bits = json.loads((run("capacity", "--bits", "--seeds", "6") / "capacity.json")
+                          .read_text())
+        nats = json.loads((run("capacity") / "capacity.json").read_text())
+        assert (bits["units"], [r["seed"] for r in bits["per_seed"]]) == ("bits", [6])
+        assert (nats["units"], [r["seed"] for r in nats["per_seed"]]) == ("nats", [1])
 
 
 class TestConsoleScript:

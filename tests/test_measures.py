@@ -278,3 +278,37 @@ class TestUniformH:
         np.testing.assert_allclose(H.u, [0.125, 0.375, 0.625, 0.875])
         np.testing.assert_allclose(H.lam, 2.0)
         np.testing.assert_allclose(H.w, 0.25)
+
+
+class TestTransposedProfile:
+    """``transposed(s)`` is the profile ``s sigma2(y, x)``, of the same kind."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 1.0 / 3.0])
+    @pytest.mark.parametrize("name", sorted(FACTOR_PROFILES))
+    def test_swaps_the_arguments(self, name, scale):
+        prof, shape = FACTOR_PROFILES[name]
+        out = prof.transposed(scale)
+        assert out.kind == prof.kind
+        assert out.sigma_max_sq == pytest.approx(scale * prof.sigma_max_sq, rel=1e-15, abs=0)
+        # every cell edge of the transposed grid, on an outer grid and paired
+        x, y = factor_points(shape[::-1])
+        np.testing.assert_allclose(out.evaluate(x[:, None], y[None, :]),
+                                   scale * prof.evaluate(y[None, :], x[:, None]),
+                                   rtol=1e-15, atol=0)
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(0, 1, (2, 500))
+        np.testing.assert_allclose(out.evaluate(x, y), scale * prof.evaluate(y, x),
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_PROFILES))
+    def test_transposed_back_gives_the_values(self, name):
+        prof, shape = FACTOR_PROFILES[name]
+        back = prof.transposed(2.5).transposed(1.0 / 2.5)
+        x, y = factor_points(shape)
+        np.testing.assert_allclose(back.evaluate(x[:, None], y[None, :]),
+                                   prof.evaluate(x[:, None], y[None, :]), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(InvalidInput, match="scale"):
+            VarianceProfile.constant(1.0).transposed(scale)
